@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("census", help="per-level counts of a family"))
     common(sub.add_parser("sperner", help="exact width versus largest level"))
     common(sub.add_parser("matchings", help="adjacent-level matching table"))
-    common(sub.add_parser("chains", help="chain partition through the middle level"))
+    common(sub.add_parser("chains", help="chain partition through the largest level"))
 
     lemma = sub.add_parser("lemma", help="run one verification sweep")
     lemma.add_argument("id", choices=LEMMA_IDS)
@@ -192,6 +192,7 @@ def _sperner_doc(report) -> dict:
         "sperner": report.sperner,
         "strict": report.strict,
         "antichain": [g.text() for g in report.antichain],
+        "method": report.method,
     }
 
 
@@ -200,6 +201,11 @@ def _cmd_sperner(args) -> int:
     doc = _sperner_doc(report)
     rows = [{k: v for k, v in doc.items() if k not in ("antichain", "level_sizes")}]
     _emit(doc, rows, args.fmt, args.out)
+    # the theorem covers the connected universe; other universes are reports
+    if args.family == "connected" and not report.sperner:
+        return _fail("sperner", [{"problem": "width differs from the largest level",
+                                  "width": report.width,
+                                  "max_level_size": report.max_level_size}])
     return 0
 
 
@@ -251,7 +257,7 @@ def _cmd_matchings(args) -> int:
 
 def _cmd_chains(args) -> int:
     try:
-        partition = poset.chain_partition(args.n, args.budget_override)
+        partition = poset.chain_partition(args.n, args.family, args.budget_override)
     except poset.ChainPartitionError as exc:
         print(f"FAIL chains: {exc} (pair {exc.k_from}->{exc.k_to})", file=sys.stderr)
         return 1

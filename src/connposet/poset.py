@@ -7,11 +7,14 @@ matching (an injection pairing every graph with a comparable neighbor)
 exists; when it does not, a certificate family violating Hall's condition
 is extracted from the final alternating-reachability cut.
 
-Exact width uses the classical reduction: split every element into a left
-and right copy, connect the copies of every strictly comparable pair, and
-take a maximum matching.  |P| minus the matching size is both the minimum
-number of chains covering P and, via the matching's vertex cover, the size
-of a maximum antichain, so the two certificates confirm each other.
+Complete matchings from every level into its neighbor toward the largest
+level K glue into |level K| chains of one-edge steps; such a partition
+proves width = |level K|, the paper's route to the Sperner property.  Where
+gluing fails, exact width uses the classical reduction: split every element
+into a left and right copy, connect the copies of every strictly comparable
+pair, and take a maximum matching.  |P| minus the matching size is both the
+minimum number of chains covering P and, via the matching's vertex cover,
+the size of a maximum antichain, so the two certificates confirm each other.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -289,7 +292,8 @@ def adjacent_level_matching(
 
 @dataclass(frozen=True)
 class ChainPartition:
-    """Chains of consecutive-level graphs partitioning the connected poset."""
+    """Chains of one-edge steps partitioning a graph universe, glued through
+    its largest level."""
 
     n: int
     chains: tuple[tuple[EdgeSet, ...], ...]
@@ -299,72 +303,119 @@ class ChainPartition:
         return len(self.chains)
 
 
-def chain_partition(n: int, budget_override: bool = False) -> ChainPartition:
-    """Glue complete level matchings through the middle level M = ceil(m/2).
+def _largest_level(levels: Sequence[Sequence[int]]) -> int:
+    """Index of the largest nonempty level; ties go to the fewest edges."""
+    sizes = {k: len(level) for k, level in enumerate(levels) if level}
+    return max(sizes, key=lambda k: (sizes[k], -k))
 
-    Below M every level must match completely into the next one up; above M
-    every level must match completely into the next one down.  The resulting
-    chains partition the poset into exactly |level M| chains.  If some pair
-    lacks the required matching, ChainPartitionError names the first one.
+
+def _complete_matching(
+    n: int, levels: Sequence[Sequence[int]], k_from: int, k_to: int
+) -> array:
+    """Partner index in level k_to of every element of level k_from."""
+    direction = "up" if k_to > k_from else "down"
+    from_bits, to_bits = levels[k_from], levels[k_to]
+    if len(from_bits) > len(to_bits):
+        raise ChainPartitionError(
+            k_from, k_to,
+            f"level {k_from} is larger than level {k_to}; cannot glue {direction}ward",
+        )
+    adj = _level_pair_adjacency(n, from_bits, to_bits, direction)
+    size, match_l, _ = hopcroft_karp(len(from_bits), len(to_bits), adj.__getitem__)
+    if size < len(from_bits):
+        raise ChainPartitionError(
+            k_from, k_to, f"no complete matching from level {k_from} into level {k_to}"
+        )
+    return array("i", match_l)
+
+
+def _glued_chains(n: int, levels: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Glue complete level matchings through the largest level K.
+
+    Below K every level must match completely into the next one up; above K
+    every level must match completely into the next one down.  Each element
+    of level K then anchors one chain, listed by increasing edge count, and
+    the chains partition the universe.  If some pair lacks the required
+    matching, ChainPartitionError names the first one; a gap between
+    nonempty levels always yields such a pair (a nonempty level facing an
+    empty one on its side of K).
     """
-    check_scan_budget(n, budget_override)
-    m = slot_count(n)
-    M = (m + 1) // 2
-    levels = _level_bits(n, "connected")
-    lowest = n - 1 if n > 1 else 0
+    K = _largest_level(levels)
+    ks = [k for k, level in enumerate(levels) if level]
+    lo, hi = ks[0], ks[-1]
+    partner = {k: _complete_matching(n, levels, k, k + 1) for k in range(lo, K)}
+    partner.update(
+        {k: _complete_matching(n, levels, k, k - 1) for k in range(K + 1, hi + 1)}
+    )
 
-    up_maps: dict[int, dict[int, int]] = {}
-    for k in range(lowest, M):
-        if len(levels[k]) > len(levels[k + 1]):
-            raise ChainPartitionError(
-                k, k + 1, f"level {k} is larger than level {k + 1}; cannot glue upward"
-            )
-        res = adjacent_level_matching(n, k, "up", "connected", budget_override)
-        if not res.complete:
-            raise ChainPartitionError(
-                k, k + 1, f"no complete matching from level {k} into level {k + 1}"
-            )
-        up_maps[k] = {g.bits: h.bits for g, h in res.pairs}
+    chains = [[b] for b in levels[K]]
+    for side in (range(K - 1, lo - 1, -1), range(K + 1, hi + 1)):
+        # chain index of each element of the level glued last
+        owner: Sequence[int] = range(len(chains))
+        for k in side:
+            owner = [owner[j] for j in partner[k]]
+            for b, c in zip(levels[k], owner):
+                chains[c].append(b)
+        if side.step < 0:  # grown downward from K; restore increasing order
+            for chain in chains:
+                chain.reverse()
+    return chains
 
-    down_maps: dict[int, dict[int, int]] = {}
-    for k in range(M, m):
-        if len(levels[k + 1]) > len(levels[k]):
-            raise ChainPartitionError(
-                k + 1, k, f"level {k + 1} is larger than level {k}; cannot glue downward"
-            )
-        res = adjacent_level_matching(n, k + 1, "down", "connected", budget_override)
-        if not res.complete:
-            raise ChainPartitionError(
-                k + 1, k, f"no complete matching from level {k + 1} into level {k}"
-            )
-        down_maps[k + 1] = {g.bits: h.bits for g, h in res.pairs}
 
-    up_inverse: dict[int, dict[int, int]] = {
-        k: {h: g for g, h in mp.items()} for k, mp in up_maps.items()
-    }
-    down_inverse: dict[int, dict[int, int]] = {
-        k: {h: g for g, h in mp.items()} for k, mp in down_maps.items()
-    }
+def check_chain_certificate(
+    universe: Sequence[int], chains: Sequence[Sequence[int]]
+) -> None:
+    """Re-verify that chains of edge bitmasks prove width = largest level.
 
-    chains = []
-    for anchor in levels[M]:
-        below: list[int] = []
-        cur = anchor
-        for k in range(M - 1, lowest - 1, -1):
-            cur = up_inverse[k].get(cur, -1)
-            if cur < 0:
-                break
-            below.append(cur)
-        above: list[int] = []
-        cur = anchor
-        for k in range(M + 1, m + 1):
-            cur = down_inverse[k].get(cur, -1)
-            if cur < 0:
-                break
-            above.append(cur)
-        chain = list(reversed(below)) + [anchor] + above
-        chains.append(tuple(EdgeSet(n, b) for b in chain))
-    return ChainPartition(n, tuple(chains))
+    Every element of the universe must appear exactly once, consecutive
+    members of a chain must differ by exactly one added edge, and there must
+    be as many chains as the largest level (by edge count) has elements.  A
+    partition into that many chains admits no larger antichain, and the
+    largest level is itself an antichain.  Raises AssertionError otherwise.
+    """
+    level_sizes = Counter(b.bit_count() for b in universe)
+    largest = max(level_sizes.values(), default=0)
+    if len(chains) != largest:
+        raise AssertionError(
+            f"{len(chains)} chains, but the largest level has {largest} elements"
+        )
+    top = max(universe, default=0)
+    seen = bytearray(top + 1)
+    covered = 0
+    for chain in chains:
+        for b in chain:
+            if not 0 <= b <= top or seen[b]:
+                raise AssertionError(
+                    f"chain member {b:#x} is repeated or outside the universe"
+                )
+            seen[b] = 1
+            covered += 1
+        for lower, upper in zip(chain, chain[1:]):
+            if upper & lower != lower or (upper ^ lower).bit_count() != 1:
+                raise AssertionError(
+                    f"chain step {lower:#x} -> {upper:#x} does not add exactly one edge"
+                )
+    missing = [b for b in universe if not seen[b]]
+    if missing or covered != len(universe):
+        raise AssertionError(
+            f"chains cover {covered} of {len(universe)} elements"
+            + (f"; {missing[0]:#x} is missing" if missing else "")
+        )
+
+
+def chain_partition(
+    n: int, universe="connected", budget_override: bool = False
+) -> ChainPartition:
+    """Chains through the largest level of a universe (see _glued_chains).
+
+    For the connected universe at n <= 7 the largest level is the middle
+    level ceil(m/2).  The chains are re-verified by check_chain_certificate;
+    if some level pair blocks the gluing, ChainPartitionError names it.
+    """
+    _, levels = _universe_levels(n, universe, budget_override)
+    chains = _glued_chains(n, levels)
+    check_chain_certificate([b for level in levels for b in level], chains)
+    return ChainPartition(n, tuple(tuple(EdgeSet(n, b) for b in chain) for chain in chains))
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +554,7 @@ class SpernerReport:
     max_level_size: int
     width: int
     antichain: tuple[EdgeSet, ...]
+    method: str  # "chains" (glued level matchings) or "dilworth"
 
     @property
     def sperner(self) -> bool:
@@ -562,11 +614,29 @@ def _subset_order_neighbors(
     return streamed
 
 
-def sperner_verdict(
-    n: int, universe="connected", budget_override: bool = False
-) -> SpernerReport:
-    """Exact width of the whole universe versus its largest level."""
-    name, levels = _universe_levels(n, universe, budget_override)
+def _check_antichain(bits_list: Sequence[int]) -> None:
+    """Plain subset test: no emitted element lies strictly below another."""
+    if len(set(bits_list)) != len(bits_list):
+        raise AssertionError("antichain certificate repeats an element")
+    by_level: dict[int, list[int]] = {}
+    for b in bits_list:
+        by_level.setdefault(b.bit_count(), []).append(b)
+    ks = sorted(by_level)
+    # distinct sets of one size are never comparable
+    for i, k in enumerate(ks):
+        for a in by_level[k]:
+            for k_up in ks[i + 1:]:
+                for b in by_level[k_up]:
+                    if a & b == a:
+                        raise AssertionError(
+                            f"antichain certificate holds comparable {a:#x} < {b:#x}"
+                        )
+
+
+def _dilworth_width(
+    n: int, levels: Sequence[Sequence[int]], budget_override: bool
+) -> tuple[int, list[int]]:
+    """Width and a maximum antichain from the full comparability matching."""
     bits_list = [b for level in levels for b in sorted(level)]
     check_width_budget(len(bits_list), budget_override)
     m = slot_count(n)
@@ -576,22 +646,46 @@ def sperner_verdict(
     seen_l, seen_r = _alternating_reachable(
         len(bits_list), len(bits_list), rows, match_l, match_r
     )
-    antichain_idx = [i for i in range(len(bits_list)) if seen_l[i] and not seen_r[i]]
+    antichain = [bits_list[i] for i in range(len(bits_list)) if seen_l[i] and not seen_r[i]]
     width = len(bits_list) - size
-    if len(antichain_idx) != width:
+    if len(antichain) != width:
         raise AssertionError("antichain certificate does not match the chain cover")
+    _check_antichain(antichain)
+    return width, antichain
+
+
+def sperner_verdict(
+    n: int, universe="connected", budget_override: bool = False
+) -> SpernerReport:
+    """Exact width of the whole universe versus its largest level.
+
+    The paper's route comes first: level matchings glued through the largest
+    level, re-verified by check_chain_certificate (method "chains").  When
+    gluing fails (an incomplete matching, or a gap between nonempty levels),
+    the width comes from the full comparability matching, whose antichain is
+    re-checked pairwise (method "dilworth").
+    """
+    name, levels = _universe_levels(n, universe, budget_override)
+    max_level_k = _largest_level(levels)
+    try:
+        chains = _glued_chains(n, levels)
+    except ChainPartitionError:
+        width, antichain = _dilworth_width(n, levels, budget_override)
+        method = "dilworth"
+    else:
+        check_chain_certificate([b for level in levels for b in level], chains)
+        width, antichain = len(chains), levels[max_level_k]
+        method = "chains"
 
     level_sizes = {k: len(level) for k, level in enumerate(levels) if level}
-    max_level_k = max(level_sizes, key=lambda k: (level_sizes[k], -k))
     return SpernerReport(
         n=n,
         universe=name,
-        element_count=len(bits_list),
+        element_count=sum(level_sizes.values()),
         level_sizes=level_sizes,
         max_level_k=max_level_k,
         max_level_size=level_sizes[max_level_k],
         width=width,
-        antichain=tuple(
-            EdgeSet(n, b) for b in sorted(bits_list[i] for i in antichain_idx)
-        ),
+        antichain=tuple(EdgeSet(n, b) for b in sorted(antichain)),
+        method=method,
     )

@@ -24,6 +24,28 @@ def test_sperner_json():
     assert doc["max_level_size"] == 16
     assert doc["sperner"] is True
     assert len(doc["antichain"]) == 16
+    assert doc["method"] == "chains"
+
+
+def test_sperner_mismatch_fails_only_for_connected(monkeypatch, capsys):
+    import dataclasses
+
+    from connposet import cli, poset
+
+    real = poset.sperner_verdict
+
+    def short_width(n, universe="connected", budget_override=False):
+        report = real(n, universe, budget_override)
+        return dataclasses.replace(report, width=report.width - 1)
+
+    monkeypatch.setattr(poset, "sperner_verdict", short_width)
+    assert cli.main(["sperner", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["sperner"] is False
+    assert captured.err.startswith("FAIL sperner:")
+    # other universes are reports
+    assert cli.main(["sperner", "--n", "4", "--family", "two_edge_connected"]) == 0
+    assert "FAIL" not in capsys.readouterr().err
 
 
 def test_census_formats():
@@ -60,6 +82,15 @@ def test_matchings_table():
     nd = run_cli("matchings", "--n", "3", "--format", "ndjson").stdout.splitlines()
     pairs = [json.loads(line) for line in nd]
     assert all({"from", "to", "k_from", "k_to", "n"} <= set(p) for p in pairs)
+
+
+def test_chains_honour_family():
+    doc = json.loads(run_cli("chains", "--n", "4", "--family", "two_edge_connected").stdout)
+    # 2-edge-connected graphs on [4]: 3 four-cycles, 6 with five edges, K4
+    assert doc["count"] == 6
+    flattened = [g for chain in doc["chains"] for g in chain]
+    assert len(flattened) == len(set(flattened)) == 10
+    assert "4:3f" in flattened and "4:f" not in flattened  # K4 in, a paw out
 
 
 def test_chains_output():

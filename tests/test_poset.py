@@ -15,6 +15,7 @@ from connposet.graphs import enumerate_level, slot_count
 from connposet.poset import (
     ChainPartitionError,
     augmenting_path_matching,
+    check_chain_certificate,
     hopcroft_karp,
 )
 
@@ -210,14 +211,124 @@ def test_sperner_verdict_full_universe_is_boolean_lattice():
     v = sperner_verdict(3, universe="all")
     assert v.element_count == 8
     assert v.width == 3 == v.max_level_size
+    # levels 1 and 2 tie; the lower one is reported and certified
+    assert v.max_level_k == 1 and [g.bits for g in v.antichain] == [1, 2, 4]
+
+
+def without_level_4(g):
+    # connected graphs on [4] minus level 4: the level gap blocks the chain route
+    return is_connected(g) and g.edge_count != 4
 
 
 def test_sperner_verdict_streamed_neighbors(monkeypatch):
     import connposet.poset as poset_mod
 
+    materialized = sperner_verdict(4, universe=without_level_4)
     monkeypatch.setattr(poset_mod, "_MATERIALIZE_PAIR_LIMIT", 0)
-    streamed = poset_mod.sperner_verdict(4)
-    assert streamed == sperner_verdict(4)
+    streamed = poset_mod.sperner_verdict(4, universe=without_level_4)
+    assert streamed == materialized
+    assert streamed.method == "dilworth"
+    # levels 3, 5, 6 hold 16, 6, 1 graphs; no two trees are comparable
+    assert streamed.width == 16 and streamed.sperner
+
+
+def test_sperner_verdict_falls_back_on_level_gap():
+    with pytest.raises(ChainPartitionError) as err:
+        chain_partition(3, universe=lambda g: g.edge_count != 2)
+    assert (err.value.k_from, err.value.k_to) == (3, 2)
+    report = sperner_verdict(3, universe=lambda g: g.edge_count != 2)
+    assert report.level_sizes == {0: 1, 1: 3, 3: 1}
+    assert report.method == "dilworth"
+    assert report.width == 3 and report.sperner
+    assert {g.bits for g in report.antichain} == {1, 2, 4}
+
+
+@pytest.mark.parametrize(
+    "n,universe",
+    [(n, u) for n in (1, 2, 3, 4, 5) for u in ("connected", "two_edge_connected", "all")
+     if (n, u) != (2, "two_edge_connected")]
+    + [(6, "connected")],
+)
+def test_chain_route_agrees_with_dilworth(monkeypatch, n, universe):
+    import dataclasses
+
+    import connposet.poset as poset_mod
+
+    chained = poset_mod.sperner_verdict(n, universe)
+    assert chained.method == "chains"
+
+    def no_chains(n, levels):
+        raise ChainPartitionError(0, 0, "chain route disabled")
+
+    monkeypatch.setattr(poset_mod, "_glued_chains", no_chains)
+    dilworth = poset_mod.sperner_verdict(n, universe)
+    assert dilworth.method == "dilworth"
+    assert chained.strict
+    assert {g.edge_count for g in chained.antichain} == {chained.max_level_k}
+    sizes = list(chained.level_sizes.values())
+    if sizes.count(chained.max_level_size) > 1:
+        # the Boolean lattices at n = 2, 3 have two largest levels: the chain
+        # route certifies the lower one, the vertex cover picks the upper one
+        assert dilworth.strict and len(dilworth.antichain) == chained.width
+        dilworth = dataclasses.replace(dilworth, antichain=chained.antichain)
+    assert dataclasses.replace(dilworth, method="chains") == chained
+
+
+def test_check_chain_certificate_accepts():
+    check_chain_certificate([3, 5, 6, 7], [[3, 7], [5], [6]])  # connected, n = 3
+    check_chain_certificate([0, 1, 2, 3], [[0, 1, 3], [2]])
+    check_chain_certificate([], [])
+
+
+@pytest.mark.parametrize(
+    "chains,problem",
+    [
+        ([[0, 1, 3], [1]], "repeated"),  # 1 twice, 2 left out
+        ([[0, 3], [1, 2]], "exactly one edge"),  # 0 -> 3 adds two edges
+        ([[0, 1, 3], []], "missing"),  # 2 left out
+        ([[0, 1, 3], [2], []], "largest level has 2"),  # one chain too many
+        ([[0, 1, 3], [2, 6]], "outside"),  # 6 is not in the universe
+    ],
+)
+def test_check_chain_certificate_rejects(chains, problem):
+    # the Boolean lattice on two edge slots: levels {0}, {1, 2}, {3}
+    with pytest.raises(AssertionError, match=problem):
+        check_chain_certificate([0, 1, 2, 3], chains)
+
+
+def test_sperner_verdict_checks_chain_certificate(monkeypatch):
+    import connposet.poset as poset_mod
+
+    real = poset_mod._glued_chains
+
+    def dropped_member(n, levels):
+        chains = real(n, levels)
+        chains[0].pop()
+        return chains
+
+    monkeypatch.setattr(poset_mod, "_glued_chains", dropped_member)
+    with pytest.raises(AssertionError, match="missing"):
+        poset_mod.sperner_verdict(4)
+    with pytest.raises(AssertionError, match="missing"):
+        poset_mod.chain_partition(4)
+
+
+def test_dilworth_antichain_is_checked_pairwise(monkeypatch):
+    import connposet.poset as poset_mod
+
+    real = poset_mod._alternating_reachable
+
+    def widened(n_left, n_right, neighbors, match_l, match_r):
+        seen_l, seen_r = real(n_left, n_right, neighbors, match_l, match_r)
+        # trade one antichain member for index 0, the empty graph below all others
+        j = next(i for i in range(n_left) if seen_l[i] and not seen_r[i] and i != 0)
+        seen_l[j] = False
+        seen_l[0], seen_r[0] = True, False
+        return seen_l, seen_r
+
+    monkeypatch.setattr(poset_mod, "_alternating_reachable", widened)
+    with pytest.raises(AssertionError, match="comparable"):
+        poset_mod.sperner_verdict(3, universe=lambda g: g.edge_count != 2)
 
 
 def test_upper_degree_identity_n4():
@@ -264,20 +375,15 @@ def test_chain_partition_trivial_universe():
 def test_chain_partition_error_reports_pair(monkeypatch):
     import connposet.poset as poset_mod
 
-    real = poset_mod.adjacent_level_matching
+    real = poset_mod._level_pair_adjacency
 
-    def sabotaged(n, k, direction, universe="connected", budget_override=False):
-        res = real(n, k, direction, universe, budget_override)
-        if (k, direction) == (6, "down"):
-            return poset_mod.MatchingResult(
-                n=res.n, universe=res.universe, k_from=res.k_from, k_to=res.k_to,
-                size_from=res.size_from, size_to=res.size_to,
-                matching_size=res.matching_size - 1, pairs=res.pairs[:-1],
-                violator=None,
-            )
-        return res
+    def sabotaged(n, from_bits, to_bits, direction):
+        adj = real(n, from_bits, to_bits, direction)
+        if (from_bits[0].bit_count(), direction) == (6, "down"):
+            return [[] for _ in adj]
+        return adj
 
-    monkeypatch.setattr(poset_mod, "adjacent_level_matching", sabotaged)
+    monkeypatch.setattr(poset_mod, "_level_pair_adjacency", sabotaged)
     with pytest.raises(ChainPartitionError) as err:
         poset_mod.chain_partition(4)
     assert (err.value.k_from, err.value.k_to) == (6, 5)
