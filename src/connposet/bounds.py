@@ -18,17 +18,22 @@ requires (the ratio and shift identities below are stated for it).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, log2
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     EdgeSet,
+    _census_range,
+    _connected_bits,
     _level_bits,
+    _parallel_range_scan,
     _shadow_bits,
     _validate_uniform,
     _vertex_adjacency,
+    scan_masks,
     slot_count,
 )
 from .connectivity import _induced_bits, _removable_slots, skeleton
@@ -399,11 +404,8 @@ def disconnected_report(n: int, budget_override: bool = False) -> list[BoundRepo
     both are exact counting facts and are expected to hold at every n.
     """
     check_scan_budget(n, budget_override)
-    m = slot_count(n)
     disconnected = with_isolated = 0
-    from .graphs import _connected_bits
-
-    for bits in range(1 << m):
+    for bits in scan_masks(n, "all"):
         if _connected_bits(n, bits):
             continue
         disconnected += 1
@@ -454,7 +456,13 @@ class IRCensus:
         return sum(self.table.values())
 
 
-def i_r_census(n: int, epsilon: float = 1.0, budget_override: bool = False) -> IRCensus:
+def _irk_key(n: int, bits: int) -> tuple[int, int]:
+    return bits.bit_count(), len(_removable_slots(n, bits))
+
+
+def i_r_census(
+    n: int, epsilon: float = 1.0, budget_override: bool = False, workers: int = 1
+) -> IRCensus:
     """Exhaustive (k, r) census of 2-edge-connected graphs with bound rows.
 
     For every nonempty cell with 2 <= r <= n and M <= k <= M + n the count is
@@ -463,19 +471,19 @@ def i_r_census(n: int, epsilon: float = 1.0, budget_override: bool = False) -> I
     count; cells whose count is zero, or whose right-hand side degenerates to
     the zero binomial at desk scale (upper argument below k), produce no
     comparison row so that every emitted row has finite log-space values.
+    With workers > 1 the scan is split over that many processes.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     check_scan_budget(n, budget_override)
     m = slot_count(n)
     M = (m + 1) // 2
-    table: dict[tuple[int, int], int] = {}
-    for k, level in enumerate(_level_bits(n, "two_edge_connected")):
-        for bits in level:
-            r = len(_removable_slots(n, bits))
-            table[(k, r)] = table.get((k, r), 0) + 1
+    parts = _parallel_range_scan(
+        partial(_census_range, n, "two_edge_connected", key=_irk_key), n, workers
+    )
+    table = dict(sorted(sum(parts, Counter()).items()))
     reports = []
-    for (k, r), count in sorted(table.items()):
+    for (k, r), count in table.items():
         if not (2 <= r <= n and M <= k <= M + n):
             continue
         inner = ext_binom(n - r / 2, 2).value() + epsilon * r * n

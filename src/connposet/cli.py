@@ -16,7 +16,6 @@ import io
 import json
 import random
 import sys
-from multiprocessing import Pool
 
 from . import bounds, connectivity, graphs, poset, quotient
 from .limits import BudgetExceededError, check_scan_budget
@@ -153,19 +152,7 @@ def _csv_cell(value):
 
 
 def _cmd_census(args) -> int:
-    if args.workers > 1:
-        m = graphs.slot_count(args.n)
-        check_scan_budget(args.n, args.budget_override)
-        total = 1 << m
-        step = -(-total // args.workers)
-        ranges = [(args.n, args.family, lo, min(lo + step, total))
-                  for lo in range(0, total, step)]
-        with Pool(args.workers) as pool:
-            partials = pool.starmap(graphs._census_range, ranges)
-        counts = [sum(part[k] for part in partials) for k in range(m + 1)]
-        census = graphs.LevelCensus(args.n, args.family, tuple(counts))
-    else:
-        census = graphs.level_census(args.n, args.family, args.budget_override)
+    census = graphs.level_census(args.n, args.family, args.budget_override, args.workers)
     doc = {
         "n": census.n,
         "family": census.family,
@@ -348,7 +335,7 @@ def _cmd_lemma(args) -> int:
 
     if name == "irk":
         epsilon = args.epsilon if args.epsilon is not None else 1.0
-        census = bounds.i_r_census(args.n, epsilon, args.budget_override)
+        census = bounds.i_r_census(args.n, epsilon, args.budget_override, args.workers)
         doc = {
             "lemma": "irk",
             "n": args.n,
@@ -360,7 +347,9 @@ def _cmd_lemma(args) -> int:
               ["name", "n", "k", "r", "epsilon", "count",
                "lhs_log2", "rhs_log2", "holds", "margin_log2", "note"])
         total = census.total()
-        expected = sum(len(lv) for lv in graphs._level_bits(args.n, "two_edge_connected"))
+        expected = graphs.level_census(
+            args.n, "two_edge_connected", args.budget_override, args.workers
+        ).total
         if total != expected:
             return _fail("irk", [{"problem": "census total mismatch",
                                   "total": total, "expected": expected}])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
 
@@ -23,9 +24,10 @@ from .graphs import (
     _component_masks,
     _connected_bits,
     _iter_bits,
+    _parallel_range_scan,
     _slot_pairs,
     is_connected,
-    slot_count,
+    scan_masks,
 )
 from .limits import check_scan_budget
 
@@ -75,18 +77,6 @@ def bridges(g: EdgeSet) -> list[tuple[int, int]]:
         raise ValueError("bridges requires a connected graph")
     pairs = _slot_pairs(g.n)
     return sorted(pairs[s] for s in _bridge_slots(g.n, g.bits))
-
-
-def bridges_by_deletion(g: EdgeSet) -> list[tuple[int, int]]:
-    """Per-edge-deletion cross-check for bridges (quadratic but independent)."""
-    if not is_connected(g):
-        raise ValueError("bridges requires a connected graph")
-    pairs = _slot_pairs(g.n)
-    return sorted(
-        pairs[s]
-        for s in _iter_bits(g.bits)
-        if not _connected_bits(g.n, g.bits ^ (1 << s))
-    )
 
 
 def _mask_vertices(mask: int) -> tuple[int, ...]:
@@ -388,9 +378,7 @@ def removal_condensation(g: EdgeSet) -> tuple[RemovabilityReport, MultiGraph]:
 def _skeleton_range(n: int, lo: int, hi: int) -> tuple[int, list[dict]]:
     findings = []
     checked = 0
-    for bits in range(lo, hi):
-        if not _connected_bits(n, bits):
-            continue
+    for bits in scan_masks(n, "connected", lo, hi):
         checked += 1
         g = EdgeSet(n, bits)
         sk = skeleton(g)
@@ -415,9 +403,7 @@ def _skeleton_range(n: int, lo: int, hi: int) -> tuple[int, list[dict]]:
 def _removability_range(n: int, lo: int, hi: int) -> tuple[int, list[dict]]:
     findings = []
     checked = 0
-    for bits in range(lo, hi):
-        if not _two_edge_connected_bits(n, bits):
-            continue
+    for bits in scan_masks(n, "two_edge_connected", lo, hi):
         checked += 1
         g = EdgeSet(n, bits)
         report, condensed = removal_condensation(g)
@@ -436,19 +422,9 @@ def _removability_range(n: int, lo: int, hi: int) -> tuple[int, list[dict]]:
     return checked, findings
 
 
-def _parallel_range_scan(worker, n: int, workers: int) -> tuple[int, list[dict]]:
-    total = 1 << slot_count(n)
-    if workers <= 1:
-        return worker(n, 0, total)
-    from multiprocessing import Pool
-
-    step = -(-total // workers)
-    ranges = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with Pool(workers) as pool:
-        parts = pool.starmap(worker, ranges)
-    checked = sum(c for c, _ in parts)
-    findings = [f for _, fs in parts for f in fs]
-    return checked, findings
+def _sweep(task, n: int, workers: int) -> tuple[int, list[dict]]:
+    parts = _parallel_range_scan(partial(task, n), n, workers)
+    return sum(c for c, _ in parts), [f for _, fs in parts for f in fs]
 
 
 def skeleton_findings(
@@ -456,7 +432,7 @@ def skeleton_findings(
 ) -> tuple[int, list[dict]]:
     """Check |B| = t-1 and 2-edge-connected parts over all connected graphs."""
     check_scan_budget(n, budget_override)
-    return _parallel_range_scan(_skeleton_range, n, workers)
+    return _sweep(_skeleton_range, n, workers)
 
 
 def removability_findings(
@@ -465,7 +441,7 @@ def removability_findings(
     """Check |R| <= 2q-2, |R| != 1 and a chorded-cycle-free condensation
     over all 2-edge-connected graphs on [n]."""
     check_scan_budget(n, budget_override)
-    return _parallel_range_scan(_removability_range, n, workers)
+    return _sweep(_removability_range, n, workers)
 
 
 def _multigraphs_on(q: int, mult_max: int) -> Iterator[tuple[tuple[int, int, int], ...]]:
@@ -493,29 +469,22 @@ def chorded_cycle_sweep(q_max: int = 5, mult_max: int = 3) -> dict:
     """
     results = {"per_q": {}, "bound_violations": [], "mismatches": []}
     for q in range(1, q_max + 1):
-        total = free_count = 0
-        # any pair at multiplicity >= 3 is a 2-cycle plus chord and also a
-        # non-cycle block, so both predicates are False; cache the remaining
-        # multiplicity<=2 patterns, which both predicates fully determine.
-        cache: dict[tuple[tuple[int, int, int], ...], tuple[bool, bool]] = {}
-        for edges in _multigraphs_on(q, mult_max):
-            total += 1
-            if any(c >= 3 for _, _, c in edges):
-                continue
-            if edges not in cache:
-                h = MultiGraph(q, edges)
-                cache[edges] = (is_chorded_cycle_free(h), is_cactus(h))
-            free, cactus = cache[edges]
-            if free != cactus:
-                results["mismatches"].append(MultiGraph(q, edges).to_json())
+        free_count = 0
+        # a pair at multiplicity >= 3 is a 2-cycle plus a chord and also a
+        # non-cycle block, so both predicates reject it: only the patterns
+        # with every multiplicity <= 2 are evaluated, the rest just counted
+        for edges in _multigraphs_on(q, min(mult_max, 2)):
+            h = MultiGraph(q, edges)
+            free = is_chorded_cycle_free(h)
+            if free != is_cactus(h):
+                results["mismatches"].append(h.to_json())
             if free:
                 free_count += 1
-                size = sum(c for _, _, c in edges)
-                if size > 2 * q - 2:
-                    results["bound_violations"].append(MultiGraph(q, edges).to_json())
+                if h.edge_total > 2 * q - 2:
+                    results["bound_violations"].append(h.to_json())
         star = doubled_star(q)
         results["per_q"][q] = {
-            "multigraphs": total,
+            "multigraphs": (mult_max + 1) ** (q * (q - 1) // 2),
             "chorded_cycle_free": free_count,
             "doubled_star_edges": star.edge_total,
             "doubled_star_tight": q < 2

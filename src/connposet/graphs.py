@@ -14,8 +14,9 @@ stream deterministic, restartable and partitionable by value ranges.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 from .limits import TYPE_MAX_N, check_scan_budget
@@ -240,41 +241,66 @@ class LevelCensus:
         return sum(self.counts)
 
 
-def level_census(
-    n: int, family: str = "connected", budget_override: bool = False
-) -> LevelCensus:
-    """Exact per-edge-count census obtained by scanning all 2^m graphs."""
-    m = slot_count(n)
-    pred = _family_predicate(family)
-    check_scan_budget(n, budget_override)
-    counts = [0] * (m + 1)
-    for bits in range(1 << m):
-        if pred(n, bits):
-            counts[bits.bit_count()] += 1
-    return LevelCensus(n, family, tuple(counts))
+def scan_masks(n: int, family: str, lo: int = 0, hi: int | None = None) -> Iterator[int]:
+    """Masks in [lo, hi) accepted by the family predicate, ascending.
 
-
-def _census_range(n: int, family: str, lo: int, hi: int) -> list[int]:
-    """Census of the bits range [lo, hi); worker unit for parallel scans."""
-    m = slot_count(n)
+    The range defaults to the whole universe of 2^m masks.  Every full scan
+    in the package goes through here; callers enforce the public budget,
+    and n above the override limit is always refused.
+    """
     pred = _family_predicate(family)
-    counts = [0] * (m + 1)
+    check_scan_budget(n, override=True)
+    if hi is None:
+        hi = 1 << slot_count(n)
     for bits in range(lo, hi):
         if pred(n, bits):
-            counts[bits.bit_count()] += 1
-    return counts
+            yield bits
+
+
+def _parallel_range_scan(task: Callable[[int, int], object], n: int, workers: int) -> list:
+    """task(lo, hi) over consecutive ranges covering all 2^m masks, in order.
+
+    With workers > 1 each range runs in a forked pool process, so task must
+    pickle: a module-level function or a functools.partial of one.
+    """
+    total = 1 << slot_count(n)
+    if workers <= 1:
+        return [task(0, total)]
+    from multiprocessing import Pool
+
+    step = -(-total // workers)
+    with Pool(workers) as pool:
+        return pool.starmap(task, [(lo, min(lo + step, total)) for lo in range(0, total, step)])
+
+
+def _edge_count(n: int, bits: int) -> int:
+    return bits.bit_count()
+
+
+def _census_range(n: int, family: str, lo: int, hi: int, key=_edge_count) -> Counter:
+    """Members of the family in [lo, hi) counted by key(n, bits); one scan task."""
+    return Counter(key(n, bits) for bits in scan_masks(n, family, lo, hi))
+
+
+def level_census(
+    n: int, family: str = "connected", budget_override: bool = False, workers: int = 1
+) -> LevelCensus:
+    """Exact per-edge-count census obtained by scanning all 2^m graphs,
+    split over `workers` processes when workers > 1 (same counts)."""
+    m = slot_count(n)
+    _family_predicate(family)  # an unknown family fails here, before any fork
+    check_scan_budget(n, budget_override)
+    parts = _parallel_range_scan(partial(_census_range, n, family), n, workers)
+    counts = sum(parts, Counter())
+    return LevelCensus(n, family, tuple(counts[k] for k in range(m + 1)))
 
 
 @lru_cache(maxsize=64)
 def _level_bits(n: int, family: str) -> tuple[tuple[int, ...], ...]:
     """Cached per-level bit lists (index k); callers enforce the public budget."""
-    m = slot_count(n)
-    pred = _family_predicate(family)
-    check_scan_budget(n, override=True)
-    levels: list[list[int]] = [[] for _ in range(m + 1)]
-    for bits in range(1 << m):
-        if pred(n, bits):
-            levels[bits.bit_count()].append(bits)
+    levels: list[list[int]] = [[] for _ in range(slot_count(n) + 1)]
+    for bits in scan_masks(n, family):
+        levels[bits.bit_count()].append(bits)
     return tuple(tuple(lv) for lv in levels)
 
 

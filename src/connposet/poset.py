@@ -24,7 +24,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .graphs import EdgeSet, _iter_bits, _level_bits, slot_count
 from .limits import (
@@ -124,31 +124,6 @@ def hopcroft_karp(
         for u in range(n_left):
             if match_l[u] < 0 and dfs(u):
                 size += 1
-    return size, match_l, match_r
-
-
-def augmenting_path_matching(
-    n_left: int, n_right: int, neighbors: Callable[[int], Iterable[int]]
-) -> tuple[int, list[int], list[int]]:
-    """Plain one-path-at-a-time augmenting matcher, kept as an independent
-    cross-check for the phase-based matcher above."""
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-
-    def try_augment(u: int, seen: list[bool]) -> bool:
-        for v in neighbors(u):
-            if not seen[v]:
-                seen[v] = True
-                if match_r[v] < 0 or try_augment(match_r[v], seen):
-                    match_r[v] = u
-                    match_l[u] = v
-                    return True
-        return False
-
-    size = 0
-    for u in range(n_left):
-        if try_augment(u, [False] * n_right):
-            size += 1
     return size, match_l, match_r
 
 
@@ -303,10 +278,15 @@ class ChainPartition:
         return len(self.chains)
 
 
-def _largest_level(levels: Sequence[Sequence[int]]) -> int:
-    """Index of the largest nonempty level; ties go to the fewest edges."""
-    sizes = {k: len(level) for k, level in enumerate(levels) if level}
-    return max(sizes, key=lambda k: (sizes[k], -k))
+def _largest_level(level_sizes: Mapping[int, int]) -> int:
+    """The level k with the most elements; ties go to the smallest k."""
+    if not level_sizes:
+        raise ValueError("the universe is empty: it has no largest level")
+    return max(level_sizes, key=lambda k: (level_sizes[k], -k))
+
+
+def _level_sizes(levels: Sequence[Sequence[int]]) -> dict[int, int]:
+    return {k: len(level) for k, level in enumerate(levels) if level}
 
 
 def _complete_matching(
@@ -340,9 +320,9 @@ def _glued_chains(n: int, levels: Sequence[Sequence[int]]) -> list[list[int]]:
     nonempty levels always yields such a pair (a nonempty level facing an
     empty one on its side of K).
     """
-    K = _largest_level(levels)
-    ks = [k for k, level in enumerate(levels) if level]
-    lo, hi = ks[0], ks[-1]
+    sizes = _level_sizes(levels)
+    K = _largest_level(sizes)
+    lo, hi = min(sizes), max(sizes)
     partner = {k: _complete_matching(n, levels, k, k + 1) for k in range(lo, K)}
     partner.update(
         {k: _complete_matching(n, levels, k, k - 1) for k in range(K + 1, hi + 1)}
@@ -465,6 +445,30 @@ def _spot_check_adjacency(adj: list[Sequence[int]]) -> None:
                 raise ValueError(f"successor relation not transitive at ({u},{v},{w})")
 
 
+def _supermask_successors(
+    members: Iterable[int], full: int
+) -> Callable[[int], list[int]]:
+    """successors= for width_dilworth under strict edge-set inclusion.
+
+    successors(bits) lists the members strictly above bits, found by walking
+    the nonempty submasks t of full & ~bits and keeping each bits | t that is
+    a member.  full is the edge set every member lies within.
+    """
+    member_set = set(members)
+
+    def successors(bits: int) -> list[int]:
+        free = full & ~bits
+        out = []
+        t = free
+        while t:
+            if (bits | t) in member_set:
+                out.append(bits | t)
+            t = (t - 1) & free
+        return out
+
+    return successors
+
+
 def width_dilworth(
     elements: Sequence,
     order: Callable | None = None,
@@ -520,11 +524,8 @@ def width_dilworth(
     max_level_k = None
     max_level_size = None
     if level_of is not None:
-        level_sizes = {}
-        for e in elements:
-            k = level_of(e)
-            level_sizes[k] = level_sizes.get(k, 0) + 1
-        max_level_k = max(level_sizes, key=lambda k: (level_sizes[k], -k))
+        level_sizes = dict(Counter(level_of(e) for e in elements))
+        max_level_k = _largest_level(level_sizes)
         max_level_size = level_sizes[max_level_k]
 
     return WidthResult(
@@ -569,51 +570,6 @@ class SpernerReport:
         return len(self.antichain) == self.level_sizes.get(next(iter(ks)), -1)
 
 
-# adjacency larger than this is generated on the fly instead of materialized
-_MATERIALIZE_PAIR_LIMIT = 40_000_000
-
-
-def _subset_order_neighbors(
-    bits_list: Sequence[int], m: int
-) -> Callable[[int], Iterable[int]]:
-    """Neighbor access under strict subset order, via supermask enumeration.
-
-    Rows are materialized when the total pair count is affordable; otherwise
-    every call walks the supermasks of the element's complement directly.
-    """
-    index = array("i", [-1] * (1 << m))
-    for i, b in enumerate(bits_list):
-        index[b] = i
-    full = (1 << m) - 1
-    total_pairs = sum((1 << (m - b.bit_count())) - 1 for b in bits_list)
-
-    if total_pairs <= _MATERIALIZE_PAIR_LIMIT:
-        rows = []
-        for b in bits_list:
-            row = array("i")
-            comp = full ^ b
-            t = comp
-            while t:
-                j = index[b | t]
-                if j >= 0:
-                    row.append(j)
-                t = (t - 1) & comp
-            rows.append(array("i", sorted(row)))
-        return rows.__getitem__
-
-    def streamed(u: int) -> Iterable[int]:
-        b = bits_list[u]
-        comp = full ^ b
-        t = comp
-        while t:
-            j = index[b | t]
-            if j >= 0:
-                yield j
-            t = (t - 1) & comp
-
-    return streamed
-
-
 def _check_antichain(bits_list: Sequence[int]) -> None:
     """Plain subset test: no emitted element lies strictly below another."""
     if len(set(bits_list)) != len(bits_list):
@@ -633,27 +589,6 @@ def _check_antichain(bits_list: Sequence[int]) -> None:
                         )
 
 
-def _dilworth_width(
-    n: int, levels: Sequence[Sequence[int]], budget_override: bool
-) -> tuple[int, list[int]]:
-    """Width and a maximum antichain from the full comparability matching."""
-    bits_list = [b for level in levels for b in sorted(level)]
-    check_width_budget(len(bits_list), budget_override)
-    m = slot_count(n)
-    rows = _subset_order_neighbors(bits_list, m)
-
-    size, match_l, match_r = hopcroft_karp(len(bits_list), len(bits_list), rows)
-    seen_l, seen_r = _alternating_reachable(
-        len(bits_list), len(bits_list), rows, match_l, match_r
-    )
-    antichain = [bits_list[i] for i in range(len(bits_list)) if seen_l[i] and not seen_r[i]]
-    width = len(bits_list) - size
-    if len(antichain) != width:
-        raise AssertionError("antichain certificate does not match the chain cover")
-    _check_antichain(antichain)
-    return width, antichain
-
-
 def sperner_verdict(
     n: int, universe="connected", budget_override: bool = False
 ) -> SpernerReport:
@@ -662,22 +597,29 @@ def sperner_verdict(
     The paper's route comes first: level matchings glued through the largest
     level, re-verified by check_chain_certificate (method "chains").  When
     gluing fails (an incomplete matching, or a gap between nonempty levels),
-    the width comes from the full comparability matching, whose antichain is
-    re-checked pairwise (method "dilworth").
+    width_dilworth matches the full comparability relation, and its
+    antichain is re-checked pairwise (method "dilworth").
     """
     name, levels = _universe_levels(n, universe, budget_override)
-    max_level_k = _largest_level(levels)
+    level_sizes = _level_sizes(levels)
+    max_level_k = _largest_level(level_sizes)
+    members = [b for level in levels for b in level]
     try:
         chains = _glued_chains(n, levels)
     except ChainPartitionError:
-        width, antichain = _dilworth_width(n, levels, budget_override)
+        result = width_dilworth(
+            members,
+            successors=_supermask_successors(members, (1 << slot_count(n)) - 1),
+            budget_override=budget_override,
+        )
+        width, antichain = result.width, result.antichain
+        _check_antichain(antichain)
         method = "dilworth"
     else:
-        check_chain_certificate([b for level in levels for b in level], chains)
+        check_chain_certificate(members, chains)
         width, antichain = len(chains), levels[max_level_k]
         method = "chains"
 
-    level_sizes = {k: len(level) for k, level in enumerate(levels) if level}
     return SpernerReport(
         n=n,
         universe=name,

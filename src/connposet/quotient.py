@@ -33,7 +33,7 @@ from .graphs import (
     slot_count,
 )
 from .limits import CANONICAL_MAX_N, CPRIME_MAX_EDGES, check_scan_budget, check_width_budget
-from .poset import width_dilworth
+from .poset import _supermask_successors, width_dilworth
 
 
 @lru_cache(maxsize=None)
@@ -238,22 +238,9 @@ def cprime_sperner(g: EdgeSet, budget_override: bool = False) -> ExplorerReport:
         t = (t - 1) & g.bits
     members.sort()
     check_width_budget(len(members), budget_override)
-    member_set = set(members)
-
-    def successors(bits: int) -> Iterable[int]:
-        free = g.bits & ~bits
-        t = free
-        out = []
-        while t:
-            candidate = bits | t
-            if candidate in member_set:
-                out.append(candidate)
-            t = (t - 1) & free
-        return out
-
     result = width_dilworth(
         members,
-        successors=successors,
+        successors=_supermask_successors(members, g.bits),
         level_of=lambda b: b.bit_count(),
         budget_override=budget_override,
     )
@@ -405,21 +392,9 @@ def property_poset_report(
     minimal_levels = {b.bit_count() for b in minimals}
 
     covers_one_step = upward_closed or _covers_saturated(members, member_set)
-
-    def successors(bits: int) -> Iterable[int]:
-        free = full & ~bits
-        t = free
-        out = []
-        while t:
-            candidate = bits | t
-            if candidate in member_set:
-                out.append(candidate)
-            t = (t - 1) & free
-        return out
-
     result = width_dilworth(
         members,
-        successors=successors,
+        successors=_supermask_successors(members, full),
         level_of=lambda b: b.bit_count(),
         budget_override=budget_override,
     )

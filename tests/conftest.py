@@ -2,8 +2,8 @@
 
 The oracles here deliberately use different algorithms from the package
 (union-find instead of frontier BFS, pairwise deletion instead of lowpoint,
-subset enumeration instead of matching, cycle enumeration instead of
-spanning-cycle search) so the two sides of every check share no code path.
+subset enumeration instead of matching, one augmenting path at a time
+instead of phases, cycle enumeration instead of spanning-cycle search) so the two sides of every check share no code path.
 """
 
 from itertools import combinations
@@ -47,6 +47,41 @@ def bits_edges(n, bits):
 
 def uf_connected_bits(n, bits):
     return uf_connected(n, bits_edges(n, bits))
+
+
+def bridges_by_deletion(g):
+    """Bridges of a connected EdgeSet, sorted: the edges whose deletion
+    disconnects it, found by one union-find test per edge."""
+    edges = bits_edges(g.n, g.bits)
+    if not uf_connected(g.n, edges):
+        raise ValueError("bridges requires a connected graph")
+    return sorted(e for e in edges if not uf_connected(g.n, [f for f in edges if f != e]))
+
+
+def augmenting_path_matching(n_left, n_right, neighbors):
+    """Maximum bipartite matching one augmenting path at a time (Kuhn).
+
+    Returns (size, match_l, match_r) with -1 for unmatched, the shape of
+    connposet.poset.hopcroft_karp, which it cross-checks.
+    """
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+
+    def try_augment(u, seen):
+        for v in neighbors(u):
+            if not seen[v]:
+                seen[v] = True
+                if match_r[v] < 0 or try_augment(match_r[v], seen):
+                    match_r[v] = u
+                    match_l[u] = v
+                    return True
+        return False
+
+    size = 0
+    for u in range(n_left):
+        if try_augment(u, [False] * n_right):
+            size += 1
+    return size, match_l, match_r
 
 
 def brute_width(elements, lt):

@@ -45,9 +45,7 @@ from connposet.connectivity import (
     skeleton_findings,
 )
 from connposet.graphs import _level_bits, level_census, slot_count
-from connposet.poset import augmenting_path_matching
-
-from conftest import cycle_chord_free, uf_connected_bits
+from conftest import augmenting_path_matching, cycle_chord_free, uf_connected_bits
 
 
 @contextmanager

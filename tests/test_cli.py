@@ -199,3 +199,21 @@ def test_workers_do_not_change_output(tmp_path):
     run_cli("census", "--n", "5", "--workers", "1", "--out", str(one))
     run_cli("census", "--n", "5", "--workers", "3", "--out", str(two))
     assert one.read_bytes() == two.read_bytes()
+    for args in (
+        ("census", "--family", "connected"),
+        ("census", "--family", "all"),
+        ("census", "--family", "two_edge_connected"),
+        ("lemma", "skeleton"),
+        ("lemma", "removable"),
+        ("lemma", "irk"),
+    ):
+        serial = run_cli(*args, "--n", "5", "--workers", "1").stdout
+        assert run_cli(*args, "--n", "5", "--workers", "2").stdout == serial, args
+
+
+@pytest.mark.parametrize("command", ["sperner", "chains"])
+def test_empty_universe_is_reported(command):
+    # no graph on two vertices is 2-edge-connected
+    proc = run_cli(command, "--n", "2", "--family", "two_edge_connected", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the universe is empty: it has no largest level\n"

