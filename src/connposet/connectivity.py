@@ -14,15 +14,15 @@ one must qualify); a two-vertex single edge is not (the edge is a bridge).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
 
 from .graphs import (
     EdgeSet,
     _component_masks,
-    _connected_bits,
     _iter_bits,
     _parallel_range_scan,
     _slot_pairs,
@@ -36,45 +36,67 @@ from .limits import check_scan_budget
 # bridges and skeletons of simple graphs
 
 
+@lru_cache(maxsize=None)
+def _incidence(n: int) -> tuple[tuple, tuple[int, ...]]:
+    """Per vertex of K_n (index 0 unused): its (neighbour, slot bit) pairs,
+    and the mask of those slot bits."""
+    near: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    inc = [0] * (n + 1)
+    for s, (i, j) in enumerate(_slot_pairs(n)):
+        near[i].append((j, 1 << s))
+        near[j].append((i, 1 << s))
+        inc[i] |= 1 << s
+        inc[j] |= 1 << s
+    return tuple(map(tuple, near)), tuple(inc)
+
+
+def _cut_labels(n: int, bits: int) -> dict[int, int] | None:
+    """Cycle-space label of every edge slot, or None if the graph is disconnected.
+
+    A BFS tree is grown from vertex 1.  Every non-tree edge s gets its own
+    bit, 1 << s; every tree edge gets the XOR of the non-tree edges that
+    cross its fundamental cut, accumulated leaf to root in reverse BFS order.
+    An edge set is a cut exactly when its labels XOR to 0 (the exact form of
+    Pritchard and Thurimella's cycle space sampling), so the bridges are the
+    edges labelled 0, and in a bridgeless graph {e, f} is a 2-edge cut
+    exactly when e and f share a label.
+    """
+    near, inc = _incidence(n)
+    parent = [0] * (n + 1)
+    up = [0] * (n + 1)  # slot bit of the tree edge from v to its parent
+    order = [1]
+    seen = 2
+    tree = 0
+    for u in order:
+        for v, slot_bit in near[u]:
+            if bits & slot_bit and not seen >> v & 1:
+                seen |= 1 << v
+                parent[v] = u
+                up[v] = slot_bit
+                tree |= slot_bit
+                order.append(v)
+    if len(order) < n:
+        return None
+    rest = bits ^ tree
+    labels = {s: 1 << s for s in _iter_bits(rest)}
+    # non-tree edges at v; once v's children are added, those leaving v's subtree
+    below = [rest & mask for mask in inc]
+    for v in reversed(order[1:]):
+        labels[up[v].bit_length() - 1] = below[v]
+        below[parent[v]] ^= below[v]
+    return labels
+
+
 def _bridge_slots(n: int, bits: int) -> list[int]:
-    """Bridge slots via one lowpoint DFS (graph need not be connected)."""
-    pairs = _slot_pairs(n)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for s in _iter_bits(bits):
-        i, j = pairs[s]
-        adj[i].append((j, s))
-        adj[j].append((i, s))
-    disc = [0] * (n + 1)
-    low = [0] * (n + 1)
-    out: list[int] = []
-    timer = 1
-
-    def dfs(u: int, parent: int) -> None:
-        nonlocal timer
-        disc[u] = low[u] = timer
-        timer += 1
-        for v, s in adj[u]:
-            if v == parent:
-                continue
-            if disc[v]:
-                low[u] = min(low[u], disc[v])
-            else:
-                dfs(v, u)
-                low[u] = min(low[u], low[v])
-                if low[v] > disc[u]:
-                    out.append(s)
-
-    for root in range(1, n + 1):
-        if not disc[root]:
-            dfs(root, 0)
-    out.sort()
-    return out
+    """Bridge slots of a connected graph, ascending: the edges labelled 0."""
+    labels = _cut_labels(n, bits)
+    if labels is None:
+        raise ValueError("bridges requires a connected graph")
+    return [s for s in _iter_bits(bits) if not labels[s]]
 
 
 def bridges(g: EdgeSet) -> list[tuple[int, int]]:
     """The edges whose deletion disconnects g, sorted; rejects disconnected g."""
-    if not is_connected(g):
-        raise ValueError("bridges requires a connected graph")
     pairs = _slot_pairs(g.n)
     return sorted(pairs[s] for s in _bridge_slots(g.n, g.bits))
 
@@ -97,9 +119,9 @@ class Skeleton:
 
 def skeleton(g: EdgeSet) -> Skeleton:
     """Skeleton of a connected graph; parts sorted by smallest member."""
-    bridge_slots = _bridge_slots(g.n, g.bits)
     if not is_connected(g):
         raise ValueError("skeleton requires a connected graph")
+    bridge_slots = _bridge_slots(g.n, g.bits)
     rest = g.bits
     for s in bridge_slots:
         rest ^= 1 << s
@@ -109,7 +131,8 @@ def skeleton(g: EdgeSet) -> Skeleton:
 
 
 def _two_edge_connected_bits(n: int, bits: int) -> bool:
-    return _connected_bits(n, bits) and not _bridge_slots(n, bits)
+    labels = _cut_labels(n, bits)
+    return labels is not None and 0 not in labels.values()
 
 
 def is_two_edge_connected(g: EdgeSet) -> bool:
@@ -154,24 +177,29 @@ class RemovabilityReport:
 
 
 def _removable_slots(n: int, bits: int) -> list[int]:
-    return [
-        s
-        for s in _iter_bits(bits)
-        if not _two_edge_connected_bits(n, bits ^ (1 << s))
-    ]
+    """R(G) of a 2-edge-connected graph, ascending: the edges that share
+    their label with another edge, each such pair being a 2-edge cut."""
+    labels = _cut_labels(n, bits)
+    if labels is None or 0 in labels.values():
+        raise ValueError("removable edges require a 2-edge-connected graph")
+    count = Counter(labels.values())
+    return [s for s in _iter_bits(bits) if count[labels[s]] > 1]
 
 
-def removable_edges(g: EdgeSet) -> RemovabilityReport:
-    """Edges whose deletion destroys 2-edge-connectivity, by per-edge retest."""
-    if not is_two_edge_connected(g):
-        raise ValueError("removable_edges requires a 2-edge-connected graph")
+def _removal_split(g: EdgeSet) -> tuple[RemovabilityReport, list[int]]:
+    """The report for g and the vertex masks of the components of G - R(G)."""
     slots = _removable_slots(g.n, g.bits)
     rest = g.bits
     for s in slots:
         rest ^= 1 << s
-    q = len(_component_masks(g.n, rest))
+    comps = _component_masks(g.n, rest)
     pairs = _slot_pairs(g.n)
-    return RemovabilityReport(tuple(sorted(pairs[s] for s in slots)), q)
+    return RemovabilityReport(tuple(sorted(pairs[s] for s in slots)), len(comps)), comps
+
+
+def removable_edges(g: EdgeSet) -> RemovabilityReport:
+    """Edges whose deletion destroys 2-edge-connectivity, from the cut labels."""
+    return _removal_split(g)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +379,7 @@ def contract_set(h: MultiGraph, s: Iterable[int]) -> MultiGraph:
 
 def removal_condensation(g: EdgeSet) -> tuple[RemovabilityReport, MultiGraph]:
     """The multigraph induced on the components of G - R(G) by the R(G) edges."""
-    report = removable_edges(g)
-    rest = g.bits
-    for i, j in report.removable:
-        rest ^= 1 << ((j - 1) * (j - 2) // 2 + (i - 1))
-    comps = _component_masks(g.n, rest)
+    report, comps = _removal_split(g)
     comp_of = {}
     for idx, mask in enumerate(comps, start=1):
         for v in _iter_bits(mask):

@@ -1,9 +1,10 @@
 """Shared independent oracles for the test suite.
 
 The oracles here deliberately use different algorithms from the package
-(union-find instead of frontier BFS, pairwise deletion instead of lowpoint,
-subset enumeration instead of matching, one augmenting path at a time
-instead of phases, cycle enumeration instead of spanning-cycle search) so the two sides of every check share no code path.
+(union-find instead of frontier BFS, per-edge deletion instead of
+cycle-space cut labels, subset enumeration instead of matching, one
+augmenting path at a time instead of phases, cycle enumeration instead of
+spanning-cycle search) so the two sides of every check share no code path.
 """
 
 from itertools import combinations
@@ -56,6 +57,24 @@ def bridges_by_deletion(g):
     if not uf_connected(g.n, edges):
         raise ValueError("bridges requires a connected graph")
     return sorted(e for e in edges if not uf_connected(g.n, [f for f in edges if f != e]))
+
+
+def uf_two_edge_connected(n, edges):
+    """Connected, and still connected after deleting any one edge (n = 1 counts)."""
+    return uf_connected(n, edges) and all(
+        uf_connected(n, [f for f in edges if f != e]) for e in edges
+    )
+
+
+def removable_by_retest(g):
+    """R(G) of a 2-edge-connected EdgeSet, sorted: the edges whose deletion
+    leaves a graph that is not 2-edge-connected, one union-find retest each."""
+    edges = bits_edges(g.n, g.bits)
+    if not uf_two_edge_connected(g.n, edges):
+        raise ValueError("removable edges require a 2-edge-connected graph")
+    return sorted(
+        e for e in edges if not uf_two_edge_connected(g.n, [f for f in edges if f != e])
+    )
 
 
 def augmenting_path_matching(n_left, n_right, neighbors):

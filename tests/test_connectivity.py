@@ -2,6 +2,7 @@ import json
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from connposet import (
     EdgeSet,
@@ -16,6 +17,9 @@ from connposet import (
     skeleton,
 )
 from connposet.connectivity import (
+    _bridge_slots,
+    _removable_slots,
+    _two_edge_connected_bits,
     chorded_cycle_sweep,
     doubled_star,
     removability_findings,
@@ -23,7 +27,14 @@ from connposet.connectivity import (
 )
 from connposet.graphs import enumerate_level, slot_count
 
-from conftest import bridges_by_deletion
+from conftest import (
+    bits_edges,
+    bridges_by_deletion,
+    pairs_on,
+    removable_by_retest,
+    uf_connected,
+    uf_two_edge_connected,
+)
 
 
 def path(n, *verts):
@@ -51,6 +62,52 @@ def test_bridges_against_deletion_oracle(n):
         except ValueError:
             continue
         assert fast == bridges_by_deletion(g)
+
+
+def assert_labels_match_oracles(n, bits):
+    """The three cut-label wrappers against the union-find oracles on one mask."""
+    g = EdgeSet(n, bits)
+    edges = bits_edges(n, bits)
+    pairs = pairs_on(n)
+    two_ec = uf_two_edge_connected(n, edges)
+    assert _two_edge_connected_bits(n, bits) == two_ec
+    if uf_connected(n, edges):
+        slots = _bridge_slots(n, bits)
+        assert slots == sorted(slots)
+        assert sorted(pairs[s] for s in slots) == bridges_by_deletion(g)
+    else:
+        with pytest.raises(ValueError):
+            _bridge_slots(n, bits)
+    if two_ec:
+        slots = _removable_slots(n, bits)
+        assert slots == sorted(slots)
+        assert sorted(pairs[s] for s in slots) == removable_by_retest(g)
+    else:
+        with pytest.raises(ValueError):
+            _removable_slots(n, bits)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cut_labels_against_oracles_exhaustive(n):
+    for bits in range(1 << slot_count(n)):
+        assert_labels_match_oracles(n, bits)
+
+
+def masks(n):
+    """Random masks and their complements, so dense 2-edge-connected graphs
+    turn up as often as sparse ones."""
+    full = (1 << slot_count(n)) - 1
+    return st.integers(0, full) | st.integers(0, full).map(lambda bits: full ^ bits)
+
+
+@given(masks(6))
+def test_cut_labels_against_oracles_n6(bits):
+    assert_labels_match_oracles(6, bits)
+
+
+@given(masks(7))
+def test_cut_labels_against_oracles_n7(bits):
+    assert_labels_match_oracles(7, bits)
 
 
 def test_skeleton_examples():
