@@ -20,23 +20,28 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, log2
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     EdgeSet,
-    _census_range,
     _connected_bits,
     _level_bits,
-    _parallel_range_scan,
     _shadow_bits,
     _validate_uniform,
     _vertex_adjacency,
     scan_masks,
     slot_count,
 )
-from .connectivity import _induced_bits, _removable_slots, skeleton
+from .connectivity import (
+    _cut_labels,
+    _induced_bits,
+    _labelled_graphs,
+    _removable_of,
+    _removable_slots,
+    _skeleton_split,
+)
 from .limits import check_scan_budget
 
 LOG2_TOL = 1e-9
@@ -456,13 +461,7 @@ class IRCensus:
         return sum(self.table.values())
 
 
-def _irk_key(n: int, bits: int) -> tuple[int, int]:
-    return bits.bit_count(), len(_removable_slots(n, bits))
-
-
-def i_r_census(
-    n: int, epsilon: float = 1.0, budget_override: bool = False, workers: int = 1
-) -> IRCensus:
+def i_r_census(n: int, epsilon: float = 1.0, budget_override: bool = False) -> IRCensus:
     """Exhaustive (k, r) census of 2-edge-connected graphs with bound rows.
 
     For every nonempty cell with 2 <= r <= n and M <= k <= M + n the count is
@@ -471,17 +470,17 @@ def i_r_census(
     count; cells whose count is zero, or whose right-hand side degenerates to
     the zero binomial at desk scale (upper argument below k), produce no
     comparison row so that every emitted row has finite log-space values.
-    With workers > 1 the scan is split over that many processes.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     check_scan_budget(n, budget_override)
     m = slot_count(n)
     M = (m + 1) // 2
-    parts = _parallel_range_scan(
-        partial(_census_range, n, "two_edge_connected", key=_irk_key), n, workers
+    cells = Counter(
+        (bits.bit_count(), len(_removable_of(bits, labels)))
+        for bits, labels in _labelled_graphs(n, bridgeless=True)
     )
-    table = dict(sorted(sum(parts, Counter()).items()))
+    table = dict(sorted(cells.items()))
     reports = []
     for (k, r), count in table.items():
         if not (2 <= r <= n and M <= k <= M + n):
@@ -549,22 +548,18 @@ def tech_inequality_sweep(n: int, budget_override: bool = False) -> dict:
     check_scan_budget(n, budget_override)
     m = slot_count(n)
     M = (m + 1) // 2
-    two_ec = {b for level in _level_bits(n, "two_edge_connected") for b in level}
     checked = excluded = holding = 0
     minimum: int | None = None
     witness: str | None = None
     for k in range(M, m + 1):
         for bits in _level_bits(n, "connected")[k]:
-            if bits in two_ec:
+            labels = _cut_labels(n, bits)
+            if 0 not in labels.values():  # no bridge: 2-edge-connected
                 continue
-            g = EdgeSet(n, bits)
-            sk = skeleton(g)
-            parts = [len(p) for p in sk.parts]
+            _, masks = _skeleton_split(n, bits, labels)
+            parts = [mask.bit_count() for mask in masks]
             r_values = []
-            for part in sk.parts:
-                mask = 0
-                for v in part:
-                    mask |= 1 << v
+            for mask in masks:
                 n_sub, sub = _induced_bits(n, bits, mask)
                 r_values.append(len(_removable_slots(n_sub, sub)) if n_sub >= 3 else 0)
             ev = tech_inequality_eval(parts, r_values, n)
@@ -576,7 +571,7 @@ def tech_inequality_sweep(n: int, budget_override: bool = False) -> dict:
                 holding += 1
             if minimum is None or ev.lhs < minimum:
                 minimum = ev.lhs
-                witness = g.text()
+                witness = f"{n}:{bits:x}"
     return {
         "n": n,
         "checked": checked,

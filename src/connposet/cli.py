@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
             default="connected",
             help="graph family: connected | all | two_edge_connected",
         )
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", dest="fmt", default="json",
                        choices=("json", "ndjson", "csv"))
@@ -152,7 +153,7 @@ def _csv_cell(value):
 
 
 def _cmd_census(args) -> int:
-    census = graphs.level_census(args.n, args.family, args.budget_override, args.workers)
+    census = graphs.level_census(args.n, args.family, args.budget_override)
     doc = {
         "n": census.n,
         "family": census.family,
@@ -295,18 +296,14 @@ def _cmd_lemma(args) -> int:
         return _fail("disc", bad) if bad else 0
 
     if name == "skeleton":
-        checked, findings = connectivity.skeleton_findings(
-            args.n, args.budget_override, workers=args.workers
-        )
+        checked, findings = connectivity.skeleton_findings(args.n, args.budget_override)
         doc = {"lemma": "skeleton", "n": args.n, "checked": checked,
                "findings": findings}
         _emit(doc, findings or [{"checked": checked}], args.fmt, args.out)
         return _fail("skeleton", findings) if findings else 0
 
     if name == "removable":
-        checked, findings = connectivity.removability_findings(
-            args.n, args.budget_override, workers=args.workers
-        )
+        checked, findings = connectivity.removability_findings(args.n, args.budget_override)
         doc = {"lemma": "removable", "n": args.n, "checked": checked,
                "findings": findings}
         _emit(doc, findings or [{"checked": checked}], args.fmt, args.out)
@@ -335,7 +332,7 @@ def _cmd_lemma(args) -> int:
 
     if name == "irk":
         epsilon = args.epsilon if args.epsilon is not None else 1.0
-        census = bounds.i_r_census(args.n, epsilon, args.budget_override, args.workers)
+        census = bounds.i_r_census(args.n, epsilon, args.budget_override)
         doc = {
             "lemma": "irk",
             "n": args.n,
@@ -347,9 +344,8 @@ def _cmd_lemma(args) -> int:
               ["name", "n", "k", "r", "epsilon", "count",
                "lhs_log2", "rhs_log2", "holds", "margin_log2", "note"])
         total = census.total()
-        expected = graphs.level_census(
-            args.n, "two_edge_connected", args.budget_override, args.workers
-        ).total
+        # the labelled walk against the family-predicate scan
+        expected = graphs.level_census(args.n, "two_edge_connected", args.budget_override).total
         if total != expected:
             return _fail("irk", [{"problem": "census total mismatch",
                                   "total": total, "expected": expected}])

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
 
@@ -24,9 +24,7 @@ from .graphs import (
     EdgeSet,
     _component_masks,
     _iter_bits,
-    _parallel_range_scan,
     _slot_pairs,
-    is_connected,
     scan_masks,
 )
 from .limits import check_scan_budget
@@ -87,12 +85,41 @@ def _cut_labels(n: int, bits: int) -> dict[int, int] | None:
     return labels
 
 
+def _labelled_graphs(n: int, bridgeless: bool = False) -> Iterator[tuple[int, dict[int, int]]]:
+    """(bits, cut labels) of every connected graph on [n], ascending, or of
+    the bridgeless ones only: the one walk of the lemma sweeps, which gives
+    each graph its labels once."""
+    for bits in scan_masks(n, "all"):
+        labels = _cut_labels(n, bits)
+        if labels is not None and not (bridgeless and 0 in labels.values()):
+            yield bits, labels
+
+
+def _bridges_of(bits: int, labels: dict[int, int]) -> list[int]:
+    """Bridge slots, ascending: the edges labelled 0."""
+    return [s for s in _iter_bits(bits) if not labels[s]]
+
+
+def _removable_of(bits: int, labels: dict[int, int]) -> list[int]:
+    """R(G) of a bridgeless graph, ascending: the edges that share their
+    label with another edge, each such pair being a 2-edge cut."""
+    count = Counter(labels.values())
+    return [s for s in _iter_bits(bits) if count[labels[s]] > 1]
+
+
+def _components_without(n: int, bits: int, slots: list[int]) -> list[int]:
+    """Vertex masks of the components of the graph minus the given edge slots."""
+    for s in slots:
+        bits ^= 1 << s
+    return _component_masks(n, bits)
+
+
 def _bridge_slots(n: int, bits: int) -> list[int]:
-    """Bridge slots of a connected graph, ascending: the edges labelled 0."""
+    """Bridge slots of a connected graph, ascending."""
     labels = _cut_labels(n, bits)
     if labels is None:
         raise ValueError("bridges requires a connected graph")
-    return [s for s in _iter_bits(bits) if not labels[s]]
+    return _bridges_of(bits, labels)
 
 
 def bridges(g: EdgeSet) -> list[tuple[int, int]]:
@@ -117,17 +144,24 @@ class Skeleton:
         return len(self.parts)
 
 
+def _skeleton_split(n: int, bits: int, labels: dict[int, int]) -> tuple[list[int], list[int]]:
+    """Bridge slots of a connected graph and the vertex masks of the parts
+    left after deleting them, ordered by smallest vertex."""
+    bridge_slots = _bridges_of(bits, labels)
+    return bridge_slots, _components_without(n, bits, bridge_slots)
+
+
 def skeleton(g: EdgeSet) -> Skeleton:
     """Skeleton of a connected graph; parts sorted by smallest member."""
-    if not is_connected(g):
+    labels = _cut_labels(g.n, g.bits)
+    if labels is None:
         raise ValueError("skeleton requires a connected graph")
-    bridge_slots = _bridge_slots(g.n, g.bits)
-    rest = g.bits
-    for s in bridge_slots:
-        rest ^= 1 << s
-    parts = tuple(_mask_vertices(m) for m in _component_masks(g.n, rest))
+    bridge_slots, comps = _skeleton_split(g.n, g.bits, labels)
     pairs = _slot_pairs(g.n)
-    return Skeleton(tuple(sorted(pairs[s] for s in bridge_slots)), parts)
+    return Skeleton(
+        tuple(sorted(pairs[s] for s in bridge_slots)),
+        tuple(_mask_vertices(m) for m in comps),
+    )
 
 
 def _two_edge_connected_bits(n: int, bits: int) -> bool:
@@ -176,30 +210,32 @@ class RemovabilityReport:
         return 2 * self.q - 2
 
 
-def _removable_slots(n: int, bits: int) -> list[int]:
-    """R(G) of a 2-edge-connected graph, ascending: the edges that share
-    their label with another edge, each such pair being a 2-edge cut."""
+def _bridgeless_labels(n: int, bits: int) -> dict[int, int]:
     labels = _cut_labels(n, bits)
     if labels is None or 0 in labels.values():
         raise ValueError("removable edges require a 2-edge-connected graph")
-    count = Counter(labels.values())
-    return [s for s in _iter_bits(bits) if count[labels[s]] > 1]
+    return labels
 
 
-def _removal_split(g: EdgeSet) -> tuple[RemovabilityReport, list[int]]:
-    """The report for g and the vertex masks of the components of G - R(G)."""
-    slots = _removable_slots(g.n, g.bits)
-    rest = g.bits
-    for s in slots:
-        rest ^= 1 << s
-    comps = _component_masks(g.n, rest)
-    pairs = _slot_pairs(g.n)
+def _removable_slots(n: int, bits: int) -> list[int]:
+    """R(G) of a 2-edge-connected graph, ascending."""
+    return _removable_of(bits, _bridgeless_labels(n, bits))
+
+
+def _removal_split(
+    n: int, bits: int, labels: dict[int, int]
+) -> tuple[RemovabilityReport, list[int]]:
+    """The report for a bridgeless graph and the vertex masks of the
+    components of G - R(G)."""
+    slots = _removable_of(bits, labels)
+    comps = _components_without(n, bits, slots)
+    pairs = _slot_pairs(n)
     return RemovabilityReport(tuple(sorted(pairs[s] for s in slots)), len(comps)), comps
 
 
 def removable_edges(g: EdgeSet) -> RemovabilityReport:
     """Edges whose deletion destroys 2-edge-connectivity, from the cut labels."""
-    return _removal_split(g)[0]
+    return _removal_split(g.n, g.bits, _bridgeless_labels(g.n, g.bits))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +415,11 @@ def contract_set(h: MultiGraph, s: Iterable[int]) -> MultiGraph:
 
 def removal_condensation(g: EdgeSet) -> tuple[RemovabilityReport, MultiGraph]:
     """The multigraph induced on the components of G - R(G) by the R(G) edges."""
-    report, comps = _removal_split(g)
+    return _condense(g.n, g.bits, _bridgeless_labels(g.n, g.bits))
+
+
+def _condense(n: int, bits: int, labels: dict[int, int]) -> tuple[RemovabilityReport, MultiGraph]:
+    report, comps = _removal_split(n, bits, labels)
     comp_of = {}
     for idx, mask in enumerate(comps, start=1):
         for v in _iter_bits(mask):
@@ -389,7 +429,7 @@ def removal_condensation(g: EdgeSet) -> tuple[RemovabilityReport, MultiGraph]:
         ci, cj = comp_of[i], comp_of[j]
         if ci == cj:
             raise AssertionError(
-                f"removable edge ({i},{j}) does not cross components in {g.text()}"
+                f"removable edge ({i},{j}) does not cross components in {n}:{bits:x}"
             )
         cross.append((min(ci, cj), max(ci, cj)))
     return report, MultiGraph.from_pairs(len(comps), cross)
@@ -399,73 +439,56 @@ def removal_condensation(g: EdgeSet) -> tuple[RemovabilityReport, MultiGraph]:
 # exhaustive sweeps
 
 
-def _skeleton_range(n: int, lo: int, hi: int) -> tuple[int, list[dict]]:
+def skeleton_findings(n: int, budget_override: bool = False) -> tuple[int, list[dict]]:
+    """Check |B| = t-1 and 2-edge-connected parts over all connected graphs."""
+    check_scan_budget(n, budget_override)
     findings = []
     checked = 0
-    for bits in scan_masks(n, "connected", lo, hi):
+    for bits, labels in _labelled_graphs(n):
         checked += 1
-        g = EdgeSet(n, bits)
-        sk = skeleton(g)
-        if len(sk.bridges) != sk.t - 1:
+        bridge_slots, parts = _skeleton_split(n, bits, labels)
+        if len(bridge_slots) != len(parts) - 1:
             findings.append(
-                {"graph": g.text(), "problem": "bridge count != t-1",
-                 "bridges": len(sk.bridges), "t": sk.t}
+                {"graph": f"{n}:{bits:x}", "problem": "bridge count != t-1",
+                 "bridges": len(bridge_slots), "t": len(parts)}
             )
-        for part in sk.parts:
-            mask = 0
-            for v in part:
-                mask |= 1 << v
-            n_sub, sub = _induced_bits(n, bits, mask)
-            if not _two_edge_connected_bits(n_sub, sub):
+        for mask in parts:
+            if not _two_edge_connected_bits(*_induced_bits(n, bits, mask)):
                 findings.append(
-                    {"graph": g.text(), "problem": "part not 2-edge-connected",
-                     "part": list(part)}
+                    {"graph": f"{n}:{bits:x}", "problem": "part not 2-edge-connected",
+                     "part": list(_mask_vertices(mask))}
                 )
     return checked, findings
 
 
-def _removability_range(n: int, lo: int, hi: int) -> tuple[int, list[dict]]:
-    findings = []
-    checked = 0
-    for bits in scan_masks(n, "two_edge_connected", lo, hi):
-        checked += 1
-        g = EdgeSet(n, bits)
-        report, condensed = removal_condensation(g)
-        if report.r > report.bound:
-            findings.append(
-                {"graph": g.text(), "problem": "removable set exceeds 2q-2",
-                 "r": report.r, "q": report.q}
-            )
-        if report.r == 1:
-            findings.append({"graph": g.text(), "problem": "removable set of size 1"})
-        if not is_chorded_cycle_free(condensed):
-            findings.append(
-                {"graph": g.text(), "problem": "condensation has a chorded cycle",
-                 "condensation": condensed.to_json()}
-            )
-    return checked, findings
-
-
-def _sweep(task, n: int, workers: int) -> tuple[int, list[dict]]:
-    parts = _parallel_range_scan(partial(task, n), n, workers)
-    return sum(c for c, _ in parts), [f for _, fs in parts for f in fs]
-
-
-def skeleton_findings(
-    n: int, budget_override: bool = False, workers: int = 1
-) -> tuple[int, list[dict]]:
-    """Check |B| = t-1 and 2-edge-connected parts over all connected graphs."""
-    check_scan_budget(n, budget_override)
-    return _sweep(_skeleton_range, n, workers)
-
-
-def removability_findings(
-    n: int, budget_override: bool = False, workers: int = 1
-) -> tuple[int, list[dict]]:
+def removability_findings(n: int, budget_override: bool = False) -> tuple[int, list[dict]]:
     """Check |R| <= 2q-2, |R| != 1 and a chorded-cycle-free condensation
     over all 2-edge-connected graphs on [n]."""
     check_scan_budget(n, budget_override)
-    return _sweep(_removability_range, n, workers)
+    findings = []
+    checked = 0
+    # few distinct condensations recur across the sweep; the memo lives
+    # only as long as this call
+    chorded_free: dict[MultiGraph, bool] = {}
+    for bits, labels in _labelled_graphs(n, bridgeless=True):
+        checked += 1
+        report, condensed = _condense(n, bits, labels)
+        if report.r > report.bound:
+            findings.append(
+                {"graph": f"{n}:{bits:x}", "problem": "removable set exceeds 2q-2",
+                 "r": report.r, "q": report.q}
+            )
+        if report.r == 1:
+            findings.append({"graph": f"{n}:{bits:x}", "problem": "removable set of size 1"})
+        free = chorded_free.get(condensed)
+        if free is None:
+            free = chorded_free[condensed] = is_chorded_cycle_free(condensed)
+        if not free:
+            findings.append(
+                {"graph": f"{n}:{bits:x}", "problem": "condensation has a chorded cycle",
+                 "condensation": condensed.to_json()}
+            )
+    return checked, findings
 
 
 def _multigraphs_on(q: int, mult_max: int) -> Iterator[tuple[tuple[int, int, int], ...]]:

@@ -9,14 +9,14 @@ so slot(1,2) = 0 and slot(n-1,n) = m-1, and the slot of a pair does not
 depend on n (encodings are prefix-stable across vertex counts).
 
 All enumeration is in ascending order of the bits value, which makes every
-stream deterministic, restartable and partitionable by value ranges.
+stream deterministic and restartable.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .limits import TYPE_MAX_N, check_scan_budget
@@ -241,57 +241,27 @@ class LevelCensus:
         return sum(self.counts)
 
 
-def scan_masks(n: int, family: str, lo: int = 0, hi: int | None = None) -> Iterator[int]:
-    """Masks in [lo, hi) accepted by the family predicate, ascending.
+def scan_masks(n: int, family: str) -> Iterator[int]:
+    """Masks of all 2^m graphs on [n] accepted by the family predicate, ascending.
 
-    The range defaults to the whole universe of 2^m masks.  Every full scan
-    in the package goes through here; callers enforce the public budget,
-    and n above the override limit is always refused.
+    Every full scan in the package goes through here; callers enforce the
+    public budget, and n above the override limit is always refused.
     """
     pred = _family_predicate(family)
     check_scan_budget(n, override=True)
-    if hi is None:
-        hi = 1 << slot_count(n)
-    for bits in range(lo, hi):
+    for bits in range(1 << slot_count(n)):
         if pred(n, bits):
             yield bits
 
 
-def _parallel_range_scan(task: Callable[[int, int], object], n: int, workers: int) -> list:
-    """task(lo, hi) over consecutive ranges covering all 2^m masks, in order.
-
-    With workers > 1 each range runs in a forked pool process, so task must
-    pickle: a module-level function or a functools.partial of one.
-    """
-    total = 1 << slot_count(n)
-    if workers <= 1:
-        return [task(0, total)]
-    from multiprocessing import Pool
-
-    step = -(-total // workers)
-    with Pool(workers) as pool:
-        return pool.starmap(task, [(lo, min(lo + step, total)) for lo in range(0, total, step)])
-
-
-def _edge_count(n: int, bits: int) -> int:
-    return bits.bit_count()
-
-
-def _census_range(n: int, family: str, lo: int, hi: int, key=_edge_count) -> Counter:
-    """Members of the family in [lo, hi) counted by key(n, bits); one scan task."""
-    return Counter(key(n, bits) for bits in scan_masks(n, family, lo, hi))
-
-
 def level_census(
-    n: int, family: str = "connected", budget_override: bool = False, workers: int = 1
+    n: int, family: str = "connected", budget_override: bool = False
 ) -> LevelCensus:
-    """Exact per-edge-count census obtained by scanning all 2^m graphs,
-    split over `workers` processes when workers > 1 (same counts)."""
+    """Exact per-edge-count census obtained by scanning all 2^m graphs."""
     m = slot_count(n)
-    _family_predicate(family)  # an unknown family fails here, before any fork
+    _family_predicate(family)  # an unknown family fails before the budget check
     check_scan_budget(n, budget_override)
-    parts = _parallel_range_scan(partial(_census_range, n, family), n, workers)
-    counts = sum(parts, Counter())
+    counts = Counter(bits.bit_count() for bits in scan_masks(n, family))
     return LevelCensus(n, family, tuple(counts[k] for k in range(m + 1)))
 
 

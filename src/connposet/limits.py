@@ -15,9 +15,6 @@ SCAN_OVERRIDE_MAX_N = 7
 # Element budget for exact width computations (covers n=6 connected: 26704).
 WIDTH_DEFAULT_MAX_ELEMENTS = 30_000
 
-# All-pairs comparability via a plain order oracle is quadratic; keep it small.
-ORDER_ORACLE_MAX_ELEMENTS = 5_000
-
 # Exact canonical labeling enumerates all n! relabelings.
 CANONICAL_MAX_N = 8
 

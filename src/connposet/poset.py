@@ -27,11 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .graphs import EdgeSet, _iter_bits, _level_bits, slot_count
-from .limits import (
-    ORDER_ORACLE_MAX_ELEMENTS,
-    check_scan_budget,
-    check_width_budget,
-)
+from .limits import check_scan_budget, check_width_budget
 
 _BIG = 1 << 60
 
@@ -415,19 +411,6 @@ class WidthResult:
     max_level_size: int | None = None
 
 
-def _spot_check_order(elements: Sequence, order: Callable) -> None:
-    rng = random.Random(0x5EED)
-    n = len(elements)
-    for _ in range(min(100, n)):
-        x = elements[rng.randrange(n)]
-        if order(x, x):
-            raise ValueError(f"order oracle is not irreflexive at {x!r}")
-    for _ in range(300):
-        a, b, c = (elements[rng.randrange(n)] for _ in range(3))
-        if order(a, b) and order(b, c) and not order(a, c):
-            raise ValueError(f"order oracle violates transitivity on ({a!r},{b!r},{c!r})")
-
-
 def _spot_check_adjacency(adj: list[Sequence[int]]) -> None:
     rng = random.Random(0x5EED)
     n = len(adj)
@@ -471,43 +454,27 @@ def _supermask_successors(
 
 def width_dilworth(
     elements: Sequence,
-    order: Callable | None = None,
-    successors: Callable | None = None,
+    successors: Callable,
     level_of: Callable | None = None,
     budget_override: bool = False,
 ) -> WidthResult:
     """Exact width and a maximum antichain of a finite strict partial order.
 
-    Supply either `order(a, b)` (strict less-than oracle; quadratic, for
-    small posets) or `successors(a)` (all elements strictly above a; lets
-    large instances skip the all-pairs scan).  The order must be strict;
-    irreflexivity and transitivity are spot-checked on samples.
+    successors(a) lists every element strictly above a.  The relation must
+    be a strict order: irreflexivity is checked on every row, transitivity
+    is spot-checked on samples, and the antichain is checked pairwise.
     """
     n = len(elements)
     check_width_budget(n, budget_override)
-    if (order is None) == (successors is None):
-        raise ValueError("provide exactly one of order= or successors=")
-
-    if order is not None:
-        if n > ORDER_ORACLE_MAX_ELEMENTS and not budget_override:
-            raise ValueError(
-                f"all-pairs order route over {n} elements; supply successors= instead"
-            )
-        _spot_check_order(elements, order)
-        adj: list[Sequence[int]] = [
-            [j for j in range(n) if i != j and order(elements[i], elements[j])]
-            for i in range(n)
-        ]
-    else:
-        index = {e: i for i, e in enumerate(elements)}
-        if len(index) != n:
-            raise ValueError("elements must be distinct")
-        adj = [array("i", sorted(index[s] for s in successors(e))) for e in elements]
-        for i, row in enumerate(adj):
-            pos = bisect_left(row, i)
-            if pos != len(row) and row[pos] == i:
-                raise ValueError(f"successors({elements[i]!r}) contains the element itself")
-        _spot_check_adjacency(adj)
+    index = {e: i for i, e in enumerate(elements)}
+    if len(index) != n:
+        raise ValueError("elements must be distinct")
+    adj = [array("i", sorted(index[s] for s in successors(e))) for e in elements]
+    for i, row in enumerate(adj):
+        pos = bisect_left(row, i)
+        if pos != len(row) and row[pos] == i:
+            raise ValueError(f"successors({elements[i]!r}) contains the element itself")
+    _spot_check_adjacency(adj)
 
     size, match_l, match_r = hopcroft_karp(n, n, adj.__getitem__)
     seen_l, seen_r = _alternating_reachable(n, n, adj.__getitem__, match_l, match_r)
@@ -519,6 +486,17 @@ def width_dilworth(
         raise AssertionError(
             f"antichain certificate has size {len(antichain_idx)}, expected {cover}"
         )
+    # one flag per element rather than a set of the antichain, which would
+    # raise the peak memory of large instances
+    member = bytearray(n)
+    for i in antichain_idx:
+        member[i] = 1
+    for i in antichain_idx:
+        if any(map(member.__getitem__, adj[i])):
+            j = next(j for j in adj[i] if member[j])
+            raise AssertionError(
+                f"antichain certificate holds comparable {elements[i]!r} < {elements[j]!r}"
+            )
 
     level_sizes = None
     max_level_k = None

@@ -33,6 +33,7 @@ from conftest import (
     pairs_on,
     removable_by_retest,
     uf_connected,
+    uf_connected_bits,
     uf_two_edge_connected,
 )
 
@@ -178,9 +179,34 @@ def test_removability_bounds_exhaustive(n):
         assert checked == 253
 
 
-def test_parallel_sweep_matches_sequential():
-    assert skeleton_findings(4, workers=2) == skeleton_findings(4)
-    assert removability_findings(4, workers=2) == removability_findings(4)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sweeps_visit_each_member_once(n):
+    masks = range(1 << slot_count(n))
+    assert skeleton_findings(n)[0] == sum(uf_connected_bits(n, b) for b in masks)
+    assert removability_findings(n)[0] == sum(
+        uf_two_edge_connected(n, bits_edges(n, b)) for b in masks
+    )
+
+
+def test_chorded_memo_reports_every_graph(monkeypatch):
+    # reject one condensation: every graph that condenses to it must get its
+    # own finding, not only the first one the memo saw
+    import connposet.connectivity as connectivity
+
+    target = MultiGraph(2, ((1, 2, 2),))
+    real = connectivity.is_chorded_cycle_free
+    monkeypatch.setattr(
+        connectivity, "is_chorded_cycle_free", lambda h: h != target and real(h)
+    )
+    expected = [
+        EdgeSet(5, b).text() for b in range(1 << 10)
+        if uf_two_edge_connected(5, bits_edges(5, b))
+        and removal_condensation(EdgeSet(5, b))[1] == target
+    ]
+    _, findings = removability_findings(5)
+    assert len(expected) > 1
+    assert [f["graph"] for f in findings] == expected
+    assert {f["condensation"] for f in findings} == {target.to_json()}
 
 
 # ---------------------------------------------------------------------------

@@ -132,17 +132,18 @@ def test_chains_are_saturated_chains():
 
 
 def test_width_trivial_shapes():
-    chain = width_dilworth(list(range(5)), order=lambda a, b: a < b)
+    chain = width_dilworth(list(range(5)), successors=lambda a: range(a + 1, 5))
     assert chain.width == chain.chain_cover_size == 1
-    anti = width_dilworth(list(range(7)), order=lambda a, b: False)
+    anti = width_dilworth(list(range(7)), successors=lambda a: [])
     assert anti.width == 7
     assert sorted(anti.antichain) == list(range(7))
 
 
 def test_width_requires_exactly_one_relation():
-    with pytest.raises(ValueError):
+    # successors= is the only relation; the all-pairs order= route is gone
+    with pytest.raises(TypeError):
         width_dilworth([1, 2, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         width_dilworth([1, 2], order=lambda a, b: a < b, successors=lambda x: [])
 
 
@@ -150,10 +151,11 @@ def test_width_two_levels_n3():
     elements = sorted(
         list(enumerate_level(3, 2, "connected")) + list(enumerate_level(3, 3, "connected"))
     )
-    res = width_dilworth(elements, order=lambda a, b: a.bits & b.bits == a.bits and a != b)
+    lt = lambda a, b: a.bits & b.bits == a.bits and a != b
+    res = width_dilworth(elements, successors=lambda a: [b for b in elements if lt(a, b)])
     assert res.width == 3
     assert {g.bits for g in res.antichain} == {3, 5, 6}
-    oracle = brute_width(elements, lambda a, b: a.bits & b.bits == a.bits and a != b)
+    oracle = brute_width(elements, lt)
     assert res.width == oracle
 
 
@@ -172,7 +174,7 @@ def test_width_matches_brute_force_on_random_posets():
             for j in list(above[i]):
                 above[i] |= above[j]
         lt = lambda a, b: b in above[a]
-        res = width_dilworth(list(range(n)), order=lt)
+        res = width_dilworth(list(range(n)), successors=lambda a: sorted(above[a]))
         assert res.width == brute_width(list(range(n)), lt)
         # certificate is a genuine antichain
         for a in res.antichain:
@@ -181,9 +183,23 @@ def test_width_matches_brute_force_on_random_posets():
 
 
 def test_width_detects_intransitive_oracle():
-    relation = {(0, 1), (1, 2)}  # missing (0, 2)
+    rows = {0: [1], 1: [2], 2: []}  # missing 0 < 2
     with pytest.raises(ValueError):
-        width_dilworth([0, 1, 2], order=lambda a, b: (a, b) in relation)
+        width_dilworth([0, 1, 2], successors=rows.__getitem__)
+
+
+def test_width_rejects_comparable_antichain(monkeypatch):
+    # 0 < 1 plus an isolated 2: width 2, and the sabotaged cover yields the
+    # antichain {0, 1}, of the right size but with a comparable pair
+    import connposet.poset as poset_mod
+
+    monkeypatch.setattr(
+        poset_mod, "_alternating_reachable",
+        lambda *args: ([True, True, False], [False, False, False]),
+    )
+    rows = {0: [1], 1: [], 2: []}
+    with pytest.raises(AssertionError, match="comparable 0 < 1"):
+        width_dilworth([0, 1, 2], successors=rows.__getitem__)
 
 
 def test_width_budget():
