@@ -35,7 +35,6 @@ from .graphs import (
     slot_count,
 )
 from .connectivity import (
-    _cut_labels,
     _induced_bits,
     _labelled_graphs,
     _removable_of,
@@ -549,36 +548,36 @@ def tech_inequality_sweep(n: int, budget_override: bool = False) -> dict:
     m = slot_count(n)
     M = (m + 1) // 2
     checked = excluded = holding = 0
-    minimum: int | None = None
-    witness: str | None = None
-    for k in range(M, m + 1):
-        for bits in _level_bits(n, "connected")[k]:
-            labels = _cut_labels(n, bits)
-            if 0 not in labels.values():  # no bridge: 2-edge-connected
-                continue
-            _, masks = _skeleton_split(n, bits, labels)
-            parts = [mask.bit_count() for mask in masks]
-            r_values = []
-            for mask in masks:
-                n_sub, sub = _induced_bits(n, bits, mask)
-                r_values.append(len(_removable_slots(n_sub, sub)) if n_sub >= 3 else 0)
-            ev = tech_inequality_eval(parts, r_values, n)
-            if not ev.hypothesis_met:
-                excluded += 1
-                continue
-            checked += 1
-            if ev.lhs >= n:
-                holding += 1
-            if minimum is None or ev.lhs < minimum:
-                minimum = ev.lhs
-                witness = f"{n}:{bits:x}"
+    # the walk runs in ascending bits; the witness is the first minimum in
+    # level order, so the minimum is taken over (lhs, k, bits)
+    best: tuple[int, int, int] | None = None
+    for bits, labels in _labelled_graphs(n):
+        # fewer than M edges, or no bridge (2-edge-connected): not a witness
+        if bits.bit_count() < M or 0 not in labels.values():
+            continue
+        _, masks = _skeleton_split(n, bits, labels)
+        parts = [mask.bit_count() for mask in masks]
+        r_values = []
+        for mask in masks:
+            n_sub, sub = _induced_bits(n, bits, mask)
+            r_values.append(len(_removable_slots(n_sub, sub)) if n_sub >= 3 else 0)
+        ev = tech_inequality_eval(parts, r_values, n)
+        if not ev.hypothesis_met:
+            excluded += 1
+            continue
+        checked += 1
+        if ev.lhs >= n:
+            holding += 1
+        key = (ev.lhs, bits.bit_count(), bits)
+        if best is None or key < best:
+            best = key
     return {
         "n": n,
         "checked": checked,
         "excluded": excluded,
         "holding": holding,
-        "empirical_min": minimum,
-        "witness": witness,
+        "empirical_min": None if best is None else best[0],
+        "witness": None if best is None else f"{n}:{best[2]:x}",
     }
 
 

@@ -200,6 +200,8 @@ def _cmd_sperner(args) -> int:
 def _cmd_matchings(args) -> int:
     check_scan_budget(args.n, args.budget_override)
     m = graphs.slot_count(args.n)
+    if args.k is not None and not 0 <= args.k <= m:
+        raise ValueError(f"--k must lie in 0..{m} for n={args.n}, got {args.k}")
     levels = graphs._level_bits(args.n, args.family)
     ks = [args.k] if args.k is not None else list(range(m + 1))
     table = []
@@ -359,6 +361,8 @@ def _cmd_lemma(args) -> int:
 
     if name == "lovasz":
         trials = args.trials if args.trials is not None else 200
+        if trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {trials}")
         rng = random.Random(args.seed)
         m = graphs.slot_count(args.n)
         check_scan_budget(args.n, args.budget_override)

@@ -24,7 +24,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import EdgeSet, _iter_bits, _level_bits, slot_count
 from .limits import check_scan_budget, check_width_budget
@@ -177,9 +177,17 @@ def _universe_levels(
 ) -> tuple[str, tuple[tuple[int, ...], ...]]:
     check_scan_budget(n, budget_override)
     if callable(universe):
-        base = _level_bits(n, "all")
+
+        def keep(bits: int) -> bool:
+            try:
+                return universe(EdgeSet(n, bits))
+            except Exception as exc:
+                raise RuntimeError(
+                    f"property predicate failed on {EdgeSet(n, bits).text()}"
+                ) from exc
+
         levels = tuple(
-            tuple(b for b in level if universe(EdgeSet(n, b))) for level in base
+            tuple(filter(keep, level)) for level in _level_bits(n, "all")
         )
         return getattr(universe, "__name__", "custom"), levels
     if universe in ("connected", "all", "two_edge_connected"):
@@ -355,27 +363,27 @@ def check_chain_certificate(
         raise AssertionError(
             f"{len(chains)} chains, but the largest level has {largest} elements"
         )
-    top = max(universe, default=0)
-    seen = bytearray(top + 1)
+    order = sorted(universe)  # flags by rank: memory follows the member count
+    seen = bytearray(len(order))
     covered = 0
     for chain in chains:
         for b in chain:
-            if not 0 <= b <= top or seen[b]:
+            i = bisect_left(order, b)
+            if i == len(order) or order[i] != b or seen[i]:
                 raise AssertionError(
                     f"chain member {b:#x} is repeated or outside the universe"
                 )
-            seen[b] = 1
+            seen[i] = 1
             covered += 1
         for lower, upper in zip(chain, chain[1:]):
             if upper & lower != lower or (upper ^ lower).bit_count() != 1:
                 raise AssertionError(
                     f"chain step {lower:#x} -> {upper:#x} does not add exactly one edge"
                 )
-    missing = [b for b in universe if not seen[b]]
-    if missing or covered != len(universe):
+    if covered != len(order):
         raise AssertionError(
-            f"chains cover {covered} of {len(universe)} elements"
-            + (f"; {missing[0]:#x} is missing" if missing else "")
+            f"chains cover {covered} of {len(order)} elements; "
+            f"{order[seen.find(0)]:#x} is missing"
         )
 
 
@@ -400,15 +408,11 @@ def chain_partition(
 
 @dataclass(frozen=True)
 class WidthResult:
-    """Exact poset width with an antichain certificate and chain-cover size."""
+    """Exact poset width (= minimum chain-cover size) with an antichain certificate."""
 
     element_count: int
     width: int
-    chain_cover_size: int
     antichain: tuple
-    level_sizes: dict[int, int] | None = None
-    max_level_k: int | None = None
-    max_level_size: int | None = None
 
 
 def _spot_check_adjacency(adj: list[Sequence[int]]) -> None:
@@ -455,7 +459,6 @@ def _supermask_successors(
 def width_dilworth(
     elements: Sequence,
     successors: Callable,
-    level_of: Callable | None = None,
     budget_override: bool = False,
 ) -> WidthResult:
     """Exact width and a maximum antichain of a finite strict partial order.
@@ -498,22 +501,10 @@ def width_dilworth(
                 f"antichain certificate holds comparable {elements[i]!r} < {elements[j]!r}"
             )
 
-    level_sizes = None
-    max_level_k = None
-    max_level_size = None
-    if level_of is not None:
-        level_sizes = dict(Counter(level_of(e) for e in elements))
-        max_level_k = _largest_level(level_sizes)
-        max_level_size = level_sizes[max_level_k]
-
     return WidthResult(
         element_count=n,
         width=cover,
-        chain_cover_size=cover,
         antichain=tuple(elements[i] for i in sorted(antichain_idx)),
-        level_sizes=level_sizes,
-        max_level_k=max_level_k,
-        max_level_size=max_level_size,
     )
 
 
@@ -567,45 +558,64 @@ def _check_antichain(bits_list: Sequence[int]) -> None:
                         )
 
 
-def sperner_verdict(
-    n: int, universe="connected", budget_override: bool = False
-) -> SpernerReport:
-    """Exact width of the whole universe versus its largest level.
+class FamilyWidth(NamedTuple):
+    """_family_width's verdict: the level data and the exact width."""
 
+    element_count: int
+    level_sizes: dict[int, int]
+    max_level_k: int
+    max_level_size: int
+    width: int
+    antichain: Sequence[int]
+    method: str  # "chains" (glued level matchings) or "dilworth"
+
+
+def _family_width(
+    n: int, levels: Sequence[Sequence[int]], full: int, budget_override: bool
+) -> FamilyWidth:
+    """Exact width of a family of edge bitmasks graded by edge count.
+
+    levels[k] holds the members with k edges, all within the edge set full.
     The paper's route comes first: level matchings glued through the largest
-    level, re-verified by check_chain_certificate (method "chains").  When
-    gluing fails (an incomplete matching, or a gap between nonempty levels),
-    width_dilworth matches the full comparability relation, and its
-    antichain is re-checked pairwise (method "dilworth").
+    level, re-verified by check_chain_certificate (method "chains"), whose
+    antichain is that level.  When gluing fails (an incomplete matching, or
+    a gap between nonempty levels), width_dilworth matches the full
+    comparability relation, and its antichain is re-checked pairwise (method
+    "dilworth").
     """
-    name, levels = _universe_levels(n, universe, budget_override)
-    level_sizes = _level_sizes(levels)
-    max_level_k = _largest_level(level_sizes)
+    sizes = _level_sizes(levels)
+    K = _largest_level(sizes)
+    level_data = (sum(sizes.values()), sizes, K, sizes[K])
     members = [b for level in levels for b in level]
     try:
         chains = _glued_chains(n, levels)
     except ChainPartitionError:
         result = width_dilworth(
             members,
-            successors=_supermask_successors(members, (1 << slot_count(n)) - 1),
+            successors=_supermask_successors(members, full),
             budget_override=budget_override,
         )
-        width, antichain = result.width, result.antichain
-        _check_antichain(antichain)
-        method = "dilworth"
-    else:
-        check_chain_certificate(members, chains)
-        width, antichain = len(chains), levels[max_level_k]
-        method = "chains"
+        _check_antichain(result.antichain)
+        return FamilyWidth(*level_data, result.width, result.antichain, "dilworth")
+    check_chain_certificate(members, chains)
+    return FamilyWidth(*level_data, len(chains), levels[K], "chains")
 
+
+def sperner_verdict(
+    n: int, universe="connected", budget_override: bool = False
+) -> SpernerReport:
+    """Exact width of the whole universe versus its largest level, by
+    _family_width (the chain route, or the Dilworth matching as fallback)."""
+    name, levels = _universe_levels(n, universe, budget_override)
+    verdict = _family_width(n, levels, (1 << slot_count(n)) - 1, budget_override)
     return SpernerReport(
         n=n,
         universe=name,
-        element_count=sum(level_sizes.values()),
-        level_sizes=level_sizes,
-        max_level_k=max_level_k,
-        max_level_size=level_sizes[max_level_k],
-        width=width,
-        antichain=tuple(EdgeSet(n, b) for b in sorted(antichain)),
-        method=method,
+        element_count=verdict.element_count,
+        level_sizes=verdict.level_sizes,
+        max_level_k=verdict.max_level_k,
+        max_level_size=verdict.max_level_size,
+        width=verdict.width,
+        antichain=tuple(EdgeSet(n, b) for b in sorted(verdict.antichain)),
+        method=verdict.method,
     )

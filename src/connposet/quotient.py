@@ -1,12 +1,17 @@
 """Isomorphism quotients and poset explorers for property-restricted families.
 
-Three exploration surfaces share the width machinery:
+Three exploration surfaces:
 
 * the quotient of the connected poset by graph isomorphism, built from
   exact canonical forms (lexicographic minimum over all n! relabelings);
 * the poset of spanning connected subgraphs of one fixed host graph;
 * posets of all graphs on [n] satisfying a decidable property, with the
   grading itself verified instead of assumed.
+
+The last two are families of edge bitmasks graded by edge count and share
+sperner_verdict's width core: glued level matchings first, the Dilworth
+matching only when gluing fails.  Quotient classes are not bitmasks, so
+the quotient's width comes from width_dilworth directly.
 
 The quotient order is generated by one-edge extension steps between classes
 and closed transitively, which matches the representative-based order:
@@ -16,6 +21,7 @@ of connected graphs stay connected.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -33,7 +39,7 @@ from .graphs import (
     slot_count,
 )
 from .limits import CANONICAL_MAX_N, CPRIME_MAX_EDGES, check_scan_budget, check_width_budget
-from .poset import _supermask_successors, width_dilworth
+from .poset import _family_width, _largest_level, _universe_levels, width_dilworth
 
 
 @lru_cache(maxsize=None)
@@ -204,16 +210,17 @@ def quotient_sperner(n: int, budget_override: bool = False) -> ExplorerReport:
     result = width_dilworth(
         list(range(len(qp.classes))),
         successors=lambda i: succ[i],
-        level_of=lambda i: levels[i],
         budget_override=budget_override,
     )
+    level_sizes = dict(Counter(levels))
+    max_level_k = _largest_level(level_sizes)
     return ExplorerReport(
         universe="iso_classes",
         n=n,
         element_count=result.element_count,
-        level_sizes=result.level_sizes,
-        max_level_k=result.max_level_k,
-        max_level_size=result.max_level_size,
+        level_sizes=level_sizes,
+        max_level_k=max_level_k,
+        max_level_size=level_sizes[max_level_k],
         width=result.width,
         note="conjectured answer: yes (Sperner)",
     )
@@ -228,30 +235,24 @@ def cprime_sperner(g: EdgeSet, budget_override: bool = False) -> ExplorerReport:
             f"host has {g.edge_count} edges; budget is {CPRIME_MAX_EDGES}"
         )
     n = g.n
-    members = []
-    t = g.bits
-    while True:
+    levels: list[list[int]] = [[] for _ in range(g.edge_count + 1)]
+    t = 0
+    while True:  # the submasks of the host, ascending
         if _connected_bits(n, t):
-            members.append(t)
+            levels[t.bit_count()].append(t)
+        t = (t - g.bits) & g.bits
         if t == 0:
             break
-        t = (t - 1) & g.bits
-    members.sort()
-    check_width_budget(len(members), budget_override)
-    result = width_dilworth(
-        members,
-        successors=_supermask_successors(members, g.bits),
-        level_of=lambda b: b.bit_count(),
-        budget_override=budget_override,
-    )
+    check_width_budget(sum(map(len, levels)), budget_override)
+    verdict = _family_width(n, levels, g.bits, budget_override)
     return ExplorerReport(
         universe=f"spanning_connected({g.text()})",
         n=n,
-        element_count=result.element_count,
-        level_sizes=result.level_sizes,
-        max_level_k=result.max_level_k,
-        max_level_size=result.max_level_size,
-        width=result.width,
+        element_count=verdict.element_count,
+        level_sizes=verdict.level_sizes,
+        max_level_k=verdict.max_level_k,
+        max_level_size=verdict.max_level_size,
+        width=verdict.width,
     )
 
 
@@ -342,7 +343,6 @@ def property_poset_report(
     share one edge count.  For upward-closed properties the first condition
     is automatic once upward closure has been checked exhaustively.
     """
-    check_scan_budget(n, budget_override)
     if callable(prop):
         name = getattr(prop, "__name__", "custom")
         predicate = prop
@@ -354,23 +354,12 @@ def property_poset_report(
         name = prop
         predicate = PROPERTY_BUILTINS[prop]
 
-    m = slot_count(n)
-    members: list[int] = []
-    for level in _level_bits(n, "all"):
-        for bits in level:
-            try:
-                keep = predicate(EdgeSet(n, bits))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"property predicate failed on {EdgeSet(n, bits).text()}"
-                ) from exc
-            if keep:
-                members.append(bits)
+    _, levels = _universe_levels(n, predicate, budget_override)
+    members = [b for level in levels for b in level]
     if not members:
         raise ValueError(f"property {name!r} is empty on [{n}]")
-    members.sort()
     member_set = set(members)
-    full = (1 << m) - 1
+    full = (1 << slot_count(n)) - 1
 
     upward_closed = all(
         (bits | 1 << s) in member_set
@@ -392,23 +381,19 @@ def property_poset_report(
     minimal_levels = {b.bit_count() for b in minimals}
 
     covers_one_step = upward_closed or _covers_saturated(members, member_set)
-    result = width_dilworth(
-        members,
-        successors=_supermask_successors(members, full),
-        level_of=lambda b: b.bit_count(),
-        budget_override=budget_override,
-    )
+    check_width_budget(len(members), budget_override)
+    verdict = _family_width(n, levels, full, budget_override)
     return PropertyPosetReport(
         n=n,
         property_name=name,
-        element_count=len(members),
-        level_sizes=result.level_sizes,
+        element_count=verdict.element_count,
+        level_sizes=verdict.level_sizes,
         upward_closed=upward_closed,
         covers_one_step=covers_one_step,
         minimal_levels=tuple(sorted(minimal_levels)),
-        width=result.width,
-        max_level_k=result.max_level_k,
-        max_level_size=result.max_level_size,
+        width=verdict.width,
+        max_level_k=verdict.max_level_k,
+        max_level_size=verdict.max_level_size,
     )
 
 

@@ -129,6 +129,21 @@ def test_usage_errors_exit_2():
     run_cli("lemma", "nonsense", expect=2)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("matchings", "--n", "4", "--k", "7"),
+        ("matchings", "--n", "4", "--k", "-1"),
+        ("matchings", "--n", "4", "--k", "99"),
+        ("lemma", "lovasz", "--n", "3", "--trials", "0"),
+    ],
+)
+def test_out_of_range_arguments_exit_2(args):
+    proc = run_cli(*args, expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_oversized_poset_reports_budget_error():
     proc = run_cli("sperner", "--n", "7", expect=2)
     assert "budget" in proc.stderr

@@ -133,7 +133,7 @@ def test_chains_are_saturated_chains():
 
 def test_width_trivial_shapes():
     chain = width_dilworth(list(range(5)), successors=lambda a: range(a + 1, 5))
-    assert chain.width == chain.chain_cover_size == 1
+    assert chain.width == 1
     anti = width_dilworth(list(range(7)), successors=lambda a: [])
     assert anti.width == 7
     assert sorted(anti.antichain) == list(range(7))
@@ -243,6 +243,16 @@ def test_sperner_verdict_streamed_neighbors():
     assert streamed.width == 16 and streamed.sperner
 
 
+def test_sperner_verdict_predicate_errors_are_attributed():
+    def no_two_edge_graphs(g):
+        if g.edge_count == 2:
+            raise KeyError(g.bits)
+        return True
+
+    with pytest.raises(RuntimeError, match="predicate failed on 3:3$"):
+        sperner_verdict(3, universe=no_two_edge_graphs)
+
+
 def test_sperner_verdict_falls_back_on_level_gap():
     with pytest.raises(ChainPartitionError) as err:
         chain_partition(3, universe=lambda g: g.edge_count != 2)
@@ -289,6 +299,8 @@ def test_check_chain_certificate_accepts():
     check_chain_certificate([3, 5, 6, 7], [[3, 7], [5], [6]])  # connected, n = 3
     check_chain_certificate([0, 1, 2, 3], [[0, 1, 3], [2]])
     check_chain_certificate([], [])
+    high = [1 << 44, 1 << 44 | 1 << 40]  # memory must not scale with 2^44
+    check_chain_certificate(high, [high])
 
 
 @pytest.mark.parametrize(

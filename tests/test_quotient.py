@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from connposet import (
+    BudgetExceededError,
     EdgeSet,
     canonical_form,
     connected_classes,
@@ -16,7 +17,26 @@ from connposet import (
     sperner_verdict,
 )
 from connposet.graphs import enumerate_level, level_census, slot_count
-from connposet.quotient import contains_triangle, relabel
+from connposet.poset import (
+    _family_width,
+    _supermask_successors,
+    _universe_levels,
+    width_dilworth,
+)
+from connposet.quotient import PROPERTY_BUILTINS, contains_triangle, relabel
+
+from conftest import uf_connected_bits
+
+
+def core_against_dilworth(n, levels, full):
+    """The shared width core on a graded family, checked against the
+    full-comparability Dilworth matching; returns (width, method)."""
+    verdict = _family_width(n, levels, full, False)
+    members = [b for level in levels for b in level]
+    dilworth = width_dilworth(members, successors=_supermask_successors(members, full))
+    assert verdict.width == dilworth.width == len(verdict.antichain)
+    assert verdict.element_count == len(members)
+    return verdict.width, verdict.method
 
 
 def test_canonical_form_single_edge():
@@ -171,6 +191,30 @@ def test_cprime_complete_graph_matches_whole_poset():
     assert report.level_sizes == verdict.level_sizes
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cprime_chain_route_agrees_with_dilworth(n):
+    for cls in connected_classes(n):
+        host = cls.canon.bits
+        levels = [[] for _ in range(host.bit_count() + 1)]
+        for b in range(host + 1):
+            if b & host == b and uf_connected_bits(n, b):
+                levels[b.bit_count()].append(b)
+        width, method = core_against_dilworth(n, levels, host)
+        assert method == "chains", cls.canon.text()
+        assert cprime_sperner(cls.canon).width == width
+
+
+def test_cprime_hosts_in_high_edge_slots():
+    # slots are ordered colex, so these hosts use edge slots up to 44 (path on
+    # [10]) and 27 (8-cycle); the certificate check must not scale with 2^slot
+    path = EdgeSet.from_edges(10, [(i, i + 1) for i in range(1, 10)])
+    report = cprime_sperner(path)
+    assert (report.width, report.level_sizes) == (1, {9: 1})
+    cycle = EdgeSet.from_edges(8, [(i, i % 8 + 1) for i in range(1, 9)])
+    report = cprime_sperner(cycle)
+    assert (report.width, report.level_sizes) == (8, {7: 8, 8: 1})
+
+
 def test_cprime_rejects_disconnected():
     with pytest.raises(ValueError):
         cprime_sperner(EdgeSet.from_edges(4, [(1, 2), (3, 4)]))
@@ -226,24 +270,47 @@ def test_property_poset_custom_predicate():
 def test_property_poset_ungraded_family():
     # levels 2 and 4 only: every comparable pair jumps two levels with no
     # intermediate, so edge count is not a grading
-    report = property_poset_report(4, lambda g: g.edge_count in (2, 4))
+    prop = lambda g: g.edge_count in (2, 4)
+    report = property_poset_report(4, prop)
     assert not report.upward_closed
     assert not report.covers_one_step
     assert not report.graded
+    # the level gap blocks the chain route
+    assert report.width == 15
+    assert core_against_dilworth(4, _universe_levels(4, prop, False)[1], 63) == (15, "dilworth")
 
 
 def test_property_poset_triangles_below_complete():
     # the four triangles sit three levels below the complete graph with no
     # member in between, so the cover relation skips levels
-    report = property_poset_report(
-        4, lambda g: g.edge_count == 6 or (g.edge_count == 3 and contains_triangle(g))
-    )
+    prop = lambda g: g.edge_count == 6 or (g.edge_count == 3 and contains_triangle(g))
+    report = property_poset_report(4, prop)
     assert report.element_count == 5
     assert report.minimal_levels == (3,)
     assert not report.upward_closed
     assert not report.covers_one_step
     assert not report.graded
     assert report.width == 4
+    assert core_against_dilworth(4, _universe_levels(4, prop, False)[1], 63) == (4, "dilworth")
+
+
+@pytest.mark.parametrize(
+    "prop,n",
+    [(prop, n) for prop in sorted(PROPERTY_BUILTINS) for n in (3, 4, 5)]
+    + [("two_edge_connected", 1)],
+)
+def test_property_chain_route_agrees_with_dilworth(prop, n):
+    _, levels = _universe_levels(n, PROPERTY_BUILTINS[prop], False)
+    width, method = core_against_dilworth(n, levels, (1 << slot_count(n)) - 1)
+    assert method == "chains"
+    assert property_poset_report(n, prop).width == width
+
+
+def test_property_poset_width_budget():
+    # all 32,768 graphs on [6]: the chain route would succeed, but the
+    # explorer keeps its 30,000-element width budget
+    with pytest.raises(BudgetExceededError):
+        property_poset_report(6, lambda g: True)
 
 
 def test_property_poset_rejects_unknown():
