@@ -26,12 +26,11 @@ from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     EdgeSet,
-    _connected_bits,
     _level_bits,
+    _planes,
     _shadow_bits,
+    _slot_pairs,
     _validate_uniform,
-    _vertex_adjacency,
-    scan_masks,
     slot_count,
 )
 from .connectivity import (
@@ -408,14 +407,17 @@ def disconnected_report(n: int, budget_override: bool = False) -> list[BoundRepo
     both are exact counting facts and are expected to hold at every n.
     """
     check_scan_budget(n, budget_override)
-    disconnected = with_isolated = 0
-    for bits in scan_masks(n, "all"):
-        if _connected_bits(n, bits):
-            continue
-        disconnected += 1
-        adj = _vertex_adjacency(n, bits)
-        if any(adj[v] == 0 for v in range(1, n + 1)):
-            with_isolated += 1
+    planes = _planes(n)
+    disconnected = planes.ones.bit_count() - planes.connected.bit_count()
+    # vertex v is isolated in the graphs holding none of its slots
+    touching = [0] * (n + 1)
+    for (i, j), plane in zip(_slot_pairs(n), planes.slots):
+        touching[i] |= plane
+        touching[j] |= plane
+    isolated = 0
+    for plane in touching[1:]:
+        isolated |= planes.ones & ~plane
+    with_isolated = (isolated & ~planes.connected).bit_count()
     bulk = disconnected - with_isolated
 
     base = comb(n - 1, 2)

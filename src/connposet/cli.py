@@ -281,10 +281,17 @@ def _fail(name: str, findings) -> int:
     return 1
 
 
+def _at_least_one(flag: str, value: int) -> int:
+    """A sweep size; below 1 the sweep would check nothing and still pass."""
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def _cmd_lemma(args) -> int:
     name = args.id
     if name == "squares":
-        checked, violations = bounds.squares_sweep(args.n_max)
+        checked, violations = bounds.squares_sweep(_at_least_one("--n-max", args.n_max))
         doc = {"lemma": "squares", "n_max": args.n_max, "checked": checked,
                "violations": violations}
         _emit(doc, violations or [{"checked": checked}], args.fmt, args.out)
@@ -312,7 +319,7 @@ def _cmd_lemma(args) -> int:
         return _fail("removable", findings) if findings else 0
 
     if name == "chorded":
-        sweep = connectivity.chorded_cycle_sweep(args.q_max)
+        sweep = connectivity.chorded_cycle_sweep(_at_least_one("--q-max", args.q_max))
         doc = {"lemma": "chorded", "q_max": args.q_max, **sweep}
         rows = [
             {"q": q, **stats} for q, stats in sorted(sweep["per_q"].items())
@@ -346,7 +353,7 @@ def _cmd_lemma(args) -> int:
               ["name", "n", "k", "r", "epsilon", "count",
                "lhs_log2", "rhs_log2", "holds", "margin_log2", "note"])
         total = census.total()
-        # the labelled walk against the family-predicate scan
+        # the labelled walk against the census of the two-edge-connected plane
         expected = graphs.level_census(args.n, "two_edge_connected", args.budget_override).total
         if total != expected:
             return _fail("irk", [{"problem": "census total mismatch",
@@ -360,9 +367,7 @@ def _cmd_lemma(args) -> int:
         return 0
 
     if name == "lovasz":
-        trials = args.trials if args.trials is not None else 200
-        if trials < 1:
-            raise ValueError(f"--trials must be at least 1, got {trials}")
+        trials = _at_least_one("--trials", args.trials if args.trials is not None else 200)
         rng = random.Random(args.seed)
         m = graphs.slot_count(args.n)
         check_scan_budget(args.n, args.budget_override)
@@ -391,7 +396,7 @@ def _cmd_lemma(args) -> int:
         return _fail("lovasz", violations) if violations else 0
 
     if name == "technical":
-        trials = args.trials if args.trials is not None else 100_000
+        trials = _at_least_one("--trials", args.trials if args.trials is not None else 100_000)
         rng = random.Random(args.seed)
         violations = []
         for _ in range(trials):

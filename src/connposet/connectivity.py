@@ -23,6 +23,7 @@ from typing import Iterable, Iterator
 from .graphs import (
     EdgeSet,
     _component_masks,
+    _family_table,
     _iter_bits,
     _slot_pairs,
     scan_masks,
@@ -88,10 +89,12 @@ def _cut_labels(n: int, bits: int) -> dict[int, int] | None:
 def _labelled_graphs(n: int, bridgeless: bool = False) -> Iterator[tuple[int, dict[int, int]]]:
     """(bits, cut labels) of every connected graph on [n], ascending, or of
     the bridgeless ones only: the one walk of the lemma sweeps, which gives
-    each graph its labels once."""
-    for bits in scan_masks(n, "all"):
+    each graph its labels once.  Bridgelessness is read from the labels, not
+    from the two-edge-connected plane, so a census that counts that plane
+    checks the walk independently."""
+    for bits in scan_masks(n, "connected"):
         labels = _cut_labels(n, bits)
-        if labels is not None and not (bridgeless and 0 in labels.values()):
+        if not (bridgeless and 0 in labels.values()):
             yield bits, labels
 
 
@@ -442,6 +445,9 @@ def _condense(n: int, bits: int, labels: dict[int, int]) -> tuple[RemovabilityRe
 def skeleton_findings(n: int, budget_override: bool = False) -> tuple[int, list[dict]]:
     """Check |B| = t-1 and 2-edge-connected parts over all connected graphs."""
     check_scan_budget(n, budget_override)
+    # each part is looked up in the two-edge-connected plane of its own
+    # vertex count, independently of the graph's labels
+    tables = [b""] + [_family_table(k, "two_edge_connected") for k in range(1, n + 1)]
     findings = []
     checked = 0
     for bits, labels in _labelled_graphs(n):
@@ -453,7 +459,8 @@ def skeleton_findings(n: int, budget_override: bool = False) -> tuple[int, list[
                  "bridges": len(bridge_slots), "t": len(parts)}
             )
         for mask in parts:
-            if not _two_edge_connected_bits(*_induced_bits(n, bits, mask)):
+            n_sub, sub = _induced_bits(n, bits, mask)
+            if not tables[n_sub][sub >> 3] >> (sub & 7) & 1:
                 findings.append(
                     {"graph": f"{n}:{bits:x}", "problem": "part not 2-edge-connected",
                      "part": list(_mask_vertices(mask))}

@@ -14,12 +14,11 @@ stream deterministic and restartable.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .limits import TYPE_MAX_N, check_scan_budget
+from .limits import TYPE_MAX_N, check_census_budget, check_scan_budget
 
 FAMILIES = ("all", "connected", "two_edge_connected")
 
@@ -188,30 +187,149 @@ def is_connected(g: EdgeSet) -> bool:
     return _connected_bits(g.n, g.bits)
 
 
-def _family_predicate(family: str) -> Callable[[int, int], bool]:
-    if family == "all":
-        return lambda n, bits: True
-    if family == "connected":
-        return _connected_bits
-    if family == "two_edge_connected":
-        from .connectivity import _two_edge_connected_bits
-
-        return _two_edge_connected_bits
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+def _check_family(family: str) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def _iter_k_subsets(m: int, k: int) -> Iterator[int]:
-    """All m-bit values with exactly k bits set, ascending (Gosper's hack)."""
-    if k == 0:
-        yield 0
-        return
-    v = (1 << k) - 1
-    limit = 1 << m
-    while v < limit:
-        yield v
-        u = v & -v
-        t = v + u
-        v = t | (((v ^ t) >> 2) // u)
+# ---------------------------------------------------------------------------
+# universe planes
+#
+# A plane is a 2^m-bit integer with one bit per graph on [n]: bit x is set
+# when the graph with edge mask x has the plane's property.  The built-in
+# families come out for every graph at once from shifts, ANDs and ORs on
+# planes, not from one predicate call per mask.
+
+# Vertex count of the largest universe held as one plane (2^21 bits).  A
+# census on more vertices runs chunk by chunk: each chunk fixes the slots
+# above this universe and is one plane of it.
+_CHUNK_N = 7
+
+
+class _Planes(NamedTuple):
+    ones: int  # every graph
+    slots: tuple[int, ...]  # E_s: the graphs holding slot s
+    levels: tuple[int, ...]  # L_k: the graphs with k edges
+    connected: int
+    two_edge_connected: int
+
+
+@lru_cache(maxsize=None)
+def _planes(n: int) -> _Planes:
+    """The planes of the graphs on [n]; callers enforce the scan budget."""
+    m = slot_count(n)
+    width = 1 << m
+    ones = (1 << width) - 1
+    slots = []
+    for s in range(m):
+        # bit x of E_s is bit s of x: 2^s zeros then 2^s ones, repeated
+        plane, span = ((1 << (1 << s)) - 1) << (1 << s), 2 << s
+        while span < width:
+            plane |= plane << span
+            span <<= 1
+        slots.append(plane)
+    # bit-sliced edge count: digit i holds bit i of popcount(x), one ripple
+    # add per slot
+    digits: list[int] = []
+    for carry in slots:
+        for i, digit in enumerate(digits):
+            digits[i] = digit ^ carry
+            carry &= digit
+        if carry:
+            digits.append(carry)
+    levels = []
+    for k in range(m + 1):
+        level = ones
+        for i, digit in enumerate(digits):
+            level &= digit if k >> i & 1 else ~digit
+        levels.append(level)
+    connected = _connected_plane(n, slots, ones)
+    two = _two_edge_connected_plane(slots, connected, ())
+    return _Planes(ones, tuple(slots), tuple(levels), connected, two)
+
+
+def _connected_plane(n: int, slots: Sequence[int], ones: int) -> int:
+    """AND of the reach planes R_v (bit x: vertex v is reached from vertex 1
+    in x).  R_1 is every graph; R_i and R_j take each other over the graphs
+    holding slot s = (i, j), sweep after sweep, until nothing changes."""
+    reach = [0, ones] + [0] * (n - 1)
+    before = None
+    while reach != before:
+        before = list(reach)
+        for (i, j), plane in zip(_slot_pairs(n), slots):
+            ri, rj = reach[i], reach[j]
+            reach[i], reach[j] = ri | rj & plane, rj | ri & plane
+    connected = ones
+    for plane in reach[1:]:
+        connected &= plane
+    return connected
+
+
+def _two_edge_connected_plane(
+    slots: Sequence[int], connected: int, cleared: Iterable[int]
+) -> int:
+    """The connected graphs with no bridge.  Slot s of x is a bridge when x
+    holds s and x - s is disconnected, which is bit x of E_s & ~(C << 2^s).
+    `cleared` holds, per slot fixed on above the plane, the connected plane
+    with that slot fixed off instead."""
+    bridged = 0
+    for s, plane in enumerate(slots):
+        bridged |= plane & ~(connected << (1 << s))
+    two = connected & ~bridged
+    for plane in cleared:
+        two &= plane
+    return two
+
+
+def _family_plane(n: int, family: str) -> int:
+    """The plane of a built-in family; n above the override limit is always
+    refused, and callers enforce the public budget."""
+    _check_family(family)
+    check_scan_budget(n, override=True)
+    planes = _planes(n)
+    return planes.ones if family == "all" else getattr(planes, family)
+
+
+@lru_cache(maxsize=None)
+def _family_table(n: int, family: str) -> bytes:
+    """A family plane as little-endian bytes: bit x is byte x >> 3, bit x & 7."""
+    return _family_plane(n, family).to_bytes(((1 << slot_count(n)) + 7) // 8, "little")
+
+
+def _plane_members(plane: int) -> Iterator[int]:
+    """The set bits of a plane, ascending."""
+    bits = bin(plane)[:1:-1]
+    x = bits.find("1")
+    while x >= 0:
+        yield x
+        x = bits.find("1", x + 1)
+
+
+def _census_counts(n: int, family: str, split: int = _CHUNK_N) -> list[int]:
+    """Per-level counts of a family, one chunk at a time: each chunk is one
+    plane of the universe on min(n, split) vertices, with the slots above it
+    fixed to the bits of the chunk index."""
+    low = _planes(min(n, split))
+    top = slot_count(n) - len(low.slots)
+    counts = [0] * (slot_count(n) + 1)
+    connected: list[int] = []  # per chunk, for the bridges among its top slots
+    for chunk in range(1 << top):
+        if family == "all":
+            plane = low.ones
+        elif not top:
+            plane = getattr(low, family)
+        else:
+            fixed = [low.ones if chunk >> t & 1 else 0 for t in range(top)]
+            plane = _connected_plane(n, low.slots + tuple(fixed), low.ones)
+            if family == "two_edge_connected":
+                connected.append(plane)
+                # top slot t is a bridge where the chunk without t is disconnected
+                cleared = (connected[chunk ^ 1 << t] for t in range(top) if chunk >> t & 1)
+                plane = _two_edge_connected_plane(low.slots, plane, cleared)
+        base = chunk.bit_count()
+        for k, level in enumerate(low.levels):
+            counts[base + k] += (plane & level).bit_count()
+    return counts
 
 
 def enumerate_level(
@@ -221,11 +339,10 @@ def enumerate_level(
     m = slot_count(n)
     if not 0 <= k <= m:
         raise ValueError(f"edge count must be in 0..{m}, got {k}")
-    pred = _family_predicate(family)
+    _check_family(family)
     check_scan_budget(n, budget_override)
-    for bits in _iter_k_subsets(m, k):
-        if pred(n, bits):
-            yield EdgeSet(n, bits)
+    for bits in _plane_members(_family_plane(n, family) & _planes(n).levels[k]):
+        yield EdgeSet(n, bits)
 
 
 @dataclass(frozen=True)
@@ -242,36 +359,30 @@ class LevelCensus:
 
 
 def scan_masks(n: int, family: str) -> Iterator[int]:
-    """Masks of all 2^m graphs on [n] accepted by the family predicate, ascending.
+    """Masks of all 2^m graphs on [n] in the family, ascending.
 
-    Every full scan in the package goes through here; callers enforce the
-    public budget, and n above the override limit is always refused.
+    Callers enforce the public budget; n above the override limit is always
+    refused.
     """
-    pred = _family_predicate(family)
-    check_scan_budget(n, override=True)
-    for bits in range(1 << slot_count(n)):
-        if pred(n, bits):
-            yield bits
+    yield from _plane_members(_family_plane(n, family))
 
 
 def level_census(
     n: int, family: str = "connected", budget_override: bool = False
 ) -> LevelCensus:
-    """Exact per-edge-count census obtained by scanning all 2^m graphs."""
-    m = slot_count(n)
-    _family_predicate(family)  # an unknown family fails before the budget check
-    check_scan_budget(n, budget_override)
-    counts = Counter(bits.bit_count() for bits in scan_masks(n, family))
-    return LevelCensus(n, family, tuple(counts[k] for k in range(m + 1)))
+    """Exact per-edge-count census of all 2^m graphs, counted on the planes
+    without listing members (so it reaches one vertex further with override)."""
+    _check_n(n)
+    _check_family(family)  # an unknown family fails before the budget check
+    check_census_budget(n, budget_override)
+    return LevelCensus(n, family, tuple(_census_counts(n, family)))
 
 
 @lru_cache(maxsize=64)
 def _level_bits(n: int, family: str) -> tuple[tuple[int, ...], ...]:
     """Cached per-level bit lists (index k); callers enforce the public budget."""
-    levels: list[list[int]] = [[] for _ in range(slot_count(n) + 1)]
-    for bits in scan_masks(n, family):
-        levels[bits.bit_count()].append(bits)
-    return tuple(tuple(lv) for lv in levels)
+    plane = _family_plane(n, family)
+    return tuple(tuple(_plane_members(plane & level)) for level in _planes(n).levels)
 
 
 def _shadow_bits(bits_set: Iterable[int]) -> set[int]:

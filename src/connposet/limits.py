@@ -11,6 +11,8 @@ TYPE_MAX_N = 10
 # Full-universe scans (2^m graphs) allowed by default / with override.
 SCAN_DEFAULT_MAX_N = 6
 SCAN_OVERRIDE_MAX_N = 7
+# The level census lists no members, so with override it goes one vertex further.
+CENSUS_OVERRIDE_MAX_N = 8
 
 # Element budget for exact width computations (covers n=6 connected: 26704).
 WIDTH_DEFAULT_MAX_ELEMENTS = 30_000
@@ -27,9 +29,19 @@ class BudgetExceededError(Exception):
 
 
 def check_scan_budget(n: int, override: bool = False) -> None:
-    limit = SCAN_OVERRIDE_MAX_N if override else SCAN_DEFAULT_MAX_N
+    _check_budget(n, override, SCAN_OVERRIDE_MAX_N)
+
+
+def check_census_budget(n: int, override: bool = False) -> None:
+    _check_budget(n, override, CENSUS_OVERRIDE_MAX_N)
+
+
+def _check_budget(n: int, override: bool, override_max: int) -> None:
+    limit = override_max if override else SCAN_DEFAULT_MAX_N
     if n > limit:
-        hint = "" if override else " (pass budget_override/--budget-override to allow n=7)"
+        hint = "" if override else (
+            f" (pass budget_override/--budget-override to allow n<={override_max})"
+        )
         raise BudgetExceededError(
             f"full scan at n={n} exceeds the budget of n<={limit}{hint}"
         )

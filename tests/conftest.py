@@ -4,10 +4,13 @@ The oracles here deliberately use different algorithms from the package
 (union-find instead of frontier BFS, per-edge deletion instead of
 cycle-space cut labels, subset enumeration instead of matching, one
 augmenting path at a time instead of phases, cycle enumeration instead of
-spanning-cycle search) so the two sides of every check share no code path.
+spanning-cycle search, a counting recurrence instead of bit planes) so the
+two sides of every check share no code path.
 """
 
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from hypothesis import HealthCheck, settings
 
@@ -48,6 +51,26 @@ def bits_edges(n, bits):
 
 def uf_connected_bits(n, bits):
     return uf_connected(n, bits_edges(n, bits))
+
+
+@lru_cache(maxsize=None)
+def connected_census(n):
+    """Connected labeled graphs on [n] per edge count k, from the exact
+    recurrence that counts all graphs by the component of vertex 1:
+
+        c(n, k) = C(m, k) - sum_{j<n} C(n-1, j-1) sum_i c(j, i) C(C(n-j, 2), k-i)
+
+    with m = C(n, 2).  The totals are OEIS A001187.
+    """
+    m = comb(n, 2)
+    counts = [comb(m, k) for k in range(m + 1)]
+    for j in range(1, n):
+        ways = comb(n - 1, j - 1)
+        rest = comb(n - j, 2)
+        for i, c in enumerate(connected_census(j)):
+            for k in range(i, i + rest + 1):
+                counts[k] -= ways * c * comb(rest, k - i)
+    return tuple(counts)
 
 
 def bridges_by_deletion(g):

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from conftest import connected_census
+
 
 def run_cli(*args, expect=0):
     proc = subprocess.run(
@@ -126,6 +128,7 @@ def test_usage_errors_exit_2():
     assert proc.returncode == 2
     run_cli("census", "--n", "8", expect=2)
     run_cli("census", "--n", "7", expect=2)  # needs --budget-override
+    run_cli("census", "--n", "9", "--budget-override", expect=2)
     run_cli("lemma", "nonsense", expect=2)
 
 
@@ -136,12 +139,25 @@ def test_usage_errors_exit_2():
         ("matchings", "--n", "4", "--k", "-1"),
         ("matchings", "--n", "4", "--k", "99"),
         ("lemma", "lovasz", "--n", "3", "--trials", "0"),
+        ("lemma", "technical", "--trials", "0"),
+        ("lemma", "technical", "--trials", "-5"),
+        ("lemma", "squares", "--n-max", "0"),
+        ("lemma", "squares", "--n-max", "-1"),
+        ("lemma", "chorded", "--q-max", "0"),
+        ("lemma", "chorded", "--q-max", "-2"),
     ],
 )
 def test_out_of_range_arguments_exit_2(args):
     proc = run_cli(*args, expect=2)
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_census_n8_matches_recurrence():
+    doc = json.loads(run_cli("census", "--n", "8", "--budget-override").stdout)
+    assert doc["counts"] == list(connected_census(8))
+    assert doc["total"] == 251_548_592
+    assert max(doc["counts"]) == doc["counts"][14] == 39_183_840
 
 
 def test_oversized_poset_reports_budget_error():

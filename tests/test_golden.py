@@ -2,8 +2,9 @@
 
 `tests/golden_stdout.json` maps each command below to the exit code and the
 sha256 of the stdout it produced when the file was recorded.  The commands
-cover every subcommand at n <= 5 in json, ndjson and csv, plus the n = 6
-commands of the benchmark workloads.  Stderr is not compared.
+cover every subcommand at n <= 5 in json, ndjson and csv, the n = 6
+commands of the benchmark workloads, and the census and `lemma disc` at
+n = 7.  Stderr is not compared.
 
 Re-record (only after a deliberate output change) with
 
@@ -63,6 +64,12 @@ BENCH_COMMANDS = [
 ]
 
 
+# census and disc at n = 7, recorded from the per-mask predicate scans
+N7_COMMANDS = [
+    ("census", "--n", "7", "--budget-override", "--family", family) for family in FAMILIES
+] + [("lemma", "disc", "--n", "7", "--budget-override")]
+
+
 def run(argv):
     """Exit code and stdout sha256 of one in-process CLI run."""
     from connposet import cli
@@ -92,7 +99,12 @@ def test_bench_outputs_match_golden():
     assert _mismatches(BENCH_COMMANDS) == []
 
 
+def test_n7_outputs_match_golden():
+    assert _mismatches(N7_COMMANDS) == []
+
+
 if __name__ == "__main__":
-    record = {" ".join(argv): run(argv) for argv in small_commands() + BENCH_COMMANDS}
+    commands = small_commands() + BENCH_COMMANDS + N7_COMMANDS
+    record = {" ".join(argv): run(argv) for argv in commands}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(record)} commands to {GOLDEN}", file=sys.stderr)

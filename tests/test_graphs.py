@@ -18,7 +18,17 @@ from connposet import (
     upper_shadow,
 )
 
-from conftest import uf_connected_bits
+from connposet.connectivity import _two_edge_connected_bits
+from connposet.graphs import (
+    FAMILIES,
+    _census_counts,
+    _connected_bits,
+    _level_bits,
+    _planes,
+    scan_masks,
+)
+
+from conftest import bits_edges, connected_census, uf_connected_bits, uf_two_edge_connected
 
 
 def test_edge_slot_examples():
@@ -146,6 +156,52 @@ def test_budget_gate():
     assert list(enumerate_level(7, 0, "all", budget_override=True)) == [EdgeSet(7, 0)]
     with pytest.raises(BudgetExceededError):
         list(enumerate_level(8, 0, "all", budget_override=True))
+
+
+def test_census_budget_reaches_one_vertex_further():
+    with pytest.raises(BudgetExceededError):
+        level_census(8)
+    with pytest.raises(BudgetExceededError):
+        level_census(9, budget_override=True)
+    # the scans that list members keep the n <= 7 cap
+    with pytest.raises(BudgetExceededError):
+        next(scan_masks(8, "connected"))
+    with pytest.raises(BudgetExceededError):
+        _level_bits(8, "all")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_level_census_matches_recurrence(n):
+    assert level_census(n, budget_override=True).counts == connected_census(n)
+    assert level_census(n, "all", budget_override=True).counts == tuple(
+        comb(slot_count(n), k) for k in range(slot_count(n) + 1)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_planes_match_union_find(n):
+    planes = _planes(n)
+    for bits in range(1 << slot_count(n)):
+        assert planes.connected >> bits & 1 == uf_connected_bits(n, bits)
+        two = uf_two_edge_connected(n, bits_edges(n, bits))
+        assert planes.two_edge_connected >> bits & 1 == two
+        assert planes.levels[bits.bit_count()] >> bits & 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_planes_match_per_mask_predicates(n):
+    planes = _planes(n)
+    for bits in range(1 << slot_count(n)):
+        assert planes.connected >> bits & 1 == _connected_bits(n, bits)
+        assert planes.two_edge_connected >> bits & 1 == _two_edge_connected_bits(n, bits)
+
+
+@pytest.mark.parametrize(
+    "n, split", [(2, 1), (3, 1), (4, 1), (4, 2), (5, 3), (6, 4), (6, 5), (7, 5), (7, 6)]
+)
+def test_chunked_census_matches_one_chunk(n, split):
+    for family in FAMILIES:
+        assert _census_counts(n, family, split) == _census_counts(n, family)
 
 
 def test_level_census_values():
