@@ -34,10 +34,8 @@ from .graphs import (
     slot_count,
 )
 from .connectivity import (
-    _induced_bits,
     _labelled_graphs,
     _removable_of,
-    _removable_slots,
     _skeleton_split,
 )
 from .limits import check_scan_budget
@@ -538,6 +536,17 @@ def tech_inequality_eval(
     return TechEvaluation(lhs=lhs, hypothesis_met=hypothesis)
 
 
+def _part_r_values(n: int, bits: int, labels: dict[int, int], masks: Sequence[int]) -> list[int]:
+    """|R| of each skeleton part (vertex mask): its share of _removable_of, as
+    a part's 2-edge cuts are the whole graph's among its non-bridge edges."""
+    pairs = _slot_pairs(n)
+    r_values = [0] * len(masks)
+    for s in _removable_of(bits, labels):
+        i = pairs[s][0]
+        r_values[next(p for p, mask in enumerate(masks) if mask >> i & 1)] += 1
+    return r_values
+
+
 def tech_inequality_sweep(n: int, budget_override: bool = False) -> dict:
     """Evaluate the skeleton-sum inequality on every actual witness graph.
 
@@ -559,11 +568,7 @@ def tech_inequality_sweep(n: int, budget_override: bool = False) -> dict:
             continue
         _, masks = _skeleton_split(n, bits, labels)
         parts = [mask.bit_count() for mask in masks]
-        r_values = []
-        for mask in masks:
-            n_sub, sub = _induced_bits(n, bits, mask)
-            r_values.append(len(_removable_slots(n_sub, sub)) if n_sub >= 3 else 0)
-        ev = tech_inequality_eval(parts, r_values, n)
+        ev = tech_inequality_eval(parts, _part_r_values(n, bits, labels, masks), n)
         if not ev.hypothesis_met:
             excluded += 1
             continue

@@ -251,21 +251,17 @@ def _cmd_chains(args) -> int:
     except poset.ChainPartitionError as exc:
         print(f"FAIL chains: {exc} (pair {exc.k_from}->{exc.k_to})", file=sys.stderr)
         return 1
-    doc = {
-        "n": partition.n,
-        "count": partition.count,
-        "chains": [[g.text() for g in chain] for chain in partition.chains],
-    }
-    records = [{"chain": [g.text() for g in chain]} for chain in partition.chains]
+    chains = [[g.text() for g in chain] for chain in partition.chains]
+    doc = {"n": partition.n, "count": partition.count, "chains": chains}
     if args.fmt == "csv":
         rows = [
-            {"chain_index": i, "position": p, "graph": g.text()}
-            for i, chain in enumerate(partition.chains)
-            for p, g in enumerate(chain)
+            {"chain_index": i, "position": p, "graph": text}
+            for i, chain in enumerate(chains)
+            for p, text in enumerate(chain)
         ]
         _emit(doc, rows, args.fmt, args.out, ["chain_index", "position", "graph"])
     else:
-        _emit(doc, records, args.fmt, args.out)
+        _emit(doc, [{"chain": chain} for chain in chains], args.fmt, args.out)
     return 0
 
 

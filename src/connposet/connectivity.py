@@ -104,10 +104,10 @@ def _bridges_of(bits: int, labels: dict[int, int]) -> list[int]:
 
 
 def _removable_of(bits: int, labels: dict[int, int]) -> list[int]:
-    """R(G) of a bridgeless graph, ascending: the edges that share their
-    label with another edge, each such pair being a 2-edge cut."""
+    """R(G) of a bridgeless graph, ascending, or in general the union of R over
+    the skeleton parts: the non-bridge edges whose label another edge shares."""
     count = Counter(labels.values())
-    return [s for s in _iter_bits(bits) if count[labels[s]] > 1]
+    return [s for s in _iter_bits(bits) if labels[s] and count[labels[s]] > 1]
 
 
 def _components_without(n: int, bits: int, slots: list[int]) -> list[int]:

@@ -205,6 +205,8 @@ def _check_family(family: str) -> None:
 # above this universe and is one plane of it.
 _CHUNK_N = 7
 
+_Pairs = Sequence[tuple[int, int]]  # the vertex pair of each slot a plane spans
+
 
 class _Planes(NamedTuple):
     ones: int  # every graph
@@ -217,7 +219,15 @@ class _Planes(NamedTuple):
 @lru_cache(maxsize=None)
 def _planes(n: int) -> _Planes:
     """The planes of the graphs on [n]; callers enforce the scan budget."""
-    m = slot_count(n)
+    ones, slots, levels, connected = _span_planes(n, _slot_pairs(n))
+    return _Planes(ones, slots, levels, connected, _two_edge_connected_plane(slots, connected, ()))
+
+
+def _span_planes(n: int, pairs: _Pairs) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
+    """The planes of the graphs on [n] whose edges lie among the given vertex
+    pairs, slot s standing for pairs[s]: every graph, the slot planes E_s, the
+    level planes L_k and the connected plane."""
+    m = len(pairs)
     width = 1 << m
     ones = (1 << width) - 1
     slots = []
@@ -243,20 +253,18 @@ def _planes(n: int) -> _Planes:
         for i, digit in enumerate(digits):
             level &= digit if k >> i & 1 else ~digit
         levels.append(level)
-    connected = _connected_plane(n, slots, ones)
-    two = _two_edge_connected_plane(slots, connected, ())
-    return _Planes(ones, tuple(slots), tuple(levels), connected, two)
+    return ones, tuple(slots), tuple(levels), _connected_plane(n, pairs, slots, ones)
 
 
-def _connected_plane(n: int, slots: Sequence[int], ones: int) -> int:
+def _connected_plane(n: int, pairs: _Pairs, slots: Sequence[int], ones: int) -> int:
     """AND of the reach planes R_v (bit x: vertex v is reached from vertex 1
     in x).  R_1 is every graph; R_i and R_j take each other over the graphs
-    holding slot s = (i, j), sweep after sweep, until nothing changes."""
+    holding slot s, pairs[s] = (i, j), sweep after sweep, until stable."""
     reach = [0, ones] + [0] * (n - 1)
     before = None
     while reach != before:
         before = list(reach)
-        for (i, j), plane in zip(_slot_pairs(n), slots):
+        for (i, j), plane in zip(pairs, slots):
             ri, rj = reach[i], reach[j]
             reach[i], reach[j] = ri | rj & plane, rj | ri & plane
     connected = ones
@@ -320,7 +328,7 @@ def _census_counts(n: int, family: str, split: int = _CHUNK_N) -> list[int]:
             plane = getattr(low, family)
         else:
             fixed = [low.ones if chunk >> t & 1 else 0 for t in range(top)]
-            plane = _connected_plane(n, low.slots + tuple(fixed), low.ones)
+            plane = _connected_plane(n, _slot_pairs(n), low.slots + tuple(fixed), low.ones)
             if family == "two_edge_connected":
                 connected.append(plane)
                 # top slot t is a bridge where the chunk without t is disconnected

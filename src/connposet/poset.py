@@ -196,11 +196,9 @@ def _universe_levels(
 
 
 def _level_pair_adjacency(
-    n: int, from_bits: Sequence[int], to_bits: Sequence[int], direction: str
+    full: int, from_bits: Sequence[int], to_bits: Sequence[int], direction: str
 ) -> list[list[int]]:
     index = {b: i for i, b in enumerate(to_bits)}
-    m = slot_count(n)
-    full = (1 << m) - 1
     adj: list[list[int]] = []
     for b in from_bits:
         row = []
@@ -232,7 +230,7 @@ def adjacent_level_matching(
     from_bits, to_bits = levels[k], levels[k_to]
     if not from_bits or not to_bits:
         raise ValueError(f"level pair ({k},{k_to}) has an empty side")
-    adj = _level_pair_adjacency(n, from_bits, to_bits, direction)
+    adj = _level_pair_adjacency((1 << m) - 1, from_bits, to_bits, direction)
     size, match_l, match_r = hopcroft_karp(len(from_bits), len(to_bits), adj.__getitem__)
 
     pairs = tuple(
@@ -294,7 +292,7 @@ def _level_sizes(levels: Sequence[Sequence[int]]) -> dict[int, int]:
 
 
 def _complete_matching(
-    n: int, levels: Sequence[Sequence[int]], k_from: int, k_to: int
+    full: int, levels: Sequence[Sequence[int]], k_from: int, k_to: int
 ) -> array:
     """Partner index in level k_to of every element of level k_from."""
     direction = "up" if k_to > k_from else "down"
@@ -304,7 +302,7 @@ def _complete_matching(
             k_from, k_to,
             f"level {k_from} is larger than level {k_to}; cannot glue {direction}ward",
         )
-    adj = _level_pair_adjacency(n, from_bits, to_bits, direction)
+    adj = _level_pair_adjacency(full, from_bits, to_bits, direction)
     size, match_l, _ = hopcroft_karp(len(from_bits), len(to_bits), adj.__getitem__)
     if size < len(from_bits):
         raise ChainPartitionError(
@@ -313,7 +311,7 @@ def _complete_matching(
     return array("i", match_l)
 
 
-def _glued_chains(n: int, levels: Sequence[Sequence[int]]) -> list[list[int]]:
+def _glued_chains(full: int, levels: Sequence[Sequence[int]]) -> list[list[int]]:
     """Glue complete level matchings through the largest level K.
 
     Below K every level must match completely into the next one up; above K
@@ -327,9 +325,9 @@ def _glued_chains(n: int, levels: Sequence[Sequence[int]]) -> list[list[int]]:
     sizes = _level_sizes(levels)
     K = _largest_level(sizes)
     lo, hi = min(sizes), max(sizes)
-    partner = {k: _complete_matching(n, levels, k, k + 1) for k in range(lo, K)}
+    partner = {k: _complete_matching(full, levels, k, k + 1) for k in range(lo, K)}
     partner.update(
-        {k: _complete_matching(n, levels, k, k - 1) for k in range(K + 1, hi + 1)}
+        {k: _complete_matching(full, levels, k, k - 1) for k in range(K + 1, hi + 1)}
     )
 
     chains = [[b] for b in levels[K]]
@@ -397,7 +395,7 @@ def chain_partition(
     if some level pair blocks the gluing, ChainPartitionError names it.
     """
     _, levels = _universe_levels(n, universe, budget_override)
-    chains = _glued_chains(n, levels)
+    chains = _glued_chains((1 << slot_count(n)) - 1, levels)
     check_chain_certificate([b for level in levels for b in level], chains)
     return ChainPartition(n, tuple(tuple(EdgeSet(n, b) for b in chain) for chain in chains))
 
@@ -571,7 +569,7 @@ class FamilyWidth(NamedTuple):
 
 
 def _family_width(
-    n: int, levels: Sequence[Sequence[int]], full: int, budget_override: bool
+    levels: Sequence[Sequence[int]], full: int, budget_override: bool
 ) -> FamilyWidth:
     """Exact width of a family of edge bitmasks graded by edge count.
 
@@ -588,7 +586,7 @@ def _family_width(
     level_data = (sum(sizes.values()), sizes, K, sizes[K])
     members = [b for level in levels for b in level]
     try:
-        chains = _glued_chains(n, levels)
+        chains = _glued_chains(full, levels)
     except ChainPartitionError:
         result = width_dilworth(
             members,
@@ -607,7 +605,7 @@ def sperner_verdict(
     """Exact width of the whole universe versus its largest level, by
     _family_width (the chain route, or the Dilworth matching as fallback)."""
     name, levels = _universe_levels(n, universe, budget_override)
-    verdict = _family_width(n, levels, (1 << slot_count(n)) - 1, budget_override)
+    verdict = _family_width(levels, (1 << slot_count(n)) - 1, budget_override)
     return SpernerReport(
         n=n,
         universe=name,

@@ -30,12 +30,14 @@ from typing import Callable, Iterable
 from .connectivity import is_two_edge_connected
 from .graphs import (
     EdgeSet,
+    _check_n,
     _connected_bits,
     _iter_bits,
     _level_bits,
+    _plane_members,
     _slot_pairs,
+    _span_planes,
     _vertex_adjacency,
-    is_connected,
     slot_count,
 )
 from .limits import CANONICAL_MAX_N, CPRIME_MAX_EDGES, check_scan_budget, check_width_budget
@@ -149,8 +151,7 @@ def quotient_poset(n: int, budget_override: bool = False) -> QuotientPoset:
     check_scan_budget(n, budget_override)
     classes, canon_of = _connected_classes(n)
     index_of = {cls.canon.bits: i for i, cls in enumerate(classes)}
-    m = slot_count(n)
-    full = (1 << m) - 1
+    full = (1 << slot_count(n)) - 1
     covers = []
     seen: set[tuple[int, int]] = set()
     for i, cls in enumerate(classes):
@@ -227,27 +228,26 @@ def quotient_sperner(n: int, budget_override: bool = False) -> ExplorerReport:
 
 
 def cprime_sperner(g: EdgeSet, budget_override: bool = False) -> ExplorerReport:
-    """Width verdict for the spanning connected subgraphs of one host graph."""
-    if not is_connected(g):
-        raise ValueError("host graph must be connected")
+    """Width verdict for the spanning connected subgraphs of one host graph.
+
+    The subgraphs are read from the planes of the host's own edges: bit s of
+    a member is the host's s-th edge, ascending.  These local coordinates
+    are an order isomorphism of the host's subsets, so the element count,
+    level sizes and width are those of the subgraphs themselves.
+    """
     if g.edge_count > CPRIME_MAX_EDGES:
-        raise ValueError(
-            f"host has {g.edge_count} edges; budget is {CPRIME_MAX_EDGES}"
-        )
-    n = g.n
-    levels: list[list[int]] = [[] for _ in range(g.edge_count + 1)]
-    t = 0
-    while True:  # the submasks of the host, ascending
-        if _connected_bits(n, t):
-            levels[t.bit_count()].append(t)
-        t = (t - g.bits) & g.bits
-        if t == 0:
-            break
+        raise ValueError(f"host has {g.edge_count} edges; budget is {CPRIME_MAX_EDGES}")
+    full = (1 << g.edge_count) - 1
+    level_planes, connected = _span_planes(g.n, g.edges())[2:]
+    if not connected >> full & 1:
+        raise ValueError("host graph must be connected")
+    levels = [tuple(_plane_members(connected & level)) for level in level_planes]
+    del level_planes  # the width core reads the members only
     check_width_budget(sum(map(len, levels)), budget_override)
-    verdict = _family_width(n, levels, g.bits, budget_override)
+    verdict = _family_width(levels, full, budget_override)
     return ExplorerReport(
         universe=f"spanning_connected({g.text()})",
-        n=n,
+        n=g.n,
         element_count=verdict.element_count,
         level_sizes=verdict.level_sizes,
         max_level_k=verdict.max_level_k,
@@ -262,6 +262,7 @@ def cprime_search(n_max: int, budget_override: bool = False) -> list[ExplorerRep
     Returns every report, sorted with non-Sperner findings (if any) first and
     then by closeness of the margin.
     """
+    _check_n(n_max)
     if n_max > 6 and not budget_override:
         raise ValueError("cprime_search is budgeted to n_max <= 6")
     reports = []
@@ -382,7 +383,7 @@ def property_poset_report(
 
     covers_one_step = upward_closed or _covers_saturated(members, member_set)
     check_width_budget(len(members), budget_override)
-    verdict = _family_width(n, levels, full, budget_override)
+    verdict = _family_width(levels, full, budget_override)
     return PropertyPosetReport(
         n=n,
         property_name=name,
@@ -398,22 +399,14 @@ def property_poset_report(
 
 
 def _covers_saturated(members: list[int], member_set: set[int]) -> bool:
-    """Every cover relation jumps exactly one level (direct check)."""
+    """Every cover relation jumps exactly one level.  Equivalently, each
+    comparable pair two or more levels apart has a member one edge above its
+    lower end and below its upper end: a longer cover has none, and otherwise
+    the first step of a maximal chain between the pair is one."""
     for bits in members:
         for other in members:
-            if other == bits or bits & other != bits:
+            if bits & other != bits or other.bit_count() - bits.bit_count() < 2:
                 continue
-            gap = other.bit_count() - bits.bit_count()
-            if gap < 2:
-                continue
-            between = False
-            diff = other & ~bits
-            t = (diff - 1) & diff
-            while t:
-                if (bits | t) in member_set:
-                    between = True
-                    break
-                t = (t - 1) & diff
-            if not between:
+            if not any((bits | 1 << s) in member_set for s in _iter_bits(other & ~bits)):
                 return False
     return True

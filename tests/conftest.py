@@ -100,6 +100,18 @@ def removable_by_retest(g):
     )
 
 
+def covers_one_level(members):
+    """Every cover of a family of edge bitmasks under inclusion adds exactly
+    one edge, with each cover found by testing every member in between."""
+    for a in members:
+        for b in members:
+            if a == b or a & b != a or (a ^ b).bit_count() == 1:
+                continue
+            if not any(c not in (a, b) and a & c == a and c & b == c for c in members):
+                return False
+    return True
+
+
 def augmenting_path_matching(n_left, n_right, neighbors):
     """Maximum bipartite matching one augmenting path at a time (Kuhn).
 

@@ -21,9 +21,16 @@ from connposet import (
 )
 from connposet.bounds import (
     LogValue,
+    _part_r_values,
     appendix_grid,
     squares_sweep,
     tech_inequality_sweep,
+)
+from connposet.connectivity import (
+    _induced_bits,
+    _labelled_graphs,
+    _removable_slots,
+    _skeleton_split,
 )
 from connposet.graphs import _level_bits, level_census, slot_count
 
@@ -315,6 +322,15 @@ def test_tech_sweep_n5():
     assert summary["checked"] > 0
     assert summary["empirical_min"] is not None
     assert summary["witness"] is not None
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_part_r_values_match_relabelled_parts(n):
+    # the whole graph's labels against each part relabelled and labelled alone
+    for bits, labels in _labelled_graphs(n):
+        _, masks = _skeleton_split(n, bits, labels)
+        expected = [len(_removable_slots(*_induced_bits(n, bits, mask))) for mask in masks]
+        assert _part_r_values(n, bits, labels, masks) == expected, f"{n}:{bits:x}"
 
 
 def test_technical_lemma_examples():

@@ -153,6 +153,14 @@ def test_out_of_range_arguments_exit_2(args):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_explore_cprime_rejects_vertex_count(n):
+    # as every other subcommand does, instead of an empty report
+    proc = run_cli("explore", "cprime", "--n", n, expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: vertex count must be in 1..10")
+
+
 def test_census_n8_matches_recurrence():
     doc = json.loads(run_cli("census", "--n", "8", "--budget-override").stdout)
     assert doc["counts"] == list(connected_census(8))

@@ -3,8 +3,8 @@
 `tests/golden_stdout.json` maps each command below to the exit code and the
 sha256 of the stdout it produced when the file was recorded.  The commands
 cover every subcommand at n <= 5 in json, ndjson and csv, the n = 6
-commands of the benchmark workloads, and the census and `lemma disc` at
-n = 7.  Stderr is not compared.
+commands of the benchmark workloads, `lemma tech` at n = 6, and the census
+and `lemma disc` at n = 7.  Stderr is not compared.
 
 Re-record (only after a deliberate output change) with
 
@@ -64,6 +64,10 @@ BENCH_COMMANDS = [
 ]
 
 
+# the tech sweep at n = 6, recorded from parts relabelled and labelled alone
+TECH_COMMANDS = [("lemma", "tech", "--n", "6")]
+
+
 # census and disc at n = 7, recorded from the per-mask predicate scans
 N7_COMMANDS = [
     ("census", "--n", "7", "--budget-override", "--family", family) for family in FAMILIES
@@ -99,12 +103,16 @@ def test_bench_outputs_match_golden():
     assert _mismatches(BENCH_COMMANDS) == []
 
 
+def test_tech_n6_output_matches_golden():
+    assert _mismatches(TECH_COMMANDS) == []
+
+
 def test_n7_outputs_match_golden():
     assert _mismatches(N7_COMMANDS) == []
 
 
 if __name__ == "__main__":
-    commands = small_commands() + BENCH_COMMANDS + N7_COMMANDS
+    commands = small_commands() + BENCH_COMMANDS + TECH_COMMANDS + N7_COMMANDS
     record = {" ".join(argv): run(argv) for argv in commands}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(record)} commands to {GOLDEN}", file=sys.stderr)

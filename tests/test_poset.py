@@ -278,7 +278,7 @@ def test_chain_route_agrees_with_dilworth(monkeypatch, n, universe):
     chained = poset_mod.sperner_verdict(n, universe)
     assert chained.method == "chains"
 
-    def no_chains(n, levels):
+    def no_chains(full, levels):
         raise ChainPartitionError(0, 0, "chain route disabled")
 
     monkeypatch.setattr(poset_mod, "_glued_chains", no_chains)
@@ -324,8 +324,8 @@ def test_sperner_verdict_checks_chain_certificate(monkeypatch):
 
     real = poset_mod._glued_chains
 
-    def dropped_member(n, levels):
-        chains = real(n, levels)
+    def dropped_member(full, levels):
+        chains = real(full, levels)
         chains[0].pop()
         return chains
 
@@ -400,8 +400,8 @@ def test_chain_partition_error_reports_pair(monkeypatch):
 
     real = poset_mod._level_pair_adjacency
 
-    def sabotaged(n, from_bits, to_bits, direction):
-        adj = real(n, from_bits, to_bits, direction)
+    def sabotaged(full, from_bits, to_bits, direction):
+        adj = real(full, from_bits, to_bits, direction)
         if (from_bits[0].bit_count(), direction) == (6, "down"):
             return [[] for _ in adj]
         return adj

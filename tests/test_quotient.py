@@ -1,5 +1,6 @@
 import random
-from itertools import permutations
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -23,15 +24,20 @@ from connposet.poset import (
     _universe_levels,
     width_dilworth,
 )
-from connposet.quotient import PROPERTY_BUILTINS, contains_triangle, relabel
+from connposet.quotient import (
+    PROPERTY_BUILTINS,
+    _covers_saturated,
+    contains_triangle,
+    relabel,
+)
 
-from conftest import uf_connected_bits
+from conftest import covers_one_level, pairs_on, uf_connected_bits
 
 
-def core_against_dilworth(n, levels, full):
+def core_against_dilworth(levels, full):
     """The shared width core on a graded family, checked against the
     full-comparability Dilworth matching; returns (width, method)."""
-    verdict = _family_width(n, levels, full, False)
+    verdict = _family_width(levels, full, False)
     members = [b for level in levels for b in level]
     dilworth = width_dilworth(members, successors=_supermask_successors(members, full))
     assert verdict.width == dilworth.width == len(verdict.antichain)
@@ -199,9 +205,43 @@ def test_cprime_chain_route_agrees_with_dilworth(n):
         for b in range(host + 1):
             if b & host == b and uf_connected_bits(n, b):
                 levels[b.bit_count()].append(b)
-        width, method = core_against_dilworth(n, levels, host)
+        width, method = core_against_dilworth(levels, host)
         assert method == "chains", cls.canon.text()
         assert cprime_sperner(cls.canon).width == width
+
+
+def assert_host_levels_match_union_find(host):
+    """cprime_sperner's level sizes against one union-find test per subset
+    of the host's edge slots."""
+    slots = [s for s in range(host.bits.bit_length()) if host.bits >> s & 1]
+    sizes = Counter(
+        k
+        for k in range(len(slots) + 1)
+        for subset in combinations(slots, k)
+        if uf_connected_bits(host.n, sum(1 << s for s in subset))
+    )
+    report = cprime_sperner(host)
+    assert report.level_sizes == dict(sizes), host.text()
+    assert report.element_count == sum(sizes.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cprime_host_planes_match_union_find(n):
+    for cls in connected_classes(n):
+        assert_host_levels_match_union_find(cls.canon)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_cprime_random_hosts_match_union_find(n):
+    # a random tree plus the edge {n-1, n} (slot 44 on [10]) and random
+    # extra edges, at most 12 in all
+    rng = random.Random(n)
+    for _ in range(3):
+        edges = {(rng.randrange(1, v), v) for v in range(2, n + 1)} | {(n - 1, n)}
+        target = rng.randint(len(edges), 12)
+        while len(edges) < target:
+            edges.add(rng.choice(pairs_on(n)))
+        assert_host_levels_match_union_find(EdgeSet.from_edges(n, edges))
 
 
 def test_cprime_hosts_in_high_edge_slots():
@@ -277,7 +317,25 @@ def test_property_poset_ungraded_family():
     assert not report.graded
     # the level gap blocks the chain route
     assert report.width == 15
-    assert core_against_dilworth(4, _universe_levels(4, prop, False)[1], 63) == (15, "dilworth")
+    assert core_against_dilworth(_universe_levels(4, prop, False)[1], 63) == (15, "dilworth")
+
+
+def test_property_poset_graded_but_not_upward_closed():
+    report = property_poset_report(4, lambda g: g.edge_count in (2, 3))
+    assert not report.upward_closed
+    assert report.covers_one_step and report.graded
+    assert report.minimal_levels == (2,)
+    assert report.level_sizes == {2: 15, 3: 20}
+    assert report.width == 20 == report.max_level_size
+
+
+@pytest.mark.parametrize("slots", [3, 6])
+def test_covers_saturated_matches_direct_covers(slots):
+    rng = random.Random(slots)
+    for _ in range(300):
+        density = rng.random()
+        members = [b for b in range(1 << slots) if rng.random() < density]
+        assert _covers_saturated(members, set(members)) == covers_one_level(members), members
 
 
 def test_property_poset_triangles_below_complete():
@@ -291,7 +349,7 @@ def test_property_poset_triangles_below_complete():
     assert not report.covers_one_step
     assert not report.graded
     assert report.width == 4
-    assert core_against_dilworth(4, _universe_levels(4, prop, False)[1], 63) == (4, "dilworth")
+    assert core_against_dilworth(_universe_levels(4, prop, False)[1], 63) == (4, "dilworth")
 
 
 @pytest.mark.parametrize(
@@ -301,7 +359,7 @@ def test_property_poset_triangles_below_complete():
 )
 def test_property_chain_route_agrees_with_dilworth(prop, n):
     _, levels = _universe_levels(n, PROPERTY_BUILTINS[prop], False)
-    width, method = core_against_dilworth(n, levels, (1 << slot_count(n)) - 1)
+    width, method = core_against_dilworth(levels, (1 << slot_count(n)) - 1)
     assert method == "chains"
     assert property_poset_report(n, prop).width == width
 
