@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Sequence
 from .graphs import (
     EdgeSet,
     _level_bits,
+    _plane_members,
     _planes,
     _shadow_bits,
     _slot_pairs,
@@ -34,6 +35,7 @@ from .graphs import (
     slot_count,
 )
 from .connectivity import (
+    _cut_labels,
     _labelled_graphs,
     _removable_of,
     _skeleton_split,
@@ -556,16 +558,19 @@ def tech_inequality_sweep(n: int, budget_override: bool = False) -> dict:
     asserting lhs >= n.
     """
     check_scan_budget(n, budget_override)
-    m = slot_count(n)
-    M = (m + 1) // 2
+    planes = _planes(n)
+    M = (slot_count(n) + 1) // 2
+    # connected with a bridge (not 2-edge-connected), on a level k >= M
+    upper = 0
+    for level in planes.levels[M:]:
+        upper |= level
+    candidates = planes.connected & ~planes.two_edge_connected & upper
     checked = excluded = holding = 0
     # the walk runs in ascending bits; the witness is the first minimum in
     # level order, so the minimum is taken over (lhs, k, bits)
     best: tuple[int, int, int] | None = None
-    for bits, labels in _labelled_graphs(n):
-        # fewer than M edges, or no bridge (2-edge-connected): not a witness
-        if bits.bit_count() < M or 0 not in labels.values():
-            continue
+    for bits in _plane_members(candidates):
+        labels = _cut_labels(n, bits)
         _, masks = _skeleton_split(n, bits, labels)
         parts = [mask.bit_count() for mask in masks]
         ev = tech_inequality_eval(parts, _part_r_values(n, bits, labels, masks), n)

@@ -197,51 +197,60 @@ def _cmd_sperner(args) -> int:
     return 0
 
 
-def _cmd_matchings(args) -> int:
+def _level_matchings(args):
+    """The adjacent-level matchings of _cmd_matchings, by k, up before down."""
     check_scan_budget(args.n, args.budget_override)
     m = graphs.slot_count(args.n)
     if args.k is not None and not 0 <= args.k <= m:
         raise ValueError(f"--k must lie in 0..{m} for n={args.n}, got {args.k}")
     levels = graphs._level_bits(args.n, args.family)
-    ks = [args.k] if args.k is not None else list(range(m + 1))
-    table = []
-    pair_rows = []
-    for k in ks:
+    for k in [args.k] if args.k is not None else range(m + 1):
         for direction in ("up", "down"):
             k_to = k + 1 if direction == "up" else k - 1
-            if not (0 <= k_to <= m) or not levels[k] or not levels[k_to]:
-                continue
-            res = poset.adjacent_level_matching(
-                args.n, k, direction, args.family, args.budget_override
-            )
-            table.append(
-                {
-                    "n": res.n,
-                    "universe": res.universe,
-                    "k_from": res.k_from,
-                    "k_to": res.k_to,
-                    "size_from": res.size_from,
-                    "size_to": res.size_to,
-                    "matching_size": res.matching_size,
-                    "complete": res.complete,
-                    "violator": None
-                    if res.violator is None
-                    else [g.text() for g in res.violator],
-                }
-            )
-            for g, h in res.pairs:
-                pair_rows.append(
-                    {"n": res.n, "k_from": res.k_from, "k_to": res.k_to,
-                     "from": g.text(), "to": h.text()}
+            if 0 <= k_to <= m and levels[k] and levels[k_to]:
+                yield poset.adjacent_level_matching(
+                    args.n, k, direction, args.family, args.budget_override
                 )
-    doc = {"n": args.n, "universe": args.family, "matchings": table}
+
+
+# The writers below format edge bitmasks straight into the bytes that
+# json.dumps(..., sort_keys=True) or the csv module gives: every value is an
+# int or an "n:HEX" string, which needs no escaping or quoting.
+
+
+def _cmd_matchings(args) -> int:
     if args.fmt == "ndjson":
-        _emit(doc, pair_rows, args.fmt, args.out)
-    else:
-        rows = [{k: v for k, v in row.items() if k != "violator"} for row in table]
-        _emit(doc, rows, args.fmt, args.out,
-              ["n", "universe", "k_from", "k_to", "size_from", "size_to",
-               "matching_size", "complete"])
+        chunks = []
+        for res in _level_matchings(args):
+            n = res.n
+            line = (f'{{"from": "{n}:%x", "k_from": {res.k_from}, "k_to": {res.k_to}, '
+                    f'"n": {n}, "to": "{n}:%x"}}\n')
+            chunks.append("".join(map(line.__mod__, res.pair_bits)))
+        text = "".join(chunks)
+        del chunks  # free the pieces before _write encodes a copy of the text
+        _write(text, args.out)
+        return 0
+    table = [
+        {
+            "n": res.n,
+            "universe": res.universe,
+            "k_from": res.k_from,
+            "k_to": res.k_to,
+            "size_from": res.size_from,
+            "size_to": res.size_to,
+            "matching_size": res.matching_size,
+            "complete": res.complete,
+            "violator": None
+            if res.violator_bits is None
+            else [f"{res.n}:{b:x}" for b in res.violator_bits],
+        }
+        for res in _level_matchings(args)
+    ]
+    doc = {"n": args.n, "universe": args.family, "matchings": table}
+    rows = [{k: v for k, v in row.items() if k != "violator"} for row in table]
+    _emit(doc, rows, args.fmt, args.out,
+          ["n", "universe", "k_from", "k_to", "size_from", "size_to",
+           "matching_size", "complete"])
     return 0
 
 
@@ -251,17 +260,21 @@ def _cmd_chains(args) -> int:
     except poset.ChainPartitionError as exc:
         print(f"FAIL chains: {exc} (pair {exc.k_from}->{exc.k_to})", file=sys.stderr)
         return 1
-    chains = [[g.text() for g in chain] for chain in partition.chains]
-    doc = {"n": partition.n, "count": partition.count, "chains": chains}
+    n, chains = partition.n, partition.chain_bits
     if args.fmt == "csv":
-        rows = [
-            {"chain_index": i, "position": p, "graph": text}
+        text = "chain_index,position,graph\n" + "".join(
+            "".join(map(f"{i},%d,{n}:%x\n".__mod__, enumerate(chain)))
             for i, chain in enumerate(chains)
-            for p, text in enumerate(chain)
-        ]
-        _emit(doc, rows, args.fmt, args.out, ["chain_index", "position", "graph"])
+        )
     else:
-        _emit(doc, [{"chain": chain} for chain in chains], args.fmt, args.out)
+        graph = f'"{n}:%x"'.__mod__
+        lists = (f'[{", ".join(map(graph, chain))}]' for chain in chains)
+        if args.fmt == "json":
+            text = (f'{{"chains": [{", ".join(lists)}], '
+                    f'"count": {partition.count}, "n": {n}}}\n')
+        else:
+            text = "".join(f'{{"chain": {chain}}}\n' for chain in lists)
+    _write(text, args.out)
     return 0
 
 

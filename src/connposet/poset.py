@@ -26,7 +26,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .graphs import EdgeSet, _iter_bits, _level_bits, slot_count
+from .graphs import EdgeSet, _level_bits, slot_count
 from .limits import check_scan_budget, check_width_budget
 
 _BIG = 1 << 60
@@ -164,12 +164,23 @@ class MatchingResult:
     size_from: int
     size_to: int
     matching_size: int
-    pairs: tuple[tuple[EdgeSet, EdgeSet], ...]
-    violator: tuple[EdgeSet, ...] | None
+    pair_bits: tuple[tuple[int, int], ...]  # matched (from, to) edge bitmasks
+    violator_bits: tuple[int, ...] | None  # a Hall violator in level k_from
 
     @property
     def complete(self) -> bool:
         return self.matching_size == self.size_from
+
+    @property
+    def pairs(self) -> tuple[tuple[EdgeSet, EdgeSet], ...]:
+        n = self.n
+        return tuple((EdgeSet(n, a), EdgeSet(n, b)) for a, b in self.pair_bits)
+
+    @property
+    def violator(self) -> tuple[EdgeSet, ...] | None:
+        if self.violator_bits is None:
+            return None
+        return tuple(EdgeSet(self.n, b) for b in self.violator_bits)
 
 
 def _universe_levels(
@@ -197,19 +208,25 @@ def _universe_levels(
 
 def _level_pair_adjacency(
     full: int, from_bits: Sequence[int], to_bits: Sequence[int], direction: str
-) -> list[list[int]]:
-    index = {b: i for i, b in enumerate(to_bits)}
-    adj: list[list[int]] = []
-    for b in from_bits:
-        row = []
-        flips = _iter_bits(full ^ b) if direction == "up" else _iter_bits(b)
-        for s in flips:
-            other = b | (1 << s) if direction == "up" else b ^ (1 << s)
-            i = index.get(other)
-            if i is not None:
-                row.append(i)
-        adj.append(row)
-    return adj
+) -> list[array]:
+    """Row u lists, by ascending slot, the index in to_bits of each member one
+    edge above (up) or below (down) from_bits[u]; full is 2^m - 1.
+
+    The index is a dense rank over the 2^m masks, -1 off the target level.
+    Setting a slot that b already holds (up), or clearing one it lacks
+    (down), gives b itself, whose rank is -1, so no slot is tested.  Rows
+    are arrays: a list row would hold a fresh int per entry.
+    """
+    rank = array("i", [-1]) * (full + 1)
+    for i, b in enumerate(to_bits):
+        rank[b] = i
+    singles = [1 << s for s in range(full.bit_length())]
+    if direction == "up":
+        return [array("i", [r for s in singles if (r := rank[b | s]) >= 0])
+                for b in from_bits]
+    holes = [full ^ s for s in singles]
+    return [array("i", [r for h in holes if (r := rank[b & h]) >= 0])
+            for b in from_bits]
 
 
 def adjacent_level_matching(
@@ -233,12 +250,8 @@ def adjacent_level_matching(
     adj = _level_pair_adjacency((1 << m) - 1, from_bits, to_bits, direction)
     size, match_l, match_r = hopcroft_karp(len(from_bits), len(to_bits), adj.__getitem__)
 
-    pairs = tuple(
-        (EdgeSet(n, from_bits[u]), EdgeSet(n, to_bits[match_l[u]]))
-        for u in range(len(from_bits))
-        if match_l[u] >= 0
-    )
-    violator = None
+    pair_bits = tuple((b, to_bits[v]) for b, v in zip(from_bits, match_l) if v >= 0)
+    violator_bits = None
     if size < len(from_bits):
         seen_l, seen_r = _alternating_reachable(
             len(from_bits), len(to_bits), adj.__getitem__, match_l, match_r
@@ -249,7 +262,7 @@ def adjacent_level_matching(
             neighborhood.update(adj[u])
         if len(neighborhood) >= len(side):
             raise AssertionError("alternating cut failed to violate Hall's condition")
-        violator = tuple(EdgeSet(n, from_bits[u]) for u in side)
+        violator_bits = tuple(from_bits[u] for u in side)
     return MatchingResult(
         n=n,
         universe=name,
@@ -258,8 +271,8 @@ def adjacent_level_matching(
         size_from=len(from_bits),
         size_to=len(to_bits),
         matching_size=size,
-        pairs=pairs,
-        violator=violator,
+        pair_bits=pair_bits,
+        violator_bits=violator_bits,
     )
 
 
@@ -273,11 +286,16 @@ class ChainPartition:
     its largest level."""
 
     n: int
-    chains: tuple[tuple[EdgeSet, ...], ...]
+    chain_bits: Sequence[Sequence[int]]  # edge bitmasks, by increasing edge count
 
     @property
     def count(self) -> int:
-        return len(self.chains)
+        return len(self.chain_bits)
+
+    @property
+    def chains(self) -> tuple[tuple[EdgeSet, ...], ...]:
+        n = self.n
+        return tuple(tuple(EdgeSet(n, b) for b in chain) for chain in self.chain_bits)
 
 
 def _largest_level(level_sizes: Mapping[int, int]) -> int:
@@ -397,7 +415,7 @@ def chain_partition(
     _, levels = _universe_levels(n, universe, budget_override)
     chains = _glued_chains((1 << slot_count(n)) - 1, levels)
     check_chain_certificate([b for level in levels for b in level], chains)
-    return ChainPartition(n, tuple(tuple(EdgeSet(n, b) for b in chain) for chain in chains))
+    return ChainPartition(n, chains)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The oracles here deliberately use different algorithms from the package
 (union-find instead of frontier BFS, per-edge deletion instead of
 cycle-space cut labels, subset enumeration instead of matching, one
 augmenting path at a time instead of phases, cycle enumeration instead of
-spanning-cycle search, a counting recurrence instead of bit planes) so the
-two sides of every check share no code path.
+spanning-cycle search, a counting recurrence instead of bit planes, a hash
+index instead of a dense rank) so the two sides of every check share no
+code path.
 """
 
 from functools import lru_cache
@@ -110,6 +111,29 @@ def covers_one_level(members):
             if not any(c not in (a, b) and a & c == a and c & b == c for c in members):
                 return False
     return True
+
+
+def level_pair_rows(full, from_bits, to_bits, direction):
+    """Adjacency rows between two adjacent levels of edge bitmasks on the
+    slots of full = 2^m - 1, from a hash index of the target level: row u
+    lists, by ascending slot, the index in to_bits of each member that adds
+    one edge to (up) or drops one edge from (down) from_bits[u]."""
+    index = {b: i for i, b in enumerate(to_bits)}
+    rows = []
+    for b in from_bits:
+        row = []
+        for s in range(full.bit_length()):
+            bit = 1 << s
+            if direction == "up" and not b & bit:
+                other = b | bit
+            elif direction == "down" and b & bit:
+                other = b ^ bit
+            else:
+                continue
+            if other in index:
+                row.append(index[other])
+        rows.append(row)
+    return rows
 
 
 def augmenting_path_matching(n_left, n_right, neighbors):

@@ -324,6 +324,33 @@ def test_tech_sweep_n5():
     assert summary["witness"] is not None
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tech_sweep_labels_only_the_witness_plane(n, monkeypatch):
+    # one cut labelling per connected graph with a bridge and at least M
+    # edges: 5,040 at n = 6, of the 26,704 connected graphs
+    import connposet.bounds as bounds_mod
+
+    labelled = []
+    real = bounds_mod._cut_labels
+
+    def spy(n, bits):
+        labels = real(n, bits)
+        labelled.append((bits, labels))
+        return labels
+
+    monkeypatch.setattr(bounds_mod, "_cut_labels", spy)
+    summary = tech_inequality_sweep(n)
+    M = (slot_count(n) + 1) // 2
+    connected = level_census(n, "connected").counts
+    bridgeless = level_census(n, "two_edge_connected").counts
+    assert len(labelled) == sum(connected[M:]) - sum(bridgeless[M:])
+    assert [bits for bits, _ in labelled] == sorted(bits for bits, _ in labelled)
+    assert all(b.bit_count() >= M and 0 in labels.values() for b, labels in labelled)
+    assert summary["checked"] + summary["excluded"] == len(labelled)
+    if n == 6:
+        assert len(labelled) == 5040
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_part_r_values_match_relabelled_parts(n):
     # the whole graph's labels against each part relabelled and labelled alone

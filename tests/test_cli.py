@@ -256,3 +256,16 @@ def test_empty_universe_is_reported(command):
     proc = run_cli(command, "--n", "2", "--family", "two_edge_connected", expect=2)
     assert proc.stdout == ""
     assert proc.stderr == "error: the universe is empty: it has no largest level\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("matchings", "--n", "5", "--format", "ndjson")]
+    + [("chains", "--n", "5", "--format", fmt) for fmt in ("json", "ndjson", "csv")],
+)
+def test_out_file_holds_the_stdout_bytes(args, tmp_path):
+    path = tmp_path / "out"
+    stdout = run_cli(*args).stdout
+    assert stdout
+    assert run_cli(*args, "--out", str(path)).stdout == ""
+    assert path.read_bytes() == stdout.encode("utf-8")

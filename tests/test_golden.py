@@ -3,8 +3,9 @@
 `tests/golden_stdout.json` maps each command below to the exit code and the
 sha256 of the stdout it produced when the file was recorded.  The commands
 cover every subcommand at n <= 5 in json, ndjson and csv, the n = 6
-commands of the benchmark workloads, `lemma tech` at n = 6, and the census
-and `lemma disc` at n = 7.  Stderr is not compared.
+commands of the benchmark workloads, the other n = 6 formats of `matchings`
+and `chains`, `lemma tech` at n = 6, and the census and `lemma disc` at
+n = 7.  Stderr is not compared.
 
 Re-record (only after a deliberate output change) with
 
@@ -64,6 +65,16 @@ BENCH_COMMANDS = [
 ]
 
 
+# the n = 6 formats of the bitmask writers that the workloads do not run,
+# recorded from the writers that went through json.dumps and csv
+WRITER_COMMANDS = [
+    ("matchings", "--n", "6", "--format", "json"),
+    ("matchings", "--n", "6", "--format", "csv"),
+    ("chains", "--n", "6", "--format", "ndjson"),
+    ("chains", "--n", "6", "--format", "csv"),
+]
+
+
 # the tech sweep at n = 6, recorded from parts relabelled and labelled alone
 TECH_COMMANDS = [("lemma", "tech", "--n", "6")]
 
@@ -103,6 +114,10 @@ def test_bench_outputs_match_golden():
     assert _mismatches(BENCH_COMMANDS) == []
 
 
+def test_writer_n6_outputs_match_golden():
+    assert _mismatches(WRITER_COMMANDS) == []
+
+
 def test_tech_n6_output_matches_golden():
     assert _mismatches(TECH_COMMANDS) == []
 
@@ -112,7 +127,8 @@ def test_n7_outputs_match_golden():
 
 
 if __name__ == "__main__":
-    commands = small_commands() + BENCH_COMMANDS + TECH_COMMANDS + N7_COMMANDS
+    commands = (small_commands() + BENCH_COMMANDS + WRITER_COMMANDS + TECH_COMMANDS
+                + N7_COMMANDS)
     record = {" ".join(argv): run(argv) for argv in commands}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(record)} commands to {GOLDEN}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 
@@ -11,14 +12,15 @@ from connposet import (
     sperner_verdict,
     width_dilworth,
 )
-from connposet.graphs import enumerate_level, slot_count
+from connposet.graphs import FAMILIES, _level_bits, enumerate_level, slot_count
 from connposet.poset import (
     ChainPartitionError,
+    _level_pair_adjacency,
     check_chain_certificate,
     hopcroft_karp,
 )
 
-from conftest import augmenting_path_matching, brute_width
+from conftest import augmenting_path_matching, brute_width, level_pair_rows
 
 
 def random_bipartite(rng, n_left, n_right, density):
@@ -410,3 +412,87 @@ def test_chain_partition_error_reports_pair(monkeypatch):
     with pytest.raises(ChainPartitionError) as err:
         poset_mod.chain_partition(4)
     assert (err.value.k_from, err.value.k_to) == (6, 5)
+
+
+def _assert_rows_match_oracle(full, levels):
+    """Every adjacent level pair, both directions: the dense-rank rows equal
+    the hash-index oracle's, row by row and in order."""
+    for lower, upper in zip(levels, levels[1:]):
+        if not lower or not upper:
+            continue
+        for from_bits, to_bits, direction in ((lower, upper, "up"), (upper, lower, "down")):
+            rows = _level_pair_adjacency(full, from_bits, to_bits, direction)
+            assert all(isinstance(row, array) for row in rows)
+            assert [row.tolist() for row in rows] == level_pair_rows(
+                full, from_bits, to_bits, direction
+            )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_level_pair_rows_match_oracle(n, family):
+    _assert_rows_match_oracle((1 << slot_count(n)) - 1, _level_bits(n, family))
+
+
+def test_cprime_level_pair_rows_match_oracle(monkeypatch):
+    import connposet.quotient as quotient_mod
+
+    real = quotient_mod._family_width
+    seen = []
+
+    def spy(levels, full, budget_override):
+        seen.append((levels, full))
+        return real(levels, full, budget_override)
+
+    monkeypatch.setattr(quotient_mod, "_family_width", spy)
+    reports = quotient_mod.cprime_search(5)
+    assert len(seen) == len(reports) == sum(
+        len(quotient_mod.connected_classes(n)) for n in range(2, 6)
+    )
+    for levels, full in seen:
+        _assert_rows_match_oracle(full, levels)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_result_views_are_edge_sets_of_stored_bitmasks(family):
+    violators = 0
+    for n in range(1, 6):
+        m = slot_count(n)
+        levels = _level_bits(n, family)
+        for k in range(m + 1):
+            for direction, k_to in (("up", k + 1), ("down", k - 1)):
+                if not (0 <= k_to <= m and levels[k] and levels[k_to]):
+                    continue
+                res = adjacent_level_matching(n, k, direction, family)
+                assert res.pairs == tuple(
+                    (EdgeSet(n, a), EdgeSet(n, b)) for a, b in res.pair_bits
+                )
+                assert len(res.pair_bits) == res.matching_size
+                if res.violator_bits is None:
+                    assert res.violator is None
+                else:
+                    violators += 1
+                    assert res.violator == tuple(EdgeSet(n, b) for b in res.violator_bits)
+        if any(levels):
+            part = chain_partition(n, family)
+            assert part.chains == tuple(
+                tuple(EdgeSet(n, b) for b in chain) for chain in part.chain_bits
+            )
+            assert part.count == len(part.chain_bits)
+    assert violators > 0
+
+
+def test_chain_partition_checks_bitmask_chains(monkeypatch):
+    import connposet.poset as poset_mod
+
+    real = poset_mod.check_chain_certificate
+    checked = []
+
+    def spy(universe, chains):
+        checked.append(chains)
+        return real(universe, chains)
+
+    monkeypatch.setattr(poset_mod, "check_chain_certificate", spy)
+    part = poset_mod.chain_partition(4)
+    assert len(checked) == 1 and checked[0] is part.chain_bits
+    assert all(isinstance(b, int) for chain in part.chain_bits for b in chain)
