@@ -18,7 +18,6 @@ requires (the ratio and shift identities below are stated for it).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, log2
@@ -30,13 +29,14 @@ from .graphs import (
     _plane_members,
     _planes,
     _shadow_bits,
+    _sliced_count,
+    _sliced_equal,
     _slot_pairs,
     _validate_uniform,
     slot_count,
 )
 from .connectivity import (
     _cut_labels,
-    _labelled_graphs,
     _removable_of,
     _skeleton_split,
 )
@@ -465,6 +465,12 @@ class IRCensus:
 def i_r_census(n: int, epsilon: float = 1.0, budget_override: bool = False) -> IRCensus:
     """Exhaustive (k, r) census of 2-edge-connected graphs with bound rows.
 
+    The table is counted on the universe planes, for every graph at once and
+    without listing one: slot s is removable from x where x holds s, x is in
+    the 2-edge-connected plane T and x - s is not (E_s & T & ~(T << 2^s)), a
+    bit-sliced counter over those planes gives r = |R(x)|, and cell (k, r)
+    is the popcount of T on level k with count r.
+
     For every nonempty cell with 2 <= r <= n and M <= k <= M + n the count is
     compared against binom(binom(n - r/2, 2) + epsilon*r*n, k).  The bound is
     asymptotic, so rows are reports.  The full table always carries every
@@ -477,11 +483,18 @@ def i_r_census(n: int, epsilon: float = 1.0, budget_override: bool = False) -> I
     check_scan_budget(n, budget_override)
     m = slot_count(n)
     M = (m + 1) // 2
-    cells = Counter(
-        (bits.bit_count(), len(_removable_of(bits, labels)))
-        for bits, labels in _labelled_graphs(n, bridgeless=True)
+    planes = _planes(n)
+    two = planes.two_edge_connected
+    digits = _sliced_count(
+        plane & two & ~(two << (1 << s)) for s, plane in enumerate(planes.slots)
     )
-    table = dict(sorted(cells.items()))
+    by_r = [_sliced_equal(digits, r, two) for r in range(1 << len(digits))]
+    table = {}
+    for k, level in enumerate(planes.levels):
+        for r, plane in enumerate(by_r):
+            count = (plane & level).bit_count()
+            if count:
+                table[k, r] = count
     reports = []
     for (k, r), count in table.items():
         if not (2 <= r <= n and M <= k <= M + n):

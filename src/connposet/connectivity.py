@@ -26,6 +26,7 @@ from .graphs import (
     _family_table,
     _iter_bits,
     _slot_pairs,
+    edge_slot,
     scan_masks,
 )
 from .limits import check_scan_budget
@@ -177,20 +178,24 @@ def is_two_edge_connected(g: EdgeSet) -> bool:
     return _two_edge_connected_bits(g.n, g.bits)
 
 
+@lru_cache(maxsize=None)
+def _induced_slot_map(n: int, vertex_mask: int) -> tuple[tuple[int, int], ...]:
+    """(slot bit on [n], slot bit on 1..|mask|) of every pair inside the
+    masked vertices, the vertices relabeled in ascending order."""
+    verts = _mask_vertices(vertex_mask)
+    return tuple(
+        (1 << edge_slot(verts[i - 1], verts[j - 1], n), 1 << s)
+        for s, (i, j) in enumerate(_slot_pairs(len(verts)))
+    )
+
+
 def _induced_bits(n: int, bits: int, vertex_mask: int) -> tuple[int, int]:
     """Induced subgraph on the masked vertices, relabeled to 1..|mask|."""
-    verts = _mask_vertices(vertex_mask)
-    relabel = {v: i + 1 for i, v in enumerate(verts)}
-    pairs = _slot_pairs(n)
     sub = 0
-    for s in _iter_bits(bits):
-        i, j = pairs[s]
-        if vertex_mask >> i & 1 and vertex_mask >> j & 1:
-            a, b = relabel[i], relabel[j]
-            if a > b:
-                a, b = b, a
-            sub |= 1 << ((b - 1) * (b - 2) // 2 + (a - 1))
-    return len(verts), sub
+    for source, target in _induced_slot_map(n, vertex_mask):
+        if bits & source:
+            sub |= target
+    return vertex_mask.bit_count(), sub
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +504,14 @@ def removability_findings(n: int, budget_override: bool = False) -> tuple[int, l
 
 
 def _multigraphs_on(q: int, mult_max: int) -> Iterator[tuple[tuple[int, int, int], ...]]:
-    pair_list = list(combinations(range(1, q + 1), 2))
-    for mults in product(range(mult_max + 1), repeat=len(pair_list)):
-        yield tuple(
-            (u, v, c) for (u, v), c in zip(pair_list, mults) if c
-        )
+    """The edge triples of every multiplicity pattern on the pairs of [q], in
+    `product` order over the pairs in `combinations` order."""
+    options = [
+        ((),) + tuple(((u, v, c),) for c in range(1, mult_max + 1))
+        for u, v in combinations(range(1, q + 1), 2)
+    ]
+    for parts in product(*options):
+        yield sum(parts, ())
 
 
 def doubled_star(q: int) -> MultiGraph:
@@ -522,15 +530,35 @@ def chorded_cycle_sweep(q_max: int = 5, mult_max: int = 3) -> dict:
     chorded-cycle search.
     """
     results = {"per_q": {}, "bound_violations": [], "mismatches": []}
+    # a pair at multiplicity >= 3 is a 2-cycle plus a chord and also a
+    # non-cycle block, so both predicates reject it: only the patterns with
+    # every multiplicity <= 2 are evaluated, the rest just counted
+    base = min(mult_max, 2) + 1
     for q in range(1, q_max + 1):
+        pair_list = list(combinations(range(1, q + 1), 2))
+        # the patterns come in base-`base` counting order, first pair most
+        # significant, so a lower cover (one edge fewer) has the index
+        # idx - weight[pair] and is reached first
+        weight = {pair: base ** i for i, pair in enumerate(reversed(pair_list))}
+        # both predicates are hereditary (losing an edge keeps them true), so
+        # each is called only where it held on every lower cover and is
+        # recorded False elsewhere
+        free_ok = bytearray(base ** len(pair_list))
+        cactus_ok = bytearray(len(free_ok))
         free_count = 0
-        # a pair at multiplicity >= 3 is a 2-cycle plus a chord and also a
-        # non-cycle block, so both predicates reject it: only the patterns
-        # with every multiplicity <= 2 are evaluated, the rest just counted
-        for edges in _multigraphs_on(q, min(mult_max, 2)):
+        for idx, edges in enumerate(_multigraphs_on(q, base - 1)):
+            lower = [idx - weight[u, v] for u, v, _ in edges]
+            test_free = all(map(free_ok.__getitem__, lower))
+            test_cactus = all(map(cactus_ok.__getitem__, lower))
+            if not (test_free or test_cactus):
+                continue
             h = MultiGraph(q, edges)
-            free = is_chorded_cycle_free(h)
-            if free != is_cactus(h):
+            if test_free:
+                free_ok[idx] = is_chorded_cycle_free(h)
+            if test_cactus:
+                cactus_ok[idx] = is_cactus(h)
+            free = free_ok[idx]
+            if free != cactus_ok[idx]:
                 results["mismatches"].append(h.to_json())
             if free:
                 free_count += 1

@@ -238,22 +238,30 @@ def _span_planes(n: int, pairs: _Pairs) -> tuple[int, tuple[int, ...], tuple[int
             plane |= plane << span
             span <<= 1
         slots.append(plane)
-    # bit-sliced edge count: digit i holds bit i of popcount(x), one ripple
-    # add per slot
+    digits = _sliced_count(slots)
+    levels = tuple(_sliced_equal(digits, k, ones) for k in range(m + 1))
+    return ones, tuple(slots), levels, _connected_plane(n, pairs, slots, ones)
+
+
+def _sliced_count(planes: Iterable[int]) -> list[int]:
+    """Bit-sliced count of the planes holding each graph: digit i holds bit i
+    of that count, one ripple add per plane."""
     digits: list[int] = []
-    for carry in slots:
+    for carry in planes:
         for i, digit in enumerate(digits):
             digits[i] = digit ^ carry
             carry &= digit
         if carry:
             digits.append(carry)
-    levels = []
-    for k in range(m + 1):
-        level = ones
-        for i, digit in enumerate(digits):
-            level &= digit if k >> i & 1 else ~digit
-        levels.append(level)
-    return ones, tuple(slots), tuple(levels), _connected_plane(n, pairs, slots, ones)
+    return digits
+
+
+def _sliced_equal(digits: Sequence[int], value: int, within: int) -> int:
+    """The graphs of the plane `within` whose bit-sliced count is `value`."""
+    plane = within
+    for i, digit in enumerate(digits):
+        plane &= digit if value >> i & 1 else ~digit
+    return plane
 
 
 def _connected_plane(n: int, pairs: _Pairs, slots: Sequence[int], ones: int) -> int:

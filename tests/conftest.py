@@ -5,12 +5,15 @@ The oracles here deliberately use different algorithms from the package
 cycle-space cut labels, subset enumeration instead of matching, one
 augmenting path at a time instead of phases, cycle enumeration instead of
 spanning-cycle search, a counting recurrence instead of bit planes, a hash
-index instead of a dense rank) so the two sides of every check share no
-code path.
+index instead of a dense rank, per-mask retests instead of bit planes) so
+the two sides of every check share no code path.  The one exception is
+`chorded_sweep_all_patterns`: it calls the package's multigraph predicates
+on every pattern, because what it checks is which patterns the sweep skips.
 """
 
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from hypothesis import HealthCheck, settings
@@ -99,6 +102,56 @@ def removable_by_retest(g):
     return sorted(
         e for e in edges if not uf_two_edge_connected(g.n, [f for f in edges if f != e])
     )
+
+
+def irk_table_by_retest(n):
+    """(edge count, |R|) census of the 2-edge-connected graphs on [n], in
+    ascending key order: every mask tested with union-find, and R counted as
+    the edges whose deletion leaves a graph that is not 2-edge-connected."""
+    cells = Counter()
+    for bits in range(1 << comb(n, 2)):
+        edges = bits_edges(n, bits)
+        if uf_two_edge_connected(n, edges):
+            r = sum(
+                not uf_two_edge_connected(n, [f for f in edges if f != e]) for e in edges
+            )
+            cells[len(edges), r] += 1
+    return dict(sorted(cells.items()))
+
+
+def chorded_sweep_all_patterns(q_max, mult_max):
+    """The result of connectivity.chorded_cycle_sweep with both predicates
+    called on every multiplicity pattern (multiplicities <= min(mult_max, 2),
+    enumerated here), not only where every lower cover passed."""
+    from connposet.connectivity import (
+        MultiGraph,
+        doubled_star,
+        is_cactus,
+        is_chorded_cycle_free,
+    )
+
+    results = {"per_q": {}, "bound_violations": [], "mismatches": []}
+    for q in range(1, q_max + 1):
+        pair_list = list(combinations(range(1, q + 1), 2))
+        free_count = 0
+        for mults in product(range(min(mult_max, 2) + 1), repeat=len(pair_list)):
+            h = MultiGraph(q, tuple((u, v, c) for (u, v), c in zip(pair_list, mults) if c))
+            free = is_chorded_cycle_free(h)
+            if free != is_cactus(h):
+                results["mismatches"].append(h.to_json())
+            if free:
+                free_count += 1
+                if h.edge_total > 2 * q - 2:
+                    results["bound_violations"].append(h.to_json())
+        star = doubled_star(q)
+        results["per_q"][q] = {
+            "multigraphs": (mult_max + 1) ** len(pair_list),
+            "chorded_cycle_free": free_count,
+            "doubled_star_edges": star.edge_total,
+            "doubled_star_tight": q < 2
+            or (star.edge_total == 2 * q - 2 and is_chorded_cycle_free(star)),
+        }
+    return results
 
 
 def covers_one_level(members):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -29,10 +30,13 @@ from connposet.bounds import (
 from connposet.connectivity import (
     _induced_bits,
     _labelled_graphs,
+    _removable_of,
     _removable_slots,
     _skeleton_split,
 )
 from connposet.graphs import _level_bits, level_census, slot_count
+
+from conftest import irk_table_by_retest
 
 
 def frac_binom_log2(x: float, k: int) -> float:
@@ -267,6 +271,22 @@ def test_i_r_census_n5_totals():
     assert census.total() == 253
     assert all(count >= 0 for count in census.table.values())
     assert all(r >= 0 and k >= 0 for k, r in census.table)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_i_r_census_matches_retest(n):
+    table = i_r_census(n).table
+    assert list(table.items()) == list(irk_table_by_retest(n).items())
+
+
+def test_i_r_census_matches_labelled_walk_n6():
+    walk = Counter(
+        (bits.bit_count(), len(_removable_of(bits, labels)))
+        for bits, labels in _labelled_graphs(6, bridgeless=True)
+    )
+    table = i_r_census(6).table
+    assert table == dict(walk)
+    assert list(table) == sorted(table)
 
 
 def test_i_r_census_rejects_bad_epsilon():

@@ -18,6 +18,7 @@ from connposet import (
 )
 from connposet.connectivity import (
     _bridge_slots,
+    _induced_bits,
     _removable_slots,
     _two_edge_connected_bits,
     chorded_cycle_sweep,
@@ -30,6 +31,7 @@ from connposet.graphs import enumerate_level, slot_count
 from conftest import (
     bits_edges,
     bridges_by_deletion,
+    chorded_sweep_all_patterns,
     pairs_on,
     removable_by_retest,
     uf_connected,
@@ -282,6 +284,50 @@ def test_chorded_cycle_sweep_small():
     assert sweep["per_q"][4]["multigraphs"] == 4 ** 6
     for q in (2, 3, 4):
         assert sweep["per_q"][q]["doubled_star_tight"]
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_chorded_predicates_hold_on_every_lower_cover(q):
+    # the assumption chorded_cycle_sweep's walk relies on: a pattern that
+    # passes passes with any one edge fewer
+    pairs = list(combinations(range(1, q + 1), 2))
+
+    def multigraph(mults):
+        return MultiGraph(q, tuple((u, v, c) for (u, v), c in zip(pairs, mults) if c))
+
+    for mults in product(range(3), repeat=len(pairs)):
+        h = multigraph(mults)
+        lower = [multigraph(mults[:i] + (c - 1,) + mults[i + 1:])
+                 for i, c in enumerate(mults) if c]
+        for predicate in (is_chorded_cycle_free, is_cactus):
+            if predicate(h):
+                assert all(predicate(g) for g in lower), (predicate.__name__, h.to_json())
+
+
+@pytest.mark.parametrize("q_max", range(1, 5))
+@pytest.mark.parametrize("mult_max", range(4))
+def test_chorded_cycle_sweep_matches_all_patterns(q_max, mult_max):
+    assert chorded_cycle_sweep(q_max, mult_max) == chorded_sweep_all_patterns(q_max, mult_max)
+
+
+def test_chorded_cycle_sweep_q5_count():
+    assert chorded_cycle_sweep(5)["per_q"][5]["chorded_cycle_free"] == 4003
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_induced_bits_relabels_in_order(n):
+    pairs = pairs_on(n)
+    graphs = [(1 << len(pairs)) - 1, sum(1 << s for s in range(0, len(pairs), 3))]
+    for bits in graphs:
+        for mask in range(2, 2 << n, 2):
+            verts = [v for v in range(1, n + 1) if mask >> v & 1]
+            sub_pairs = pairs_on(len(verts))
+            expected = sum(
+                1 << sub_pairs.index((verts.index(i) + 1, verts.index(j) + 1))
+                for i, j in bits_edges(n, bits)
+                if i in verts and j in verts
+            )
+            assert _induced_bits(n, bits, mask) == (len(verts), expected)
 
 
 def test_doubled_star_is_tight():
