@@ -95,8 +95,8 @@ def ext_binom(x: float, k: int) -> LogValue:
     """binom(x, k) for real x >= 0 and integer k >= 0 (zero when x < k)."""
     if k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k}")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"x must be finite and nonnegative, got {x}")
     if k == 0:
         return LogValue(0.0, 1)
     if x < k:
@@ -117,8 +117,8 @@ def binom_inverse(target, k: int) -> float:
     if isinstance(target, LogValue):
         tlog = target.log2
     else:
-        if target <= 0:
-            raise ValueError(f"target must be positive, got {target}")
+        if not 0 < target < math.inf:
+            raise ValueError(f"target must be finite and positive, got {target}")
         tlog = math.log2(target)
     if tlog < 0:
         raise ValueError("target is below binom(k, k) = 1; no x >= k exists")
@@ -127,6 +127,8 @@ def binom_inverse(target, k: int) -> float:
     lo, hi = float(k), float(2 * k + 2)
     while ext_binom(hi, k).log2 < tlog:
         lo, hi = hi, hi * 2
+        if hi == math.inf:
+            raise ValueError(f"x with binom(x, {k}) = {target} is too large to bracket in floats")
     for _ in range(200):
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
@@ -462,6 +464,11 @@ class IRCensus:
         return sum(self.table.values())
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+
+
 def i_r_census(n: int, epsilon: float = 1.0, budget_override: bool = False) -> IRCensus:
     """Exhaustive (k, r) census of 2-edge-connected graphs with bound rows.
 
@@ -478,8 +485,7 @@ def i_r_census(n: int, epsilon: float = 1.0, budget_override: bool = False) -> I
     the zero binomial at desk scale (upper argument below k), produce no
     comparison row so that every emitted row has finite log-space values.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     check_scan_budget(n, budget_override)
     m = slot_count(n)
     M = (m + 1) // 2
@@ -643,8 +649,7 @@ def _pick_r_interval(n: int, x: float, epsilon: float) -> int | None:
     large-family regime), in which case there is no such r.
     """
     for r in range(1, n):
-        lo = ext_binom(n - (r + 1) / 2, 2).value() + epsilon * (r + 1) * n
-        if lo <= x < _threshold(n, r, epsilon):
+        if _threshold(n, r + 1, epsilon) <= x < _threshold(n, r, epsilon):
             return r
     return None
 
@@ -676,6 +681,8 @@ def shadow_ratio_report(
     exist in range are emitted with an explanatory note where meaningful and
     skipped where no finite quantity exists.
     """
+    _check_epsilon(epsilon)
+    _check_epsilon(diff_epsilon)
     check_scan_budget(n, budget_override)
     m = slot_count(n)
     M = (m + 1) // 2

@@ -255,11 +255,7 @@ def _cmd_matchings(args) -> int:
 
 
 def _cmd_chains(args) -> int:
-    try:
-        partition = poset.chain_partition(args.n, args.family, args.budget_override)
-    except poset.ChainPartitionError as exc:
-        print(f"FAIL chains: {exc} (pair {exc.k_from}->{exc.k_to})", file=sys.stderr)
-        return 1
+    partition = poset.chain_partition(args.n, args.family, args.budget_override)
     n, chains = partition.n, partition.chain_bits
     if args.fmt == "csv":
         text = "chain_index,position,graph\n" + "".join(
@@ -362,7 +358,7 @@ def _cmd_lemma(args) -> int:
               ["name", "n", "k", "r", "epsilon", "count",
                "lhs_log2", "rhs_log2", "holds", "margin_log2", "note"])
         total = census.total()
-        # the labelled walk against the census of the two-edge-connected plane
+        # the (k, r) table's total against the census of the two-edge-connected plane
         expected = graphs.level_census(args.n, "two_edge_connected", args.budget_override).total
         if total != expected:
             return _fail("irk", [{"problem": "census total mismatch",
@@ -549,6 +545,10 @@ def main(argv=None) -> int:
         if args.command == "binom":
             return _cmd_binom(args)
         parser.error(f"unknown command {args.command!r}")
+    except poset.ChainPartitionError as exc:  # a level pair blocks the gluing
+        name = args.which if args.command == "explore" else args.command
+        print(f"FAIL {name}: {exc} (pair {exc.k_from}->{exc.k_to})", file=sys.stderr)
+        return 1
     except BudgetExceededError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2

@@ -219,6 +219,7 @@ class _Planes(NamedTuple):
 @lru_cache(maxsize=None)
 def _planes(n: int) -> _Planes:
     """The planes of the graphs on [n]; callers enforce the scan budget."""
+    _check_n(n)
     ones, slots, levels, connected = _span_planes(n, _slot_pairs(n))
     return _Planes(ones, slots, levels, connected, _two_edge_connected_plane(slots, connected, ()))
 

@@ -26,7 +26,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .graphs import EdgeSet, _level_bits, slot_count
+from .graphs import EdgeSet, _check_family, _level_bits, slot_count
 from .limits import check_scan_budget, check_width_budget
 
 _BIG = 1 << 60
@@ -201,9 +201,8 @@ def _universe_levels(
             tuple(filter(keep, level)) for level in _level_bits(n, "all")
         )
         return getattr(universe, "__name__", "custom"), levels
-    if universe in ("connected", "all", "two_edge_connected"):
-        return universe, _level_bits(n, universe)
-    raise ValueError(f"unknown universe {universe!r}")
+    _check_family(universe)
+    return universe, _level_bits(n, universe)
 
 
 def _level_pair_adjacency(
@@ -310,7 +309,7 @@ def _level_sizes(levels: Sequence[Sequence[int]]) -> dict[int, int]:
 
 
 def _complete_matching(
-    full: int, levels: Sequence[Sequence[int]], k_from: int, k_to: int
+    rows: Callable, levels: Sequence[Sequence[int]], k_from: int, k_to: int
 ) -> array:
     """Partner index in level k_to of every element of level k_from."""
     direction = "up" if k_to > k_from else "down"
@@ -320,7 +319,7 @@ def _complete_matching(
             k_from, k_to,
             f"level {k_from} is larger than level {k_to}; cannot glue {direction}ward",
         )
-    adj = _level_pair_adjacency(full, from_bits, to_bits, direction)
+    adj = rows(from_bits, to_bits, direction)
     size, match_l, _ = hopcroft_karp(len(from_bits), len(to_bits), adj.__getitem__)
     if size < len(from_bits):
         raise ChainPartitionError(
@@ -329,23 +328,25 @@ def _complete_matching(
     return array("i", match_l)
 
 
-def _glued_chains(full: int, levels: Sequence[Sequence[int]]) -> list[list[int]]:
+def _glued_chains(rows: Callable, levels: Sequence[Sequence[int]]) -> list[list[int]]:
     """Glue complete level matchings through the largest level K.
 
-    Below K every level must match completely into the next one up; above K
-    every level must match completely into the next one down.  Each element
-    of level K then anchors one chain, listed by increasing edge count, and
-    the chains partition the universe.  If some pair lacks the required
-    matching, ChainPartitionError names the first one; a gap between
-    nonempty levels always yields such a pair (a nonempty level facing an
-    empty one on its side of K).
+    rows(from_bits, to_bits, direction) gives a level pair's adjacency rows:
+    _level_pair_adjacency's one-edge steps, or the quotient's covers.  Below
+    K every level must match completely into the next one up; above K every
+    level must match completely into the next one down.  Each element of
+    level K then anchors one chain, listed by increasing level, and the
+    chains partition the universe.  If some pair lacks the required matching,
+    ChainPartitionError names the first one; a gap between nonempty levels
+    always yields such a pair (a nonempty level facing an empty one on its
+    side of K).
     """
     sizes = _level_sizes(levels)
     K = _largest_level(sizes)
     lo, hi = min(sizes), max(sizes)
-    partner = {k: _complete_matching(full, levels, k, k + 1) for k in range(lo, K)}
+    partner = {k: _complete_matching(rows, levels, k, k + 1) for k in range(lo, K)}
     partner.update(
-        {k: _complete_matching(full, levels, k, k - 1) for k in range(K + 1, hi + 1)}
+        {k: _complete_matching(rows, levels, k, k - 1) for k in range(K + 1, hi + 1)}
     )
 
     chains = [[b] for b in levels[K]]
@@ -362,16 +363,21 @@ def _glued_chains(full: int, levels: Sequence[Sequence[int]]) -> list[list[int]]
     return chains
 
 
-def check_chain_certificate(
-    universe: Sequence[int], chains: Sequence[Sequence[int]]
-) -> None:
-    """Re-verify that chains of edge bitmasks prove width = largest level.
+def _adds_one_edge(lower: int, upper: int) -> bool:
+    return upper & lower == lower and (upper ^ lower).bit_count() == 1
 
-    Every element of the universe must appear exactly once, consecutive
-    members of a chain must differ by exactly one added edge, and there must
-    be as many chains as the largest level (by edge count) has elements.  A
-    partition into that many chains admits no larger antichain, and the
-    largest level is itself an antichain.  Raises AssertionError otherwise.
+
+def check_chain_certificate(
+    universe: Sequence[int], chains: Sequence[Sequence[int]], step=_adds_one_edge
+) -> None:
+    """Re-verify that chains of bitmasks prove width = largest level.
+
+    Every element of the universe must appear exactly once, each consecutive
+    pair (lower, upper) of a chain must pass step, a cover of the order (by
+    default: upper adds exactly one edge to lower), and there must be as many
+    chains as the largest level (by bit count) has elements.  A partition
+    into that many chains admits no larger antichain, and the largest level
+    is itself an antichain.  Raises AssertionError otherwise.
     """
     level_sizes = Counter(b.bit_count() for b in universe)
     largest = max(level_sizes.values(), default=0)
@@ -392,10 +398,10 @@ def check_chain_certificate(
             seen[i] = 1
             covered += 1
         for lower, upper in zip(chain, chain[1:]):
-            if upper & lower != lower or (upper ^ lower).bit_count() != 1:
-                raise AssertionError(
-                    f"chain step {lower:#x} -> {upper:#x} does not add exactly one edge"
-                )
+            if not step(lower, upper):
+                raise AssertionError(f"chain step {lower:#x} -> {upper:#x} " + (
+                    "does not add exactly one edge" if step is _adds_one_edge
+                    else "is not a cover of the order"))
     if covered != len(order):
         raise AssertionError(
             f"chains cover {covered} of {len(order)} elements; "
@@ -413,7 +419,8 @@ def chain_partition(
     if some level pair blocks the gluing, ChainPartitionError names it.
     """
     _, levels = _universe_levels(n, universe, budget_override)
-    chains = _glued_chains((1 << slot_count(n)) - 1, levels)
+    full = (1 << slot_count(n)) - 1
+    chains = _glued_chains(lambda *pair: _level_pair_adjacency(full, *pair), levels)
     check_chain_certificate([b for level in levels for b in level], chains)
     return ChainPartition(n, chains)
 
@@ -604,7 +611,7 @@ def _family_width(
     level_data = (sum(sizes.values()), sizes, K, sizes[K])
     members = [b for level in levels for b in level]
     try:
-        chains = _glued_chains(full, levels)
+        chains = _glued_chains(lambda *pair: _level_pair_adjacency(full, *pair), levels)
     except ChainPartitionError:
         result = width_dilworth(
             members,

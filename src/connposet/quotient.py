@@ -10,22 +10,18 @@ Three exploration surfaces:
 
 The last two are families of edge bitmasks graded by edge count and share
 sperner_verdict's width core: glued level matchings first, the Dilworth
-matching only when gluing fails.  Quotient classes are not bitmasks, so
-the quotient's width comes from width_dilworth directly.
-
-The quotient order is generated by one-edge extension steps between classes
-and closed transitively, which matches the representative-based order:
-every labeled comparability factors through one-edge steps, and supergraphs
-of connected graphs stay connected.
+matching only when gluing fails.  The quotient glues its levels along the
+one-edge extension steps between classes, which generate the
+representative-based order: every labeled comparability factors through
+one-edge steps, and supergraphs of connected graphs stay connected.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Iterable
+from typing import Callable
 
 from .connectivity import is_two_edge_connected
 from .graphs import (
@@ -41,7 +37,14 @@ from .graphs import (
     slot_count,
 )
 from .limits import CANONICAL_MAX_N, CPRIME_MAX_EDGES, check_scan_budget, check_width_budget
-from .poset import _family_width, _largest_level, _universe_levels, width_dilworth
+from .poset import (
+    _family_width,
+    _glued_chains,
+    _largest_level,
+    _level_sizes,
+    _universe_levels,
+    check_chain_certificate,
+)
 
 
 @lru_cache(maxsize=None)
@@ -187,42 +190,38 @@ class ExplorerReport:
         return self.width - self.max_level_size
 
 
-def _closure_from_covers(count: int, covers: Iterable[Cover], levels: list[int]) -> list[set[int]]:
-    succ: list[set[int]] = [set() for _ in range(count)]
-    for cover in covers:
-        succ[cover.from_index].add(cover.to_index)
-    for i in sorted(range(count), key=lambda i: -levels[i]):
-        extra: set[int] = set()
-        for j in succ[i]:
-            extra |= succ[j]
-        succ[i] |= extra
-    return succ
-
-
 def quotient_sperner(n: int, budget_override: bool = False) -> ExplorerReport:
-    """Exact width of the isomorphism quotient versus its largest level.
-
-    The expected answer (conjectured, not proved) is that the quotient is
-    Sperner; the verdict here is the exact desk-scale computation.
+    """Width of the isomorphism quotient versus its largest level, by the chain
+    core over the classes' canonical bitmasks: the rows are the recorded
+    covers, and so is every chain step.  A level pair that cannot be glued
+    raises ChainPartitionError.  The expected answer (conjectured, not
+    proved) is that the quotient is Sperner.
     """
     qp = quotient_poset(n, budget_override)
-    levels = [cls.level for cls in qp.classes]
-    succ = _closure_from_covers(len(qp.classes), qp.covers, levels)
-    result = width_dilworth(
-        list(range(len(qp.classes))),
-        successors=lambda i: succ[i],
-        budget_override=budget_override,
-    )
-    level_sizes = dict(Counter(levels))
+    canon = [cls.canon.bits for cls in qp.classes]
+    levels = [[b for b in canon if b.bit_count() == k] for k in range(slot_count(n) + 1)]
+    covers = dict.fromkeys((canon[c.from_index], canon[c.to_index]) for c in qp.covers)
+    neighbors: dict[int, list[int]] = {b: [] for b in canon}  # covers either way
+    for lower, upper in covers:
+        neighbors[lower].append(upper)
+        neighbors[upper].append(lower)
+
+    def cover_rows(from_bits, to_bits, direction):
+        rank = {b: i for i, b in enumerate(to_bits)}
+        return [[rank[c] for c in neighbors[b] if c in rank] for b in from_bits]
+
+    chains = _glued_chains(cover_rows, levels)
+    check_chain_certificate(canon, chains, lambda *step: step in covers)
+    level_sizes = _level_sizes(levels)
     max_level_k = _largest_level(level_sizes)
     return ExplorerReport(
         universe="iso_classes",
         n=n,
-        element_count=result.element_count,
+        element_count=len(canon),
         level_sizes=level_sizes,
         max_level_k=max_level_k,
         max_level_size=level_sizes[max_level_k],
-        width=result.width,
+        width=len(chains),
         note="conjectured answer: yes (Sperner)",
     )
 

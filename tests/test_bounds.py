@@ -65,6 +65,9 @@ def test_ext_binom_rejects():
         ext_binom(-1, 2)
     with pytest.raises(ValueError):
         ext_binom(3, -1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="x must be finite"):
+            ext_binom(bad, 2)
 
 
 def test_ext_binom_exact_integer_agreement():
@@ -109,6 +112,11 @@ def test_binom_inverse_rejects():
         binom_inverse(0.5, 3)
     with pytest.raises(ValueError):
         binom_inverse(10, 0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="target must be finite"):
+            binom_inverse(bad, 2)
+    with pytest.raises(ValueError, match="too large to bracket"):
+        binom_inverse(1e308, 1)
 
 
 @given(
@@ -292,6 +300,16 @@ def test_i_r_census_matches_labelled_walk_n6():
 def test_i_r_census_rejects_bad_epsilon():
     with pytest.raises(ValueError):
         i_r_census(4, 0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_epsilon_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        i_r_census(4, bad)
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        shadow_ratio_report(4, epsilon=bad)
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        shadow_ratio_report(4, diff_epsilon=bad)
 
 
 # ---------------------------------------------------------------------------

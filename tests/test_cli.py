@@ -161,6 +161,51 @@ def test_explore_cprime_rejects_vertex_count(n):
     assert proc.stderr.startswith("error: vertex count must be in 1..10")
 
 
+N_COMMANDS = [
+    ("census",), ("sperner",), ("matchings",), ("chains",),
+    *[("lemma", i) for i in ("disc", "skeleton", "removable", "irk", "tech", "lovasz",
+                              "shadow-ratio")],
+    *[("explore", w) for w in ("cprime", "quotient", "hamiltonian")],
+]
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("command", N_COMMANDS, ids=" ".join)
+def test_every_subcommand_rejects_vertex_count(command, n):
+    proc = run_cli(*command, "--n", n, expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: vertex count must be in 1..10")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args,problem",
+    [
+        (("binom", "--target", "nan", "--k", "2"), "target must be finite"),
+        (("binom", "--target", "inf", "--k", "2"), "target must be finite"),
+        (("binom", "--x", "inf", "--k", "2"), "x must be finite"),
+        (("binom", "--x", "nan", "--k", "2"), "x must be finite"),
+        (("binom", "--target", "1e308", "--k", "1"), "x with binom(x, 1) = 1e+308 is too large"),
+        (("lemma", "irk", "--n", "4", "--epsilon", "nan"), "epsilon must be finite"),
+        (("lemma", "irk", "--n", "4", "--epsilon", "inf"), "epsilon must be finite"),
+        (("lemma", "shadow-ratio", "--n", "4", "--epsilon", "0"), "epsilon must be finite"),
+        (("lemma", "shadow-ratio", "--n", "4", "--epsilon", "-1"), "epsilon must be finite"),
+        (("lemma", "shadow-ratio", "--n", "4", "--epsilon", "nan"), "epsilon must be finite"),
+    ],
+)
+def test_non_finite_or_out_of_range_reals_exit_2(args, problem):
+    proc = run_cli(*args, expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {problem}")
+
+
+@pytest.mark.parametrize("command", ["census", "sperner", "matchings", "chains"])
+def test_unknown_family_names_the_choices(command):
+    proc = run_cli(command, "--family", "bogus", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: unknown family 'bogus'; expected one of (")
+
+
 def test_census_n8_matches_recurrence():
     doc = json.loads(run_cli("census", "--n", "8", "--budget-override").stdout)
     assert doc["counts"] == list(connected_census(8))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from itertools import combinations, permutations
@@ -19,13 +20,16 @@ from connposet import (
 )
 from connposet.graphs import enumerate_level, level_census, slot_count
 from connposet.poset import (
+    ChainPartitionError,
     _family_width,
     _supermask_successors,
     _universe_levels,
+    check_chain_certificate,
     width_dilworth,
 )
 from connposet.quotient import (
     PROPERTY_BUILTINS,
+    ExplorerReport,
     _covers_saturated,
     contains_triangle,
     relabel,
@@ -149,6 +153,99 @@ def test_quotient_widths(n, width):
     report = quotient_sperner(n)
     assert report.width == width
     assert report.sperner
+
+
+def closure_dilworth_report(n):
+    """The quotient verdict by the route the chain core replaced: the
+    transitive closure of the recorded covers, matched by width_dilworth."""
+    qp = quotient_poset(n)
+    levels = [cls.level for cls in qp.classes]
+    succ = [set() for _ in qp.classes]
+    for cover in qp.covers:
+        succ[cover.from_index].add(cover.to_index)
+    for i in sorted(range(len(succ)), key=lambda i: -levels[i]):
+        for j in list(succ[i]):
+            succ[i] |= succ[j]
+    result = width_dilworth(list(range(len(succ))), successors=succ.__getitem__)
+    sizes = dict(Counter(levels))
+    k = max(sizes, key=lambda k: (sizes[k], -k))
+    return ExplorerReport("iso_classes", n, result.element_count, sizes, k, sizes[k],
+                          result.width, "conjectured answer: yes (Sperner)")
+
+
+@pytest.mark.parametrize("n,width", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 5), (6, 22)])
+def test_quotient_chain_route_matches_closure_dilworth(n, width):
+    report = quotient_sperner(n)
+    assert report == closure_dilworth_report(n)
+    assert report.width == width
+
+
+def test_quotient_certificate_steps_are_recorded_covers(monkeypatch):
+    import connposet.quotient as quotient_mod
+
+    real = quotient_mod.check_chain_certificate
+    seen = []
+
+    def spy(universe, chains, step):
+        seen.append((universe, chains, step))
+        return real(universe, chains, step)
+
+    monkeypatch.setattr(quotient_mod, "check_chain_certificate", spy)
+    report = quotient_sperner(5)
+    qp = quotient_poset(5)
+    canon = [cls.canon.bits for cls in qp.classes]
+    covers = {(canon[c.from_index], canon[c.to_index]) for c in qp.covers}
+    [(universe, chains, step)] = seen
+    assert sorted(universe) == sorted(canon) and len(chains) == report.width
+    for lower in canon:
+        for upper in canon:
+            if upper.bit_count() == lower.bit_count() + 1:
+                assert step(lower, upper) == ((lower, upper) in covers)
+
+
+def test_cover_step_test_rejects_a_step_that_is_not_a_cover():
+    qp = quotient_poset(4)
+    canon = [cls.canon.bits for cls in qp.classes]
+    covers = {(canon[c.from_index], canon[c.to_index]) for c in qp.covers}
+    lower, upper = next(
+        (a, b) for a in canon for b in canon
+        if b.bit_count() == a.bit_count() + 1 and (a, b) not in covers
+    )
+
+    def step(a, b):
+        return (a, b) in covers
+
+    a, b = next(iter(covers))
+    check_chain_certificate([a, b], [[a, b]], step)
+    with pytest.raises(AssertionError, match="is not a cover of the order"):
+        check_chain_certificate([lower, upper], [[lower, upper]], step)
+
+
+def test_blocked_quotient_level_pair_fails(monkeypatch, capsys):
+    import connposet.quotient as quotient_mod
+    from connposet import cli
+
+    n = 5
+    K = quotient_sperner(n).max_level_k
+    real = quotient_mod.quotient_poset
+
+    def blocked(n, budget_override=False):
+        # every cover leaving one class on level K - 1 is dropped
+        qp = real(n, budget_override)
+        cut = next(i for i, cls in enumerate(qp.classes) if cls.level == K - 1)
+        return dataclasses.replace(
+            qp, covers=tuple(c for c in qp.covers if c.from_index != cut)
+        )
+
+    monkeypatch.setattr(quotient_mod, "quotient_poset", blocked)
+    with pytest.raises(ChainPartitionError) as err:
+        quotient_sperner(n)
+    assert (err.value.k_from, err.value.k_to) == (K - 1, K)
+    assert cli.main(["explore", "quotient", "--n", str(n)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("FAIL quotient: ")
+    assert f"(pair {K - 1}->{K})" in captured.err
 
 
 def test_quotient_antichain_independent_comparability():
