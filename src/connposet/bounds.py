@@ -72,7 +72,13 @@ class LogValue:
         return cls(math.log2(v))
 
     def value(self) -> float:
-        return float(self.exact) if self.exact is not None else 2.0 ** self.log2
+        """The magnitude as a float; inf where it exceeds the float range."""
+        if self.exact is not None:
+            return float(self.exact)
+        try:
+            return 2.0 ** self.log2
+        except OverflowError:
+            return math.inf
 
 
 def _leq(lhs: LogValue, rhs: LogValue, strict: bool = False) -> bool:
@@ -505,8 +511,7 @@ def i_r_census(n: int, epsilon: float = 1.0, budget_override: bool = False) -> I
     for (k, r), count in table.items():
         if not (2 <= r <= n and M <= k <= M + n):
             continue
-        inner = ext_binom(n - r / 2, 2).value() + epsilon * r * n
-        rhs = ext_binom(inner, k)
+        rhs = ext_binom(_threshold(n, r, epsilon), k)
         if rhs.exact == 0:
             continue
         reports.append(

@@ -35,6 +35,8 @@ LEMMA_IDS = (
     "selftest",
 )
 
+FORMATS = ("json", "ndjson", "csv")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -47,26 +49,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=default_n, help="vertex count")
         p.add_argument("--k", type=int, default=None, help="edge-count level")
         p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument(
-            "--family",
-            default="connected",
-            help="graph family: connected | all | two_edge_connected",
-        )
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility; has no effect")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", dest="fmt", default="json",
-                       choices=("json", "ndjson", "csv"))
+        p.add_argument("--format", dest="fmt", default="json", choices=FORMATS)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--budget-override", action="store_true")
         p.add_argument("--trials", type=int, default=None, help="randomized trial count")
 
-    common(sub.add_parser("census", help="per-level counts of a family"))
-    common(sub.add_parser("sperner", help="exact width versus largest level"))
-    common(sub.add_parser("matchings", help="adjacent-level matching table"))
-    common(sub.add_parser("chains", help="chain partition through the largest level"))
+    def family(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        # the explorers fix their own universes and take no --family
+        p.add_argument("--family", default="connected",
+                       help="graph family: connected | all | two_edge_connected")
+        return p
 
-    lemma = sub.add_parser("lemma", help="run one verification sweep")
+    common(family(sub.add_parser("census", help="per-level counts of a family")))
+    common(family(sub.add_parser("sperner", help="exact width versus largest level")))
+    common(family(sub.add_parser("matchings", help="adjacent-level matching table")))
+    common(family(sub.add_parser("chains", help="chain partition through the largest level")))
+
+    lemma = family(sub.add_parser("lemma", help="run one verification sweep"))
     lemma.add_argument("id", choices=LEMMA_IDS)
     common(lemma, default_n=5)
     lemma.add_argument("--q-max", type=int, default=5, help="multigraph sweep size")
@@ -83,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     binom.add_argument("--target", type=float, default=None,
                        help="invert: find x with binom(x, k) = target")
     binom.add_argument("--out", default=None)
-    binom.add_argument("--format", dest="fmt", default="json")
+    binom.add_argument("--format", dest="fmt", default="json", choices=FORMATS)
     return parser
 
 

@@ -18,19 +18,21 @@ one-edge steps, and supergraphs of connected graphs stay connected.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable
+from typing import Callable, Iterator
 
 from .connectivity import is_two_edge_connected
 from .graphs import (
     EdgeSet,
     _check_n,
     _connected_bits,
+    _family_plane,
     _iter_bits,
-    _level_bits,
     _plane_members,
+    _planes,
     _slot_pairs,
     _span_planes,
     _vertex_adjacency,
@@ -48,27 +50,24 @@ from .poset import (
 
 
 @lru_cache(maxsize=None)
-def _perm_slot_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """For every permutation of [n], the induced permutation of edge slots."""
+def _perm_images(n: int) -> tuple[tuple[int, ...], ...]:
+    """For every permutation of [n], the image slot bit of every slot.  The
+    tables share one int object per slot bit."""
     pairs = _slot_pairs(n)
-    slot_of = {pair: s for s, pair in enumerate(pairs)}
-    tables = []
+    bit_of = {}
+    for s, (i, j) in enumerate(pairs):
+        bit_of[i, j] = bit_of[j, i] = 1 << s
+    images = []
     for perm in permutations(range(1, n + 1)):
-        table = []
-        for i, j in pairs:
-            a, b = perm[i - 1], perm[j - 1]
-            if a > b:
-                a, b = b, a
-            table.append(slot_of[(a, b)])
-        tables.append(tuple(table))
-    return tuple(tables)
+        to = (0, *perm)  # to[v]: the image of vertex v
+        images.append(tuple(bit_of[to[i], to[j]] for i, j in pairs))
+    return tuple(images)
 
 
-def _apply_table(bits: int, table: tuple[int, ...]) -> int:
-    out = 0
-    for s in _iter_bits(bits):
-        out |= 1 << table[s]
-    return out
+def _orbit(bits: int, n: int) -> Iterator[int]:
+    """A graph relabeled by every permutation of [n], repeats included."""
+    slots = list(_iter_bits(bits))
+    return (sum(map(image.__getitem__, slots)) for image in _perm_images(n))
 
 
 def relabel(g: EdgeSet, perm: dict[int, int]) -> EdgeSet:
@@ -82,12 +81,7 @@ def canonical_form(g: EdgeSet) -> EdgeSet:
         raise ValueError(
             f"canonical labeling enumerates n! relabelings; n={g.n} exceeds {CANONICAL_MAX_N}"
         )
-    best = g.bits
-    for table in _perm_slot_tables(g.n):
-        candidate = _apply_table(g.bits, table)
-        if candidate < best:
-            best = candidate
-    return EdgeSet(g.n, best)
+    return EdgeSet(g.n, min(_orbit(g.bits, g.n)))
 
 
 @dataclass(frozen=True)
@@ -103,27 +97,26 @@ class IsoClass:
 
 
 @lru_cache(maxsize=8)
-def _connected_classes(n: int) -> tuple[tuple[IsoClass, ...], dict[int, int]]:
-    """All isomorphism classes of connected graphs on [n] plus a bits->canon map.
+def _connected_classes(n: int) -> tuple[tuple[IsoClass, ...], array]:
+    """All isomorphism classes of connected graphs on [n], plus the class
+    index of every graph on [n] (-1 where the graph is disconnected).
 
     Graphs are scanned in ascending bits order, so the first member of each
     orbit encountered is its canonical form; one orbit expansion per class
     replaces per-graph canonicalization.
     """
-    if n > CANONICAL_MAX_N:
-        raise ValueError(f"n={n} exceeds the canonical-labeling budget {CANONICAL_MAX_N}")
-    tables = _perm_slot_tables(n)
-    canon_of: dict[int, int] = {}
+    connected = _family_plane(n, "connected")
+    class_of = array("i", [-1]) * (1 << slot_count(n))
     classes: list[IsoClass] = []
-    for level in _level_bits(n, "connected"):
-        for bits in level:
-            if bits in canon_of:
+    for level in _planes(n).levels:
+        for bits in _plane_members(connected & level):
+            if class_of[bits] >= 0:
                 continue
-            orbit = {_apply_table(bits, table) for table in tables}
+            orbit = set(_orbit(bits, n))
             for member in orbit:
-                canon_of[member] = bits
+                class_of[member] = len(classes)
             classes.append(IsoClass(EdgeSet(n, bits), len(orbit)))
-    return tuple(classes), canon_of
+    return tuple(classes), class_of
 
 
 def connected_classes(n: int) -> tuple[IsoClass, ...]:
@@ -152,20 +145,18 @@ class QuotientPoset:
 
 def quotient_poset(n: int, budget_override: bool = False) -> QuotientPoset:
     check_scan_budget(n, budget_override)
-    classes, canon_of = _connected_classes(n)
-    index_of = {cls.canon.bits: i for i, cls in enumerate(classes)}
+    classes, class_of = _connected_classes(n)
     full = (1 << slot_count(n)) - 1
-    covers = []
-    seen: set[tuple[int, int]] = set()
+    steps: dict[tuple[int, int], int] = {}  # first witness of each cover
     for i, cls in enumerate(classes):
         bits = cls.canon.bits
         for s in _iter_bits(full ^ bits):
             bigger = bits | 1 << s
-            j = index_of[canon_of[bigger]]
-            if (i, j) not in seen:
-                seen.add((i, j))
-                covers.append(Cover(i, j, EdgeSet(n, bits), EdgeSet(n, bigger)))
-    return QuotientPoset(n, classes, tuple(covers))
+            steps.setdefault((i, class_of[bigger]), bigger)
+    covers = tuple(
+        Cover(i, j, classes[i].canon, EdgeSet(n, bigger)) for (i, j), bigger in steps.items()
+    )
+    return QuotientPoset(n, classes, covers)
 
 
 @dataclass(frozen=True)

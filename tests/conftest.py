@@ -5,15 +5,18 @@ The oracles here deliberately use different algorithms from the package
 cycle-space cut labels, subset enumeration instead of matching, one
 augmenting path at a time instead of phases, cycle enumeration instead of
 spanning-cycle search, a counting recurrence instead of bit planes, a hash
-index instead of a dense rank, per-mask retests instead of bit planes) so
-the two sides of every check share no code path.  The one exception is
-`chorded_sweep_all_patterns`: it calls the package's multigraph predicates
-on every pattern, because what it checks is which patterns the sweep skips.
+index instead of a dense rank, per-mask retests instead of bit planes,
+per-graph canonical forms instead of one orbit expansion per class) so
+the two sides of every check share no code path.  The exceptions are
+`chorded_sweep_all_patterns`, which calls the package's multigraph
+predicates on every pattern, because what it checks is which patterns the
+sweep skips, and `iso_classes_by_relabel`, which relabels through the
+package's `quotient.relabel`.
 """
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 from hypothesis import HealthCheck, settings
@@ -75,6 +78,31 @@ def connected_census(n):
             for k in range(i, i + rest + 1):
                 counts[k] -= ways * c * comb(rest, k - i)
     return tuple(counts)
+
+
+@lru_cache(maxsize=None)
+def iso_classes_by_relabel(n):
+    """The isomorphism classes of the connected graphs on [n], each graph
+    canonicalised on its own as the smallest bitmask over all n! `relabel`
+    calls.
+
+    Returns (classes, class_of): classes lists (canon bits, orbit size) by
+    edge count, then canon; class_of maps each connected graph's bitmask to
+    the position of its class in that list.
+    """
+    from connposet import EdgeSet
+    from connposet.quotient import relabel
+
+    perms = [dict(zip(range(1, n + 1), p)) for p in permutations(range(1, n + 1))]
+    canon = {
+        bits: min(relabel(EdgeSet(n, bits), p).bits for p in perms)
+        for bits in range(1 << comb(n, 2))
+        if uf_connected_bits(n, bits)
+    }
+    sizes = Counter(canon.values())
+    order = sorted(sizes, key=lambda c: (c.bit_count(), c))
+    position = {c: i for i, c in enumerate(order)}
+    return [(c, sizes[c]) for c in order], {b: position[c] for b, c in canon.items()}
 
 
 def bridges_by_deletion(g):

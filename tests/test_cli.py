@@ -73,6 +73,28 @@ def test_binom_evaluator():
     run_cli("binom", "--x", "2", "--target", "3", "--k", "3", expect=2)
 
 
+def test_binom_beyond_float_range_reports_null_value():
+    # 2 ** log2 overflows a float; the value is null and log2 stays finite
+    doc = json.loads(run_cli("binom", "--x", "1e308", "--k", "3").stdout)
+    assert doc["value"] is None
+    assert 3066 < doc["log2"] < 3067
+
+
+def test_binom_rejects_unknown_format():
+    proc = run_cli("binom", "--x", "5", "--k", "3", "--format", "xml", expect=2)
+    assert proc.stdout == ""
+    assert "invalid choice: 'xml'" in proc.stderr
+
+
+@pytest.mark.parametrize("which", ["cprime", "quotient", "hamiltonian"])
+def test_explore_rejects_family(which):
+    # the explorers fix their own universes; --family is a usage error
+    proc = run_cli("explore", which, "--n", "4", "--family", "two_edge_connected",
+                   expect=2)
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --family" in proc.stderr
+
+
 def test_matchings_table():
     doc = json.loads(run_cli("matchings", "--n", "3").stdout)
     rows = {(r["k_from"], r["k_to"]): r for r in doc["matchings"]}

@@ -30,12 +30,13 @@ from connposet.poset import (
 from connposet.quotient import (
     PROPERTY_BUILTINS,
     ExplorerReport,
+    _connected_classes,
     _covers_saturated,
     contains_triangle,
     relabel,
 )
 
-from conftest import covers_one_level, pairs_on, uf_connected_bits
+from conftest import covers_one_level, iso_classes_by_relabel, pairs_on, uf_connected_bits
 
 
 def core_against_dilworth(levels, full):
@@ -117,6 +118,33 @@ def _factorial(n):
     for i in range(2, n + 1):
         out *= i
     return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_classes_match_relabel_oracle(n):
+    classes, class_of = iso_classes_by_relabel(n)
+    assert [(c.canon.bits, c.orbit_size) for c in connected_classes(n)] == classes
+    _, index = _connected_classes(n)
+    assert list(index) == [class_of.get(bits, -1) for bits in range(1 << slot_count(n))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_quotient_covers_match_relabel_oracle(n):
+    classes, class_of = iso_classes_by_relabel(n)
+    expected = {}  # class pair -> first one-edge witness, in first-occurrence order
+    for i, (bits, _) in enumerate(classes):
+        for s in range(slot_count(n)):
+            if not bits >> s & 1:
+                expected.setdefault((i, class_of[bits | 1 << s]), bits | 1 << s)
+    qp = quotient_poset(n)
+    assert [(c.from_index, c.to_index) for c in qp.covers] == list(expected)
+    assert [c.witness_to.bits for c in qp.covers] == list(expected.values())
+    assert all(c.witness_from == qp.classes[c.from_index].canon for c in qp.covers)
+
+
+def test_connected_classes_refuse_n8():
+    with pytest.raises(BudgetExceededError):
+        connected_classes(8)
 
 
 def test_quotient_covers_sound_and_complete():
