@@ -5,8 +5,8 @@ Three exploration surfaces:
 * the quotient of the connected poset by graph isomorphism, built from
   exact canonical forms (lexicographic minimum over all n! relabelings);
 * the poset of spanning connected subgraphs of one fixed host graph;
-* posets of all graphs on [n] satisfying a decidable property, with the
-  grading itself verified instead of assumed.
+* posets of all graphs on [n] satisfying a decidable property, each held
+  as one plane, with the grading itself verified instead of assumed.
 
 The last two are families of edge bitmasks graded by edge count and share
 sperner_verdict's width core: glued level matchings first, the Dilworth
@@ -299,6 +299,28 @@ PROPERTY_BUILTINS: dict[str, Callable[[EdgeSet], bool]] = {
 }
 
 
+@lru_cache(maxsize=None)
+def _property_plane(n: int, name: str) -> int:
+    """The plane of a built-in property; callers enforce the scan budget.  A
+    triangle is E_ab & E_bc & E_ac; a Hamiltonian cycle is the AND of its n
+    slot planes, listed once as 1, perm with perm[0] < perm[-1]."""
+    planes = _planes(n)
+    if name == "two_edge_connected":
+        return planes.two_edge_connected
+    edge = dict(zip(_slot_pairs(n), planes.slots))
+    if name == "contains_triangle":
+        cycles = list(combinations(range(1, n + 1), 3))
+    else:
+        cycles = [(1, *p) for p in permutations(range(2, n + 1)) if n > 2 and p[0] < p[-1]]
+    family = 0
+    for cycle in cycles:
+        graphs = planes.ones
+        for pair in zip(cycle, cycle[1:] + cycle[:1]):
+            graphs &= edge[min(pair), max(pair)]
+        family |= graphs
+    return family
+
+
 @dataclass(frozen=True)
 class PropertyPosetReport:
     """Gradedness and width data for the graphs on [n] with a property."""
@@ -331,49 +353,42 @@ def property_poset_report(
 
     Gradedness by edge count is verified, not assumed: the poset is graded
     iff every cover relation is a one-edge step and all minimal elements
-    share one edge count.  For upward-closed properties the first condition
-    is automatic once upward closure has been checked exhaustively.
+    share one edge count.  The family is one plane F: a built-in property's
+    comes from the slot planes, a custom predicate's from one call per mask.
+    The superset transform Up of F gives the graphs above a member; F is
+    upward closed iff Up == F, which makes every cover a one-edge step.
     """
     if callable(prop):
         name = getattr(prop, "__name__", "custom")
-        predicate = prop
-    else:
-        if prop not in PROPERTY_BUILTINS:
-            raise ValueError(
-                f"unknown property {prop!r}; built-ins: {sorted(PROPERTY_BUILTINS)}"
-            )
+        _, levels = _universe_levels(n, prop, budget_override)
+        digits = bytearray(b"0") * (1 << slot_count(n))  # digit x is bit x of F
+        for bits in (b for level in levels for b in level):
+            digits[bits] = ord("1")
+        family = int(digits[::-1], 2)
+    elif prop in PROPERTY_BUILTINS:
         name = prop
-        predicate = PROPERTY_BUILTINS[prop]
-
-    _, levels = _universe_levels(n, predicate, budget_override)
-    members = [b for level in levels for b in level]
-    if not members:
-        raise ValueError(f"property {name!r} is empty on [{n}]")
-    member_set = set(members)
-    full = (1 << slot_count(n)) - 1
-
-    upward_closed = all(
-        (bits | 1 << s) in member_set
-        for bits in members
-        for s in _iter_bits(full ^ bits)
-    )
-
-    minimals: list[int] = []
-    if upward_closed:
-        for bits in members:
-            if all((bits ^ 1 << s) not in member_set for s in _iter_bits(bits)):
-                minimals.append(bits)
+        check_scan_budget(n, budget_override)
+        family = _property_plane(n, prop)
     else:
-        for bits in members:
-            if not any(
-                other != bits and other & bits == other for other in members
-            ):
-                minimals.append(bits)
-    minimal_levels = {b.bit_count() for b in minimals}
-
-    covers_one_step = upward_closed or _covers_saturated(members, member_set)
-    check_width_budget(len(members), budget_override)
-    verdict = _family_width(levels, full, budget_override)
+        raise ValueError(f"unknown property {prop!r}; built-ins: {sorted(PROPERTY_BUILTINS)}")
+    if not family:
+        raise ValueError(f"property {name!r} is empty on [{n}]")
+    check_width_budget(family.bit_count(), budget_override)
+    planes = _planes(n)
+    up = family  # the graphs holding a member
+    for s, plane in enumerate(planes.slots):
+        up |= plane & (up << (1 << s))
+    above = 0  # the graphs strictly above a member
+    for s, plane in enumerate(planes.slots):
+        above |= plane & (up << (1 << s))
+    upward_closed = up == family
+    minimal = family & ~above
+    levels = [tuple(_plane_members(family & level)) for level in planes.levels]
+    covers_one_step = upward_closed
+    if not upward_closed:
+        members = [b for level in levels for b in level]
+        covers_one_step = _covers_saturated(members, set(members))
+    verdict = _family_width(levels, (1 << slot_count(n)) - 1, budget_override)
     return PropertyPosetReport(
         n=n,
         property_name=name,
@@ -381,7 +396,7 @@ def property_poset_report(
         level_sizes=verdict.level_sizes,
         upward_closed=upward_closed,
         covers_one_step=covers_one_step,
-        minimal_levels=tuple(sorted(minimal_levels)),
+        minimal_levels=tuple(k for k, level in enumerate(planes.levels) if minimal & level),
         width=verdict.width,
         max_level_k=verdict.max_level_k,
         max_level_size=verdict.max_level_size,

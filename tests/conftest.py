@@ -194,6 +194,24 @@ def covers_one_level(members):
     return True
 
 
+def closure_and_minimal_levels(members, slots):
+    """Whether a family of edge bitmasks on `slots` slots is upward closed,
+    by looking up every one-edge extension of every member, and the edge
+    counts of its minimal members, by testing every pair for inclusion."""
+    member_set = set(members)
+    upward_closed = all(
+        (bits | 1 << s) in member_set
+        for bits in members
+        for s in range(slots)
+        if not bits >> s & 1
+    )
+    minimals = [
+        bits for bits in members
+        if not any(other != bits and other & bits == other for other in members)
+    ]
+    return upward_closed, tuple(sorted({b.bit_count() for b in minimals}))
+
+
 def level_pair_rows(full, from_bits, to_bits, direction):
     """Adjacency rows between two adjacent levels of edge bitmasks on the
     slots of full = 2^m - 1, from a hash index of the target level: row u

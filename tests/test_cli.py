@@ -95,6 +95,23 @@ def test_explore_rejects_family(which):
     assert "unrecognized arguments: --family" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("lemma", "disc", "--n", "4", "--family", "two_edge_connected"),
+        ("explore", "quotient", "--n", "4", "--k", "3"),
+        ("explore", "quotient", "--n", "4", "--epsilon", "7"),
+        ("explore", "hamiltonian", "--n", "4", "--seed", "5"),
+        ("explore", "cprime", "--n", "4", "--trials", "9"),
+    ],
+)
+def test_flags_a_subcommand_would_ignore_exit_2(args):
+    # no lemma reads --family, and no explorer a level, tolerance or sample
+    proc = run_cli(*args, expect=2)
+    assert proc.stdout == ""
+    assert f"unrecognized arguments: {args[-2]} {args[-1]}" in proc.stderr
+
+
 def test_matchings_table():
     doc = json.loads(run_cli("matchings", "--n", "3").stdout)
     rows = {(r["k_from"], r["k_to"]): r for r in doc["matchings"]}
@@ -312,6 +329,7 @@ def test_workers_do_not_change_output(tmp_path):
         ("lemma", "skeleton"),
         ("lemma", "removable"),
         ("lemma", "irk"),
+        ("explore", "hamiltonian"),
     ):
         serial = run_cli(*args, "--n", "5", "--workers", "1").stdout
         assert run_cli(*args, "--n", "5", "--workers", "2").stdout == serial, args

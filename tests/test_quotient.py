@@ -32,11 +32,18 @@ from connposet.quotient import (
     ExplorerReport,
     _connected_classes,
     _covers_saturated,
+    _property_plane,
     contains_triangle,
     relabel,
 )
 
-from conftest import covers_one_level, iso_classes_by_relabel, pairs_on, uf_connected_bits
+from conftest import (
+    closure_and_minimal_levels,
+    covers_one_level,
+    iso_classes_by_relabel,
+    pairs_on,
+    uf_connected_bits,
+)
 
 
 def core_against_dilworth(levels, full):
@@ -407,6 +414,23 @@ def test_contains_triangle_predicate():
     assert not contains_triangle(EdgeSet.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("prop", sorted(PROPERTY_BUILTINS))
+def test_property_planes_match_predicates(prop, n):
+    predicate = PROPERTY_BUILTINS[prop]
+    plane = _property_plane(n, prop)
+    for bits in range(1 << slot_count(n)):
+        assert (plane >> bits & 1) == predicate(EdgeSet(n, bits)), (prop, EdgeSet(n, bits))
+
+
+def assert_closure_matches_oracle(n, prop):
+    report = property_poset_report(n, prop)
+    predicate = PROPERTY_BUILTINS[prop] if isinstance(prop, str) else prop
+    members = [b for b in range(1 << slot_count(n)) if predicate(EdgeSet(n, b))]
+    expected = closure_and_minimal_levels(members, slot_count(n))
+    assert (report.upward_closed, report.minimal_levels) == expected, members
+
+
 def test_hamiltonian_poset_n4():
     report = property_poset_report(4, "hamiltonian")
     assert report.element_count == 10
@@ -461,6 +485,34 @@ def test_covers_saturated_matches_direct_covers(slots):
         density = rng.random()
         members = [b for b in range(1 << slots) if rng.random() < density]
         assert _covers_saturated(members, set(members)) == covers_one_level(members), members
+
+
+@pytest.mark.parametrize(
+    "prop",
+    [
+        lambda g: g.edge_count >= 5,
+        lambda g: g.edge_count in (2, 4),
+        lambda g: g.edge_count in (2, 3),
+        lambda g: g.edge_count == 6 or (g.edge_count == 3 and contains_triangle(g)),
+        *PROPERTY_BUILTINS.values(),  # as custom predicates
+        *sorted(PROPERTY_BUILTINS),  # as planes
+    ],
+)
+@pytest.mark.parametrize("n", [4, 5])
+def test_property_closure_matches_oracle_on_custom_predicates(prop, n):
+    assert_closure_matches_oracle(n, prop)
+
+
+@pytest.mark.parametrize("n", [3, 4])  # 3 and 6 slots
+def test_property_closure_matches_oracle_on_random_families(n):
+    rng = random.Random(n)
+    checked = 0
+    while checked < 300:
+        density = rng.random()
+        members = {b for b in range(1 << slot_count(n)) if rng.random() < density}
+        if members:
+            assert_closure_matches_oracle(n, lambda g: g.bits in members)
+            checked += 1
 
 
 def test_property_poset_triangles_below_complete():
