@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     EdgeSet,
+    _leaving_planes,
     _level_bits,
     _plane_members,
     _planes,
@@ -497,9 +498,7 @@ def i_r_census(n: int, epsilon: float = 1.0, budget_override: bool = False) -> I
     M = (m + 1) // 2
     planes = _planes(n)
     two = planes.two_edge_connected
-    digits = _sliced_count(
-        plane & two & ~(two << (1 << s)) for s, plane in enumerate(planes.slots)
-    )
+    digits = _sliced_count(_leaving_planes(planes.slots, two))
     by_r = [_sliced_equal(digits, r, two) for r in range(1 << len(digits))]
     table = {}
     for k, level in enumerate(planes.levels):

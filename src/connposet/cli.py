@@ -53,29 +53,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--budget-override", action="store_true")
 
-    def tuned(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        # the explorers take no level, tolerance or sampling flag
-        p.add_argument("--k", type=int, default=None, help="edge-count level")
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=None, help="randomized trial count")
-        return p
-
     def family(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         # the lemmas and the explorers fix their own universes and take no --family
         p.add_argument("--family", default="connected",
                        help="graph family: connected | all | two_edge_connected")
         return p
 
-    common(tuned(family(sub.add_parser("census", help="per-level counts of a family"))))
-    common(tuned(family(sub.add_parser("sperner", help="exact width versus largest level"))))
-    common(tuned(family(sub.add_parser("matchings", help="adjacent-level matching table"))))
-    common(tuned(family(sub.add_parser("chains",
-                                       help="chain partition through the largest level"))))
+    # the family subcommands take no tolerance or sample, and only
+    # `matchings` takes a level
+    common(family(sub.add_parser("census", help="per-level counts of a family")))
+    common(family(sub.add_parser("sperner", help="exact width versus largest level")))
+    matchings = family(sub.add_parser("matchings", help="adjacent-level matching table"))
+    matchings.add_argument("--k", type=int, default=None, help="edge-count level")
+    common(matchings)
+    common(family(sub.add_parser("chains", help="chain partition through the largest level")))
 
     lemma = sub.add_parser("lemma", help="run one verification sweep")
     lemma.add_argument("id", choices=LEMMA_IDS)
-    common(tuned(lemma), default_n=5)
+    lemma.add_argument("--k", type=int, default=None, help="edge-count level")
+    lemma.add_argument("--epsilon", type=float, default=None)
+    lemma.add_argument("--seed", type=int, default=0)
+    lemma.add_argument("--trials", type=int, default=None, help="randomized trial count")
+    common(lemma, default_n=5)
     lemma.add_argument("--q-max", type=int, default=5, help="multigraph sweep size")
     lemma.add_argument("--n-max", type=int, default=20,
                        help="largest n for the composition sweep (squares)")

@@ -18,16 +18,21 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import (
     EdgeSet,
+    _byte_tables,
     _component_masks,
-    _family_table,
     _iter_bits,
+    _leaving_planes,
+    _plane_members,
+    _planes,
+    _reach_planes,
     _slot_pairs,
-    edge_slot,
-    scan_masks,
+    _sliced_count,
+    _sliced_equal,
+    _sliced_greater,
 )
 from .limits import check_scan_budget
 
@@ -85,18 +90,6 @@ def _cut_labels(n: int, bits: int) -> dict[int, int] | None:
         labels[up[v].bit_length() - 1] = below[v]
         below[parent[v]] ^= below[v]
     return labels
-
-
-def _labelled_graphs(n: int, bridgeless: bool = False) -> Iterator[tuple[int, dict[int, int]]]:
-    """(bits, cut labels) of every connected graph on [n], ascending, or of
-    the bridgeless ones only: the one walk of the lemma sweeps, which gives
-    each graph its labels once.  Bridgelessness is read from the labels, not
-    from the two-edge-connected plane, so a census that counts that plane
-    checks the walk independently."""
-    for bits in scan_masks(n, "connected"):
-        labels = _cut_labels(n, bits)
-        if not (bridgeless and 0 in labels.values()):
-            yield bits, labels
 
 
 def _bridges_of(bits: int, labels: dict[int, int]) -> list[int]:
@@ -176,26 +169,6 @@ def _two_edge_connected_bits(n: int, bits: int) -> bool:
 def is_two_edge_connected(g: EdgeSet) -> bool:
     """Connected with no bridge; a single vertex qualifies, a single edge not."""
     return _two_edge_connected_bits(g.n, g.bits)
-
-
-@lru_cache(maxsize=None)
-def _induced_slot_map(n: int, vertex_mask: int) -> tuple[tuple[int, int], ...]:
-    """(slot bit on [n], slot bit on 1..|mask|) of every pair inside the
-    masked vertices, the vertices relabeled in ascending order."""
-    verts = _mask_vertices(vertex_mask)
-    return tuple(
-        (1 << edge_slot(verts[i - 1], verts[j - 1], n), 1 << s)
-        for s, (i, j) in enumerate(_slot_pairs(len(verts)))
-    )
-
-
-def _induced_bits(n: int, bits: int, vertex_mask: int) -> tuple[int, int]:
-    """Induced subgraph on the masked vertices, relabeled to 1..|mask|."""
-    sub = 0
-    for source, target in _induced_slot_map(n, vertex_mask):
-        if bits & source:
-            sub |= target
-    return vertex_mask.bit_count(), sub
 
 
 # ---------------------------------------------------------------------------
@@ -445,62 +418,206 @@ def _condense(n: int, bits: int, labels: dict[int, int]) -> tuple[RemovabilityRe
 
 # ---------------------------------------------------------------------------
 # exhaustive sweeps
+#
+# Both sweeps check every graph at once on the universe planes of `graphs`
+# (2^m-bit integers, one bit per graph); a graph is looked at on its own only
+# where a check flags it or where the planes leave its condensation open.
+
+
+def _part_planes(
+    n: int, kept: Sequence[int], within: int
+) -> tuple[list[list[int]], list[int]]:
+    """The parts of each graph x of the plane `within` with only its kept
+    edges left (kept[s]: the graphs that keep slot s).  Returns the reach
+    planes from each root u < n (reach[u][v]: u reaches v in x; reach[0] is
+    empty) and the leader planes (leaders[v - 1]: no smaller vertex reaches
+    v, so v is the smallest vertex of its part); the leaders count the parts."""
+    pairs = _slot_pairs(n)
+    reach = [[]] + [_reach_planes(n, pairs, kept, u, within) for u in range(1, n)]
+    leaders = []
+    for v in range(1, n + 1):
+        led = within
+        for u in range(1, v):
+            led ^= led & reach[u][v]
+        leaders.append(led)
+    return reach, leaders
+
+
+def _bits_at(planes: Sequence[int], x: int) -> int:
+    """Graph x's row of the planes: bit i holds bit x of planes[i]."""
+    return sum((plane >> x & 1) << i for i, plane in enumerate(planes))
+
+
+class _SkeletonPlanes(NamedTuple):
+    bridges: list[int]  # B_s: slot s is a bridge of x
+    kept: list[int]  # H_s: x holds s and s is no bridge, an edge of G - B
+    leaders: list[int]  # per vertex v (index v - 1): v leads its part of G - B
+
+
+def _skeleton_planes(n: int) -> _SkeletonPlanes:
+    """The skeleton of every connected graph on [n], as planes."""
+    planes = _planes(n)
+    bridges = _leaving_planes(planes.slots, planes.connected)
+    kept = [plane ^ bridge for plane, bridge in zip(planes.slots, bridges)]
+    return _SkeletonPlanes(bridges, kept, _part_planes(n, kept, planes.connected)[1])
+
+
+class _RemovalPlanes(NamedTuple):
+    removable: list[int]  # R_s: slot s lies in R(x)
+    leaders: list[int]  # per vertex v (index v - 1): v leads its part of G - R
+    inner: list[int]  # slot s lies in R(x) with both ends in one part of G - R
+
+
+def _removal_planes(n: int) -> _RemovalPlanes:
+    """R(G) and the parts of G - R(G) of every 2-edge-connected graph on [n],
+    as planes."""
+    planes = _planes(n)
+    two = planes.two_edge_connected
+    removable = _leaving_planes(planes.slots, two)
+    kept = [plane ^ r for plane, r in zip(planes.slots, removable)]
+    reach, leaders = _part_planes(n, kept, two)
+    inner = [r & reach[i][j] for r, (i, j) in zip(removable, _slot_pairs(n))]
+    return _RemovalPlanes(removable, leaders, inner)
 
 
 def skeleton_findings(n: int, budget_override: bool = False) -> tuple[int, list[dict]]:
-    """Check |B| = t-1 and 2-edge-connected parts over all connected graphs."""
+    """Check |B| = t-1 and 2-edge-connected parts over all connected graphs:
+    t counts the leaders of G - B, and a part is 2-edge-connected where none
+    of its edges is a bridge of G - B."""
     check_scan_budget(n, budget_override)
-    # each part is looked up in the two-edge-connected plane of its own
-    # vertex count, independently of the graph's labels
-    tables = [b""] + [_family_table(k, "two_edge_connected") for k in range(1, n + 1)]
+    pairs = _slot_pairs(n)
+    connected = _planes(n).connected
+    sk = _skeleton_planes(n)
+    # |B| + 1 = t: the bit-sliced count of the B_s and C against the leaders'
+    plus_one, t = _sliced_count(sk.bridges + [connected]), _sliced_count(sk.leaders)
+    miscounted = _sliced_greater(plus_one, t, connected) | _sliced_greater(t, plus_one, connected)
+    # an edge s = (i, j) of G - B is a bridge of G - B where i reaches j only by s
+    cut = []
+    for s, (i, j) in enumerate(pairs):
+        holding = sk.kept[s] & connected
+        without = sk.kept[:s] + [0] + sk.kept[s + 1:]
+        cut.append(holding ^ _reach_planes(n, pairs, without, i, holding)[j])
+    flagged = miscounted
+    for plane in cut:
+        flagged |= plane
     findings = []
-    checked = 0
-    for bits, labels in _labelled_graphs(n):
-        checked += 1
-        bridge_slots, parts = _skeleton_split(n, bits, labels)
-        if len(bridge_slots) != len(parts) - 1:
+    for x in _plane_members(flagged):
+        graph = f"{n}:{x:x}"
+        if miscounted >> x & 1:
             findings.append(
-                {"graph": f"{n}:{bits:x}", "problem": "bridge count != t-1",
-                 "bridges": len(bridge_slots), "t": len(parts)}
+                {"graph": graph, "problem": "bridge count != t-1",
+                 "bridges": _bits_at(sk.bridges, x).bit_count(),
+                 "t": _bits_at(sk.leaders, x).bit_count()}
             )
-        for mask in parts:
-            n_sub, sub = _induced_bits(n, bits, mask)
-            if not tables[n_sub][sub >> 3] >> (sub & 7) & 1:
+        cut_slots = list(_iter_bits(_bits_at(cut, x)))
+        for mask in _component_masks(n, _bits_at(sk.kept, x)):
+            if any(mask >> pairs[s][0] & 1 for s in cut_slots):
                 findings.append(
-                    {"graph": f"{n}:{bits:x}", "problem": "part not 2-edge-connected",
+                    {"graph": graph, "problem": "part not 2-edge-connected",
                      "part": list(_mask_vertices(mask))}
                 )
-    return checked, findings
+    return connected.bit_count(), findings
+
+
+# The condensations that the planes fix, as (|R|, q, crossing part pairs,
+# the pair u < v as 16u + v): with R empty, G - R is G itself; the two
+# edges of an R of size 2 that both join the only two parts are a doubled
+# edge.
+_FIXED_SHAPES = ((0, 1, []), (2, 2, [0x12, 0x12]))
+
+
+def _condensation_free(memo: dict, q: int, cross: list[int]) -> tuple[bool, MultiGraph]:
+    """Whether the condensation on q parts with the given crossing part
+    pairs (u < v as 16u + v) is chorded-cycle-free, and the condensation;
+    `memo` keeps each verdict, so each shape is tested once."""
+    key = (q, bytes(sorted(cross)))
+    hit = memo.get(key)
+    if hit is None:
+        condensed = MultiGraph.from_pairs(q, [(c >> 4, c & 15) for c in key[1]])
+        hit = memo[key] = (is_chorded_cycle_free(condensed), condensed)
+    return hit
 
 
 def removability_findings(n: int, budget_override: bool = False) -> tuple[int, list[dict]]:
     """Check |R| <= 2q-2, |R| != 1 and a chorded-cycle-free condensation
-    over all 2-edge-connected graphs on [n]."""
+    over all 2-edge-connected graphs on [n]: |R| counts the R_s planes, q
+    the leaders of G - R, and only a graph whose condensation the planes do
+    not fix (|R| >= 3) is condensed on its own."""
     check_scan_budget(n, budget_override)
-    findings = []
-    checked = 0
+    pairs = _slot_pairs(n)
+    two = _planes(n).two_edge_connected
+    rp = _removal_planes(n)
+    # an R edge inside one part of G - R would be a loop of the condensation
+    stray = 0
+    for plane in rp.inner:
+        stray |= plane
+    if stray:
+        x = (stray & -stray).bit_length() - 1
+        i, j = min(pair for pair, plane in zip(pairs, rp.inner) if plane >> x & 1)
+        raise AssertionError(
+            f"removable edge ({i},{j}) does not cross components in {n}:{x:x}"
+        )
+    r_digits = _sliced_count(rp.removable)
+    q_digits = _sliced_count(rp.leaders)
+    # |R| > 2q - 2 is |R| + 2 > 2q
+    exceeds = _sliced_greater(_sliced_count(rp.removable + [two, two]), [0] + q_digits, two)
+    single = _sliced_equal(r_digits, 1, two)
     # few distinct condensations recur across the sweep; the memo lives
     # only as long as this call
-    chorded_free: dict[MultiGraph, bool] = {}
-    for bits, labels in _labelled_graphs(n, bridgeless=True):
-        checked += 1
-        report, condensed = _condense(n, bits, labels)
-        if report.r > report.bound:
-            findings.append(
-                {"graph": f"{n}:{bits:x}", "problem": "removable set exceeds 2q-2",
-                 "r": report.r, "q": report.q}
-            )
-        if report.r == 1:
-            findings.append({"graph": f"{n}:{bits:x}", "problem": "removable set of size 1"})
-        free = chorded_free.get(condensed)
-        if free is None:
-            free = chorded_free[condensed] = is_chorded_cycle_free(condensed)
+    memo: dict = {}
+    open_graphs = two
+    rejected_shapes = []  # (plane, condensation) of each fixed shape rejected
+    for r, q, cross in _FIXED_SHAPES:
+        plane = _sliced_equal(r_digits, r, two) & _sliced_equal(q_digits, q, two)
+        open_graphs ^= plane
+        if plane:
+            free, condensed = _condensation_free(memo, q, cross)
+            if not free:
+                rejected_shapes.append((plane, condensed))
+    # every other graph is condensed on its own, its R read from the planes
+    tables = _byte_tables(rp.removable, 1 << len(pairs))
+    rejected: dict[int, MultiGraph] = {}
+    part = [0] * (n + 1)
+    for x in _plane_members(open_graphs):
+        r_bits = 0
+        for g, table in enumerate(tables):
+            r_bits |= table[x] << 8 * g
+        parts = _component_masks(n, x ^ r_bits)
+        for p, mask in enumerate(parts, start=1):
+            for v in _iter_bits(mask):
+                part[v] = p
+        cross = []
+        for s in _iter_bits(r_bits):
+            i, j = pairs[s]
+            a, b = part[i], part[j]
+            cross.append(a << 4 | b if a < b else b << 4 | a)
+        free, condensed = _condensation_free(memo, len(parts), cross)
         if not free:
+            rejected[x] = condensed
+    flagged = exceeds | single
+    for plane, _ in rejected_shapes:
+        flagged |= plane
+    findings = []
+    for x in sorted(rejected.keys() | set(_plane_members(flagged))):
+        graph = f"{n}:{x:x}"
+        if exceeds >> x & 1:
             findings.append(
-                {"graph": f"{n}:{bits:x}", "problem": "condensation has a chorded cycle",
+                {"graph": graph, "problem": "removable set exceeds 2q-2",
+                 "r": _bits_at(rp.removable, x).bit_count(),
+                 "q": _bits_at(rp.leaders, x).bit_count()}
+            )
+        if single >> x & 1:
+            findings.append({"graph": graph, "problem": "removable set of size 1"})
+        condensed = rejected.get(x)
+        for plane, shape in rejected_shapes:
+            if plane >> x & 1:
+                condensed = shape
+        if condensed is not None:
+            findings.append(
+                {"graph": graph, "problem": "condensation has a chorded cycle",
                  "condensation": condensed.to_json()}
             )
-    return checked, findings
+    return two.bit_count(), findings
 
 
 def _multigraphs_on(q: int, mult_max: int) -> Iterator[tuple[tuple[int, int, int], ...]]:

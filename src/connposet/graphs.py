@@ -259,40 +259,72 @@ def _sliced_count(planes: Iterable[int]) -> list[int]:
 
 def _sliced_equal(digits: Sequence[int], value: int, within: int) -> int:
     """The graphs of the plane `within` whose bit-sliced count is `value`."""
+    if value >> len(digits):
+        return 0  # more than the digits can hold
     plane = within
     for i, digit in enumerate(digits):
-        plane &= digit if value >> i & 1 else ~digit
+        # plane ^ (plane & digit) is plane & ~digit without a negative operand
+        plane = plane & digit if value >> i & 1 else plane ^ (plane & digit)
     return plane
 
 
-def _connected_plane(n: int, pairs: _Pairs, slots: Sequence[int], ones: int) -> int:
-    """AND of the reach planes R_v (bit x: vertex v is reached from vertex 1
-    in x).  R_1 is every graph; R_i and R_j take each other over the graphs
-    holding slot s, pairs[s] = (i, j), sweep after sweep, until stable."""
-    reach = [0, ones] + [0] * (n - 1)
+def _sliced_greater(a: Sequence[int], b: Sequence[int], within: int) -> int:
+    """The graphs of the plane `within` whose bit-sliced count a exceeds b,
+    compared digit by digit from the top."""
+    greater, equal = 0, within
+    for i in reversed(range(max(len(a), len(b)))):
+        ai = a[i] if i < len(a) else 0
+        bi = b[i] if i < len(b) else 0
+        above = equal & ai
+        greater |= above ^ (above & bi)
+        equal ^= equal & (ai ^ bi)
+    return greater
+
+
+def _reach_planes(n: int, pairs: _Pairs, slots: Sequence[int], root: int, start: int) -> list[int]:
+    """The reach planes R_v from a root vertex (index 0 unused; bit x of R_v:
+    x lies in the plane `start` and vertex v is reached from the root in x).
+    R_root is `start`; R_i and R_j take each other over the graphs holding
+    slot s, pairs[s] = (i, j), sweep after sweep, until stable."""
+    reach = [0] * (n + 1)
+    reach[root] = start
     before = None
     while reach != before:
         before = list(reach)
         for (i, j), plane in zip(pairs, slots):
             ri, rj = reach[i], reach[j]
             reach[i], reach[j] = ri | rj & plane, rj | ri & plane
+    return reach
+
+
+def _connected_plane(n: int, pairs: _Pairs, slots: Sequence[int], ones: int) -> int:
+    """AND of the reach planes from vertex 1 over every graph."""
     connected = ones
-    for plane in reach[1:]:
+    for plane in _reach_planes(n, pairs, slots, 1, ones)[1:]:
         connected &= plane
     return connected
+
+
+def _leaving_planes(slots: Sequence[int], family: int) -> list[int]:
+    """Per slot s, the graphs x of the family that hold s while x - s is not
+    in it: E_s & F & ~(F << 2^s), as bit x of F << 2^s is bit x - 2^s of F.
+    Over the connected plane these are the bridge planes, over the
+    two-edge-connected plane the removable planes."""
+    out = []
+    for s, plane in enumerate(slots):
+        inside = plane & family
+        out.append(inside ^ (inside & (family << (1 << s))))
+    return out
 
 
 def _two_edge_connected_plane(
     slots: Sequence[int], connected: int, cleared: Iterable[int]
 ) -> int:
-    """The connected graphs with no bridge.  Slot s of x is a bridge when x
-    holds s and x - s is disconnected, which is bit x of E_s & ~(C << 2^s).
-    `cleared` holds, per slot fixed on above the plane, the connected plane
-    with that slot fixed off instead."""
-    bridged = 0
-    for s, plane in enumerate(slots):
-        bridged |= plane & ~(connected << (1 << s))
-    two = connected & ~bridged
+    """The connected graphs with no bridge.  `cleared` holds, per slot fixed
+    on above the plane, the connected plane with that slot fixed off instead."""
+    two = connected
+    for plane in _leaving_planes(slots, connected):
+        two ^= two & plane
     for plane in cleared:
         two &= plane
     return two
@@ -307,10 +339,19 @@ def _family_plane(n: int, family: str) -> int:
     return planes.ones if family == "all" else getattr(planes, family)
 
 
-@lru_cache(maxsize=None)
-def _family_table(n: int, family: str) -> bytes:
-    """A family plane as little-endian bytes: bit x is byte x >> 3, bit x & 7."""
-    return _family_plane(n, family).to_bytes(((1 << slot_count(n)) + 7) // 8, "little")
+def _byte_tables(planes: Sequence[int], width: int) -> list[bytes]:
+    """Planes of `width` graphs read graph by graph, 8 planes to a table: byte
+    x of table g holds bit x of planes[8g + b] at bit b."""
+    spread = bytes.maketrans(b"01", b"\0\1")  # a binary digit to a byte
+    tables = []
+    for g in range(0, len(planes), 8):
+        word = 0
+        for b, plane in enumerate(planes[g:g + 8]):
+            # one byte per binary digit, bit width-1 first: read big-endian,
+            # bit x of the plane is byte x
+            word |= int.from_bytes(f"{plane:0{width}b}".encode().translate(spread), "big") << b
+        tables.append(word.to_bytes(width, "little"))
+    return tables
 
 
 def _plane_members(plane: int) -> Iterator[int]:

@@ -10,8 +10,12 @@ per-graph canonical forms instead of one orbit expansion per class) so
 the two sides of every check share no code path.  The exceptions are
 `chorded_sweep_all_patterns`, which calls the package's multigraph
 predicates on every pattern, because what it checks is which patterns the
-sweep skips, and `iso_classes_by_relabel`, which relabels through the
-package's `quotient.relabel`.
+sweep skips, `iso_classes_by_relabel`, which relabels through the
+package's `quotient.relabel`, and the walk behind
+`skeleton_findings_by_walk` and `removability_findings_by_walk`, which
+gives each connected graph its cut labels from `connectivity._cut_labels`
+and looks each skeleton part up in the two-edge-connected plane of its own
+vertex count, because what it checks is the plane route of the sweeps.
 """
 
 from collections import Counter
@@ -308,3 +312,103 @@ def cycle_chord_free(q, edges):
                 elif w > start and w not in verts:
                     stack.append((w, verts | {w}, used | {eid}))
     return True
+
+
+# ---------------------------------------------------------------------------
+# the lemma sweeps graph by graph: the walk the plane sweeps replaced
+
+
+def _labelled_graphs(n, bridgeless=False):
+    """(bits, cut labels) of every connected graph on [n], ascending, or of
+    the bridgeless ones only.  Bridgelessness is read from the labels, not
+    from the two-edge-connected plane."""
+    from connposet.connectivity import _cut_labels
+    from connposet.graphs import scan_masks
+
+    for bits in scan_masks(n, "connected"):
+        labels = _cut_labels(n, bits)
+        if not (bridgeless and 0 in labels.values()):
+            yield bits, labels
+
+
+@lru_cache(maxsize=None)
+def _induced_slot_map(n, vertex_mask):
+    """(slot bit on [n], slot bit on 1..|mask|) of every pair inside the
+    masked vertices, the vertices relabeled in ascending order."""
+    verts = [v for v in range(1, n + 1) if vertex_mask >> v & 1]
+    return tuple(
+        (1 << pairs_on(n).index((verts[i - 1], verts[j - 1])), 1 << s)
+        for s, (i, j) in enumerate(pairs_on(len(verts)))
+    )
+
+
+def _induced_bits(n, bits, vertex_mask):
+    """Induced subgraph on the masked vertices, relabeled to 1..|mask|."""
+    sub = 0
+    for source, target in _induced_slot_map(n, vertex_mask):
+        if bits & source:
+            sub |= target
+    return vertex_mask.bit_count(), sub
+
+
+@lru_cache(maxsize=None)
+def _two_edge_connected_table(n):
+    """The two-edge-connected plane on [n] as bytes: bit x is byte x >> 3, bit x & 7."""
+    from connposet.graphs import _planes
+
+    return _planes(n).two_edge_connected.to_bytes(((1 << comb(n, 2)) + 7) // 8, "little")
+
+
+def skeleton_findings_by_walk(n):
+    """connectivity.skeleton_findings from the labelled walk: each graph's
+    bridges and parts from its cut labels, each part relabelled and looked
+    up in the two-edge-connected plane of its own vertex count."""
+    from connposet.connectivity import _skeleton_split
+
+    findings = []
+    checked = 0
+    for bits, labels in _labelled_graphs(n):
+        checked += 1
+        bridge_slots, parts = _skeleton_split(n, bits, labels)
+        if len(bridge_slots) != len(parts) - 1:
+            findings.append(
+                {"graph": f"{n}:{bits:x}", "problem": "bridge count != t-1",
+                 "bridges": len(bridge_slots), "t": len(parts)}
+            )
+        for mask in parts:
+            n_sub, sub = _induced_bits(n, bits, mask)
+            if not _two_edge_connected_table(n_sub)[sub >> 3] >> (sub & 7) & 1:
+                findings.append(
+                    {"graph": f"{n}:{bits:x}", "problem": "part not 2-edge-connected",
+                     "part": [v for v in range(1, n + 1) if mask >> v & 1]}
+                )
+    return checked, findings
+
+
+def removability_findings_by_walk(n):
+    """connectivity.removability_findings from the labelled walk over the
+    bridgeless graphs: each graph condensed from its cut labels."""
+    from connposet.connectivity import _condense, is_chorded_cycle_free
+
+    findings = []
+    checked = 0
+    chorded_free = {}
+    for bits, labels in _labelled_graphs(n, bridgeless=True):
+        checked += 1
+        report, condensed = _condense(n, bits, labels)
+        if report.r > report.bound:
+            findings.append(
+                {"graph": f"{n}:{bits:x}", "problem": "removable set exceeds 2q-2",
+                 "r": report.r, "q": report.q}
+            )
+        if report.r == 1:
+            findings.append({"graph": f"{n}:{bits:x}", "problem": "removable set of size 1"})
+        free = chorded_free.get(condensed)
+        if free is None:
+            free = chorded_free[condensed] = is_chorded_cycle_free(condensed)
+        if not free:
+            findings.append(
+                {"graph": f"{n}:{bits:x}", "problem": "condensation has a chorded cycle",
+                 "condensation": condensed.to_json()}
+            )
+    return checked, findings

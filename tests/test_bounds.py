@@ -28,15 +28,13 @@ from connposet.bounds import (
     tech_inequality_sweep,
 )
 from connposet.connectivity import (
-    _induced_bits,
-    _labelled_graphs,
     _removable_of,
     _removable_slots,
     _skeleton_split,
 )
 from connposet.graphs import _level_bits, level_census, slot_count
 
-from conftest import irk_table_by_retest
+from conftest import _induced_bits, _labelled_graphs, irk_table_by_retest
 
 
 def frac_binom_log2(x: float, k: int) -> float:

@@ -103,13 +103,32 @@ def test_explore_rejects_family(which):
         ("explore", "quotient", "--n", "4", "--epsilon", "7"),
         ("explore", "hamiltonian", "--n", "4", "--seed", "5"),
         ("explore", "cprime", "--n", "4", "--trials", "9"),
+        ("census", "--n", "4", "--k", "3"),
+        ("census", "--n", "4", "--epsilon", "0.5"),
+        ("sperner", "--n", "4", "--seed", "5"),
+        ("sperner", "--n", "4", "--trials", "9"),
+        ("chains", "--n", "4", "--k", "3"),
+        ("chains", "--n", "4", "--seed", "5"),
+        ("matchings", "--n", "4", "--epsilon", "0.5"),
+        ("matchings", "--n", "4", "--seed", "5"),
+        ("matchings", "--n", "4", "--trials", "9"),
     ],
 )
 def test_flags_a_subcommand_would_ignore_exit_2(args):
-    # no lemma reads --family, and no explorer a level, tolerance or sample
+    # no lemma reads --family, no explorer a level, tolerance or sample,
+    # census, sperner and chains none of those either, and matchings only
+    # the level
     proc = run_cli(*args, expect=2)
     assert proc.stdout == ""
     assert f"unrecognized arguments: {args[-2]} {args[-1]}" in proc.stderr
+
+
+@pytest.mark.parametrize("lemma", ["skeleton", "removable"])
+@pytest.mark.parametrize("args", [("--n", "7"), ("--n", "8", "--budget-override")])
+def test_sweeps_exit_2_over_budget(lemma, args):
+    proc = run_cli("lemma", lemma, *args, expect=2)
+    assert proc.stdout == ""
+    assert f"budget error: full scan at n={args[1]} exceeds the budget" in proc.stderr
 
 
 def test_matchings_table():
@@ -330,6 +349,9 @@ def test_workers_do_not_change_output(tmp_path):
         ("lemma", "removable"),
         ("lemma", "irk"),
         ("explore", "hamiltonian"),
+        ("sperner",),
+        ("chains",),
+        ("matchings", "--k", "4"),
     ):
         serial = run_cli(*args, "--n", "5", "--workers", "1").stdout
         assert run_cli(*args, "--n", "5", "--workers", "2").stdout == serial, args

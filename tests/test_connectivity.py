@@ -1,5 +1,5 @@
 import json
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,9 +17,15 @@ from connposet import (
     skeleton,
 )
 from connposet.connectivity import (
+    _bits_at,
     _bridge_slots,
-    _induced_bits,
+    _components_without,
+    _cut_labels,
+    _removable_of,
     _removable_slots,
+    _removal_planes,
+    _skeleton_planes,
+    _skeleton_split,
     _two_edge_connected_bits,
     chorded_cycle_sweep,
     doubled_star,
@@ -27,13 +33,17 @@ from connposet.connectivity import (
     skeleton_findings,
 )
 from connposet.graphs import enumerate_level, slot_count
+from connposet.limits import BudgetExceededError
 
 from conftest import (
+    _induced_bits,
     bits_edges,
     bridges_by_deletion,
     chorded_sweep_all_patterns,
     pairs_on,
+    removability_findings_by_walk,
     removable_by_retest,
+    skeleton_findings_by_walk,
     uf_connected,
     uf_connected_bits,
     uf_two_edge_connected,
@@ -211,6 +221,104 @@ def test_chorded_memo_reports_every_graph(monkeypatch):
     assert {f["condensation"] for f in findings} == {target.to_json()}
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_plane_sweeps_match_the_walk(n):
+    assert skeleton_findings(n) == skeleton_findings_by_walk(n)
+    assert removability_findings(n) == removability_findings_by_walk(n)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_plane_sweep_reports_what_the_walk_reports(monkeypatch, n):
+    # a predicate that rejects every condensation on three parts or with a
+    # doubled edge flags graphs on both the fixed-shape and per-graph routes
+    import connposet.connectivity as connectivity
+
+    real = connectivity.is_chorded_cycle_free
+    monkeypatch.setattr(
+        connectivity, "is_chorded_cycle_free",
+        lambda h: h.q != 3 and all(c < 2 for _, _, c in h.edges) and real(h),
+    )
+    checked, findings = removability_findings(n)
+    assert len(findings) > 100
+    assert (checked, findings) == removability_findings_by_walk(n)
+
+
+def _leader_bits(parts):
+    """Bit v - 1 for the smallest vertex v of each part (vertex masks)."""
+    return sum(1 << (mask & -mask).bit_length() - 2 for mask in parts)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sweep_planes_match_cut_labels(n):
+    # per graph: the bridges B, the leaders of G - B (so t), R and the
+    # leaders of G - R (so q), against the cut labels
+    sk = _skeleton_planes(n)
+    rp = _removal_planes(n)
+    for x in range(1 << slot_count(n)):
+        bridges, leaders = _bits_at(sk.bridges, x), _bits_at(sk.leaders, x)
+        removable, parts = _bits_at(rp.removable, x), _bits_at(rp.leaders, x)
+        labels = _cut_labels(n, x)
+        if labels is None:
+            assert bridges == leaders == removable == parts == 0
+            continue
+        bridge_slots, skeleton_parts = _skeleton_split(n, x, labels)
+        assert bridges == sum(1 << s for s in bridge_slots)
+        assert bridges.bit_count() == len(bridge_slots)
+        assert leaders == _leader_bits(skeleton_parts)
+        assert leaders.bit_count() == len(skeleton_parts)
+        if bridge_slots:
+            assert removable == parts == 0
+            continue
+        r_slots = _removable_of(x, labels)
+        removal_parts = _components_without(n, x, r_slots)
+        assert removable == sum(1 << s for s in r_slots)
+        assert removable.bit_count() == len(r_slots)
+        assert parts == _leader_bits(removal_parts)
+        assert parts.bit_count() == len(removal_parts)
+        assert _bits_at(rp.inner, x) == 0
+
+
+def test_removability_condenses_graphs_the_shapes_do_not_fix(monkeypatch):
+    # with the connected plane standing in for the two-edge-connected one,
+    # R(x) is the bridge set, and two bridges (a triangle with two pendant
+    # edges) leave three parts: the doubled edge is the condensation only
+    # where |R| = 2 leaves two parts
+    import connposet.connectivity as connectivity
+    from connposet.graphs import _planes
+
+    planes = _planes(5)
+    fake = planes._replace(two_edge_connected=planes.connected)
+    monkeypatch.setattr(connectivity, "_planes", lambda n: fake)
+    doubled = MultiGraph(2, ((1, 2, 2),))
+    real = connectivity.is_chorded_cycle_free
+    monkeypatch.setattr(
+        connectivity, "is_chorded_cycle_free", lambda h: h != doubled and real(h)
+    )
+    bridge_counts = {
+        b: len(bridges_by_deletion(EdgeSet(5, b)))
+        for b in range(1 << 10) if uf_connected_bits(5, b)
+    }
+    checked, findings = removability_findings(5)
+    assert checked == 728 and 2 in bridge_counts.values()
+    assert findings == [
+        {"graph": EdgeSet(5, b).text(), "problem": "removable set of size 1"}
+        for b, count in bridge_counts.items() if count == 1
+    ]
+
+
+@pytest.mark.parametrize("sweep", [skeleton_findings, removability_findings])
+@pytest.mark.parametrize("n, override", [(7, False), (8, True)])
+def test_sweeps_check_the_budget_before_any_plane(monkeypatch, sweep, n, override):
+    import connposet.connectivity as connectivity
+
+    def no_planes(n):
+        raise AssertionError(f"planes started at n={n}")
+
+    monkeypatch.setattr(connectivity, "_planes", no_planes)
+    with pytest.raises(BudgetExceededError, match=f"full scan at n={n} exceeds"):
+        sweep(n, override)
+
+
 # ---------------------------------------------------------------------------
 # multigraphs
 
@@ -328,6 +436,16 @@ def test_induced_bits_relabels_in_order(n):
                 if i in verts and j in verts
             )
             assert _induced_bits(n, bits, mask) == (len(verts), expected)
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_chorded_cycle_free_up_to_two_edges(q):
+    # a chorded cycle needs three edges, so the shapes that the removability
+    # sweep reads off the planes (no edge, one doubled edge) always pass
+    pairs = list(combinations(range(1, q + 1), 2))
+    for k in range(3):
+        for chosen in combinations_with_replacement(pairs, k):
+            assert is_chorded_cycle_free(MultiGraph.from_pairs(q, chosen)), chosen
 
 
 def test_doubled_star_is_tight():

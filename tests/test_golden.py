@@ -5,8 +5,8 @@ sha256 of the stdout it produced when the file was recorded.  The commands
 cover every subcommand at n <= 5 in json, ndjson and csv, the n = 6
 commands of the benchmark workloads, the other n = 6 formats of `matchings`
 and `chains`, `lemma tech` at n = 6, and the census, `lemma disc`,
-`lemma irk`, `explore quotient` and `explore hamiltonian` at n = 7.  Stderr
-is not compared.
+`lemma irk`, `lemma skeleton`, `lemma removable`, `explore quotient` and
+`explore hamiltonian` at n = 7.  Stderr is not compared.
 
 Re-record (only after a deliberate output change) with
 
@@ -81,14 +81,18 @@ TECH_COMMANDS = [("lemma", "tech", "--n", "6")]
 
 
 # census and disc at n = 7, recorded from the per-mask predicate scans, irk
-# at n = 7, recorded from the labelled walk over the bridgeless graphs, and
-# the quotient at n = 7, recorded from the per-bit relabelling and the
-# labelled-graph canon dict, and the Hamiltonian poset at n = 7, recorded
-# from the per-mask predicate scan and the member-list closure loops
+# at n = 7, recorded from the labelled walk over the bridgeless graphs, the
+# quotient at n = 7, recorded from the per-bit relabelling and the
+# labelled-graph canon dict, the Hamiltonian poset at n = 7, recorded from
+# the per-mask predicate scan and the member-list closure loops, and the
+# skeleton and removability sweeps at n = 7, recorded from the labelled walk
+# that gave each connected graph its cut labels
 N7_COMMANDS = [
     ("census", "--n", "7", "--budget-override", "--family", family) for family in FAMILIES
 ] + [("lemma", "disc", "--n", "7", "--budget-override"),
      ("lemma", "irk", "--n", "7", "--budget-override"),
+     ("lemma", "skeleton", "--n", "7", "--budget-override"),
+     ("lemma", "removable", "--n", "7", "--budget-override"),
      ("explore", "quotient", "--n", "7", "--budget-override"),
      ("explore", "hamiltonian", "--n", "7", "--budget-override")]
 
