@@ -26,21 +26,16 @@ from typing import Iterable, Iterator, Sequence
 from .graphs import (
     EdgeSet,
     _leaving_planes,
-    _level_bits,
-    _plane_members,
     _planes,
     _shadow_bits,
     _sliced_count,
     _sliced_equal,
+    _sliced_greater,
     _slot_pairs,
     _validate_uniform,
     slot_count,
 )
-from .connectivity import (
-    _cut_labels,
-    _removable_of,
-    _skeleton_split,
-)
+from .connectivity import _SkeletonPlanes, _skeleton_planes
 from .limits import check_scan_budget
 
 LOG2_TOL = 1e-9
@@ -561,15 +556,15 @@ def tech_inequality_eval(
     return TechEvaluation(lhs=lhs, hypothesis_met=hypothesis)
 
 
-def _part_r_values(n: int, bits: int, labels: dict[int, int], masks: Sequence[int]) -> list[int]:
-    """|R| of each skeleton part (vertex mask): its share of _removable_of, as
-    a part's 2-edge cuts are the whole graph's among its non-bridge edges."""
-    pairs = _slot_pairs(n)
-    r_values = [0] * len(masks)
-    for s in _removable_of(bits, labels):
-        i = pairs[s][0]
-        r_values[next(p for p, mask in enumerate(masks) if mask >> i & 1)] += 1
-    return r_values
+def _part_removable_planes(sk: _SkeletonPlanes) -> list[int]:
+    """Per slot s, the graphs x where s lies in R of its part of G - B: x
+    keeps s and x - s has more bridges than x (bit x of d << 2^s is bit
+    x - 2^s of d), as deleting s adds bridges only inside its own part."""
+    bridges = _sliced_count(sk.bridges)
+    return [
+        _sliced_greater([d << (1 << s) for d in bridges], bridges, kept)
+        for s, kept in enumerate(sk.kept)
+    ]
 
 
 def tech_inequality_sweep(n: int, budget_override: bool = False) -> dict:
@@ -579,40 +574,48 @@ def tech_inequality_sweep(n: int, budget_override: bool = False) -> dict:
     least M edges whose skeleton meets the hypothesis.  The guarantee is
     asymptotic, so the sweep reports the empirical minimum instead of
     asserting lhs >= n.
+
+    Every term is a bit-sliced count on the skeleton planes, for all graphs
+    at once.  With S the vertex pairs inside one part of G - B (the reach
+    planes), sum_{i<j} a_i a_j is m - S, so the left side is
+    m + 2 - (S + 2t + sum_i r_i); the excluded shape (n-1, 1) is t = 2 with
+    S = binom(n-1, 2).
     """
     check_scan_budget(n, budget_override)
     planes = _planes(n)
-    M = (slot_count(n) + 1) // 2
-    # connected with a bridge (not 2-edge-connected), on a level k >= M
-    upper = 0
-    for level in planes.levels[M:]:
-        upper |= level
-    candidates = planes.connected & ~planes.two_edge_connected & upper
-    checked = excluded = holding = 0
-    # the walk runs in ascending bits; the witness is the first minimum in
-    # level order, so the minimum is taken over (lhs, k, bits)
-    best: tuple[int, int, int] | None = None
-    for bits in _plane_members(candidates):
-        labels = _cut_labels(n, bits)
-        _, masks = _skeleton_split(n, bits, labels)
-        parts = [mask.bit_count() for mask in masks]
-        ev = tech_inequality_eval(parts, _part_r_values(n, bits, labels, masks), n)
-        if not ev.hypothesis_met:
-            excluded += 1
+    m = slot_count(n)
+    M = (m + 1) // 2
+    # connected with a bridge (not 2-edge-connected), on a level k >= M (the
+    # level planes are disjoint, so their sum is their union)
+    candidates = (planes.connected ^ planes.two_edge_connected) & sum(planes.levels[M:])
+    sk = _skeleton_planes(n)
+    inside = [sk.reach[i][j] for i, j in _slot_pairs(n)]
+    excluded = _sliced_equal(_sliced_count(sk.leaders), 2, candidates) & _sliced_equal(
+        _sliced_count(inside), comb(n - 1, 2), candidates
+    )
+    checked = candidates ^ excluded
+    total = _sliced_count(inside + sk.leaders + sk.leaders + _part_removable_planes(sk))
+    holding = 0
+    best = None
+    # the witness is the first minimum in (lhs, k, bits) order: the largest
+    # total, on its lowest level, at its lowest bit
+    for value in reversed(range(1 << len(total))):
+        plane = _sliced_equal(total, value, checked)
+        if not plane:
             continue
-        checked += 1
-        if ev.lhs >= n:
-            holding += 1
-        key = (ev.lhs, bits.bit_count(), bits)
-        if best is None or key < best:
-            best = key
+        lhs = m + 2 - value
+        if lhs >= n:
+            holding += plane.bit_count()
+        if best is None:
+            low = next(plane & level for level in planes.levels if plane & level)
+            best = lhs, (low & -low).bit_length() - 1
     return {
         "n": n,
-        "checked": checked,
-        "excluded": excluded,
+        "checked": checked.bit_count(),
+        "excluded": excluded.bit_count(),
         "holding": holding,
         "empirical_min": None if best is None else best[0],
-        "witness": None if best is None else f"{n}:{best[2]:x}",
+        "witness": None if best is None else f"{n}:{best[1]:x}",
     }
 
 
@@ -668,6 +671,33 @@ def _pick_r_smallest(n: int, x: float, epsilon: float) -> int | None:
     return None
 
 
+def _shadow_plane(slots: Sequence[int], plane: int) -> int:
+    """The graphs one edge below a member of the plane: OR_s (P & E_s) >> 2^s,
+    as bit x of the shift is bit x + 2^s of P & E_s."""
+    out = 0
+    for s, slot in enumerate(slots):
+        out |= (plane & slot) >> (1 << s)
+    return out
+
+
+def _shadow_counts(n: int, k: int) -> tuple[int, int, int, int, int, int]:
+    """The sizes of level k's connected graphs X, their 2-edge-connected side
+    Y and the rest Z, of shadow(X) and shadow(Z) in the connected universe,
+    and of the 2-edge-connected graphs in shadow(Y), on the universe planes."""
+    planes = _planes(n)
+    level = planes.connected & planes.levels[k]
+    y = planes.two_edge_connected & level
+    z = level ^ y
+    shadow_y = _shadow_plane(planes.slots, y)
+    # deleting any edge of a bridgeless graph keeps it connected, so the
+    # full-universe shadow of Y must already be the connected one
+    if shadow_y & planes.connected != shadow_y:
+        raise AssertionError("shadow of the 2-edge-connected side left the universe")
+    shadow_z = _shadow_plane(planes.slots, z) & planes.connected
+    return (level.bit_count(), y.bit_count(), z.bit_count(), (shadow_y | shadow_z).bit_count(),
+            shadow_z.bit_count(), (shadow_y & planes.two_edge_connected).bit_count())
+
+
 def shadow_ratio_report(
     n: int,
     k: int | None = None,
@@ -691,33 +721,11 @@ def shadow_ratio_report(
     m = slot_count(n)
     M = (m + 1) // 2
     ks = [k] if k is not None else list(range(M + 1, min(M + n, m + 1)))
-    connected = _level_bits(n, "connected")
-    two_ec = _level_bits(n, "two_edge_connected")
     rows: list[BoundReport] = []
     for lvl in ks:
         if not (M < lvl < M + n and lvl <= m):
             raise ValueError(f"level {lvl} outside the report range ({M}, {min(M + n, m + 1)})")
-        level_bits = set(connected[lvl])
-        y_bits = set(two_ec[lvl])
-        z_bits = level_bits - y_bits
-        if len(y_bits) + len(z_bits) != len(connected[lvl]):
-            raise AssertionError("2-edge-connected level is not a subset of the connected level")
-
-        down_connected = set(connected[lvl - 1])
-        down_two_ec = set(two_ec[lvl - 1])
-
-        def conn_shadow(bits_set: set[int]) -> set[int]:
-            return _shadow_bits(bits_set) & down_connected
-
-        shadow_y = conn_shadow(y_bits)
-        # deleting any edge of a bridgeless graph keeps it connected, so the
-        # full-universe shadow of Y must already be the connected one
-        if y_bits and _shadow_bits(y_bits) != shadow_y:
-            raise AssertionError("shadow of the 2-edge-connected side left the universe")
-        shadow_z = conn_shadow(z_bits)
-        shadow_x = shadow_y | shadow_z
-
-        size_x = len(level_bits)
+        size_x, size_y, size_z, shadow_x, shadow_z, retained = _shadow_counts(n, lvl)
         x_val = binom_inverse(size_x, lvl)
         guard = ext_binom(n - 1, 2).value() + epsilon * n
         rows.append(
@@ -732,16 +740,15 @@ def shadow_ratio_report(
                     "guard_ok": x_val > guard,
                 },
                 lhs=LogValue.from_int(size_x),
-                rhs=LogValue.from_int(len(shadow_x)),
+                rhs=LogValue.from_int(shadow_x),
                 note="asymptotic; claim applies when x exceeds the guard",
             )
         )
 
         r_theorem = _pick_r_interval(n, x_val, epsilon)
-        if y_bits:
-            y_val = binom_inverse(len(y_bits), lvl)
+        if size_y:
+            y_val = binom_inverse(size_y, lvl)
             r_y = _pick_r_smallest(n, y_val, epsilon)
-            retained = len(shadow_y & down_two_ec)
             # skip when nothing can be retained (the level below has no
             # 2-edge-connected graphs); a zero count has no finite log
             if r_y is not None and retained > 0:
@@ -755,16 +762,16 @@ def shadow_ratio_report(
                             "epsilon": epsilon,
                             "r": r_y,
                             "y": y_val,
-                            "size": len(y_bits),
+                            "size": size_y,
                             "retained": retained,
                         },
-                        lhs=LogValue.from_real(ratio_bound * len(y_bits)),
+                        lhs=LogValue.from_real(ratio_bound * size_y),
                         rhs=LogValue.from_int(retained),
                         note="asymptotic; reported only",
                     )
                 )
-        if z_bits:
-            z_val = binom_inverse(len(z_bits), lvl)
+        if size_z:
+            z_val = binom_inverse(size_z, lvl)
             r_z = _pick_r_smallest(n, z_val, epsilon)
             if r_z is not None:
                 growth = 1 + (4 - 4 * r_z / n) / n
@@ -777,20 +784,20 @@ def shadow_ratio_report(
                             "epsilon": epsilon,
                             "r": r_z,
                             "z": z_val,
-                            "size": len(z_bits),
-                            "shadow_size": len(shadow_z),
+                            "size": size_z,
+                            "shadow_size": shadow_z,
                         },
-                        lhs=LogValue.from_real(growth * len(z_bits)),
-                        rhs=LogValue.from_int(len(shadow_z)),
+                        lhs=LogValue.from_real(growth * size_z),
+                        rhs=LogValue.from_int(shadow_z),
                         note="asymptotic; reported only",
                     )
                 )
         # unbalanced-split row with its own constants
         r0 = -(-2 * n // 3)
-        unbalanced = len(z_bits) > n * len(y_bits) or len(y_bits) > n * len(z_bits)
+        unbalanced = size_z > n * size_y or size_y > n * size_z
         z_threshold_ok = None
-        if z_bits:
-            z_threshold_ok = binom_inverse(len(z_bits), lvl) > _threshold(n, r0, diff_epsilon)
+        if size_z:
+            z_threshold_ok = binom_inverse(size_z, lvl) > _threshold(n, r0, diff_epsilon)
         rows.append(
             BoundReport(
                 name="shadow_unbalanced_split",
@@ -803,7 +810,7 @@ def shadow_ratio_report(
                     "z_threshold_ok": z_threshold_ok,
                 },
                 lhs=LogValue.from_int(size_x),
-                rhs=LogValue.from_int(len(shadow_x)),
+                rhs=LogValue.from_int(shadow_x),
                 note="claim applies only when the split is unbalanced",
             )
         )

@@ -20,20 +20,17 @@ import sys
 from . import bounds, connectivity, graphs, poset, quotient
 from .limits import BudgetExceededError, check_scan_budget
 
-LEMMA_IDS = (
-    "squares",
-    "disc",
-    "skeleton",
-    "removable",
-    "chorded",
-    "irk",
-    "tech",
-    "lovasz",
-    "technical",
-    "shadow-ratio",
-    "appendix",
-    "selftest",
-)
+# The sweep flags each lemma reads, with their defaults.  Every sweep flag is
+# None on the parser, so one given to a lemma that does not read it shows and
+# is a usage error; --format, --out, --budget-override and --workers are
+# taken by every lemma.
+SWEEP_FLAGS = ("n", "k", "epsilon", "seed", "trials", "q_max", "n_max")
+LEMMA_FLAGS = {
+    "squares": {"n_max": 20}, "disc": {"n": 5}, "skeleton": {"n": 5}, "removable": {"n": 5},
+    "chorded": {"q_max": 5}, "irk": {"n": 5, "epsilon": 1.0}, "tech": {"n": 5},
+    "lovasz": {"n": 5, "seed": 0, "trials": 200}, "technical": {"seed": 0, "trials": 100_000},
+    "shadow-ratio": {"n": 5, "k": None, "epsilon": 1 / 18}, "appendix": {}, "selftest": {},
+}
 
 FORMATS = ("json", "ndjson", "csv")
 
@@ -45,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, default_n: int = 4) -> None:
+    def common(p: argparse.ArgumentParser, default_n: int | None = 4) -> None:
         p.add_argument("--n", type=int, default=default_n, help="vertex count")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility; has no effect")
@@ -69,14 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(family(sub.add_parser("chains", help="chain partition through the largest level")))
 
     lemma = sub.add_parser("lemma", help="run one verification sweep")
-    lemma.add_argument("id", choices=LEMMA_IDS)
+    lemma.add_argument("id", choices=LEMMA_FLAGS)
     lemma.add_argument("--k", type=int, default=None, help="edge-count level")
     lemma.add_argument("--epsilon", type=float, default=None)
-    lemma.add_argument("--seed", type=int, default=0)
+    lemma.add_argument("--seed", type=int, default=None)
     lemma.add_argument("--trials", type=int, default=None, help="randomized trial count")
-    common(lemma, default_n=5)
-    lemma.add_argument("--q-max", type=int, default=5, help="multigraph sweep size")
-    lemma.add_argument("--n-max", type=int, default=20,
+    common(lemma, default_n=None)
+    lemma.add_argument("--q-max", type=int, default=None, help="multigraph sweep size")
+    lemma.add_argument("--n-max", type=int, default=None,
                        help="largest n for the composition sweep (squares)")
 
     explore = sub.add_parser("explore", help="open-question explorers")
@@ -301,6 +298,12 @@ def _at_least_one(flag: str, value: int) -> int:
 
 def _cmd_lemma(args) -> int:
     name = args.id
+    reads = LEMMA_FLAGS[name]
+    for dest in SWEEP_FLAGS:
+        if getattr(args, dest) is None:
+            setattr(args, dest, reads.get(dest))
+        elif dest not in reads:
+            raise ValueError(f"lemma {name} does not read --{dest.replace('_', '-')}")
     if name == "squares":
         checked, violations = bounds.squares_sweep(_at_least_one("--n-max", args.n_max))
         doc = {"lemma": "squares", "n_max": args.n_max, "checked": checked,
@@ -351,12 +354,11 @@ def _cmd_lemma(args) -> int:
         return _fail("chorded", findings) if findings else 0
 
     if name == "irk":
-        epsilon = args.epsilon if args.epsilon is not None else 1.0
-        census = bounds.i_r_census(args.n, epsilon, args.budget_override)
+        census = bounds.i_r_census(args.n, args.epsilon, args.budget_override)
         doc = {
             "lemma": "irk",
             "n": args.n,
-            "epsilon": epsilon,
+            "epsilon": args.epsilon,
             "table": {f"{k},{r}": c for (k, r), c in sorted(census.table.items())},
             "rows": _report_rows(census.reports),
         }
@@ -378,7 +380,7 @@ def _cmd_lemma(args) -> int:
         return 0
 
     if name == "lovasz":
-        trials = _at_least_one("--trials", args.trials if args.trials is not None else 200)
+        trials = _at_least_one("--trials", args.trials)
         rng = random.Random(args.seed)
         m = graphs.slot_count(args.n)
         check_scan_budget(args.n, args.budget_override)
@@ -407,7 +409,7 @@ def _cmd_lemma(args) -> int:
         return _fail("lovasz", violations) if violations else 0
 
     if name == "technical":
-        trials = _at_least_one("--trials", args.trials if args.trials is not None else 100_000)
+        trials = _at_least_one("--trials", args.trials)
         rng = random.Random(args.seed)
         violations = []
         for _ in range(trials):
@@ -425,11 +427,10 @@ def _cmd_lemma(args) -> int:
         return _fail("technical", violations) if violations else 0
 
     if name == "shadow-ratio":
-        epsilon = args.epsilon if args.epsilon is not None else 1 / 18
         rows = bounds.shadow_ratio_report(
-            args.n, args.k, epsilon, budget_override=args.budget_override
+            args.n, args.k, args.epsilon, budget_override=args.budget_override
         )
-        doc = {"lemma": "shadow-ratio", "n": args.n, "epsilon": epsilon,
+        doc = {"lemma": "shadow-ratio", "n": args.n, "epsilon": args.epsilon,
                "rows": _report_rows(rows)}
         _emit(doc, _report_rows(rows), args.fmt, args.out)
         return 0

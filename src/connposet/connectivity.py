@@ -98,8 +98,8 @@ def _bridges_of(bits: int, labels: dict[int, int]) -> list[int]:
 
 
 def _removable_of(bits: int, labels: dict[int, int]) -> list[int]:
-    """R(G) of a bridgeless graph, ascending, or in general the union of R over
-    the skeleton parts: the non-bridge edges whose label another edge shares."""
+    """R(G) of a bridgeless graph, ascending: the edges whose label another
+    edge shares."""
     count = Counter(labels.values())
     return [s for s in _iter_bits(bits) if labels[s] and count[labels[s]] > 1]
 
@@ -141,23 +141,16 @@ class Skeleton:
         return len(self.parts)
 
 
-def _skeleton_split(n: int, bits: int, labels: dict[int, int]) -> tuple[list[int], list[int]]:
-    """Bridge slots of a connected graph and the vertex masks of the parts
-    left after deleting them, ordered by smallest vertex."""
-    bridge_slots = _bridges_of(bits, labels)
-    return bridge_slots, _components_without(n, bits, bridge_slots)
-
-
 def skeleton(g: EdgeSet) -> Skeleton:
     """Skeleton of a connected graph; parts sorted by smallest member."""
     labels = _cut_labels(g.n, g.bits)
     if labels is None:
         raise ValueError("skeleton requires a connected graph")
-    bridge_slots, comps = _skeleton_split(g.n, g.bits, labels)
+    bridge_slots = _bridges_of(g.bits, labels)
     pairs = _slot_pairs(g.n)
     return Skeleton(
         tuple(sorted(pairs[s] for s in bridge_slots)),
-        tuple(_mask_vertices(m) for m in comps),
+        tuple(_mask_vertices(m) for m in _components_without(g.n, g.bits, bridge_slots)),
     )
 
 
@@ -196,11 +189,6 @@ def _bridgeless_labels(n: int, bits: int) -> dict[int, int]:
     if labels is None or 0 in labels.values():
         raise ValueError("removable edges require a 2-edge-connected graph")
     return labels
-
-
-def _removable_slots(n: int, bits: int) -> list[int]:
-    """R(G) of a 2-edge-connected graph, ascending."""
-    return _removable_of(bits, _bridgeless_labels(n, bits))
 
 
 def _removal_split(
@@ -451,6 +439,7 @@ def _bits_at(planes: Sequence[int], x: int) -> int:
 class _SkeletonPlanes(NamedTuple):
     bridges: list[int]  # B_s: slot s is a bridge of x
     kept: list[int]  # H_s: x holds s and s is no bridge, an edge of G - B
+    reach: list[list[int]]  # reach[u][v]: u < n reaches v in G - B
     leaders: list[int]  # per vertex v (index v - 1): v leads its part of G - B
 
 
@@ -459,7 +448,7 @@ def _skeleton_planes(n: int) -> _SkeletonPlanes:
     planes = _planes(n)
     bridges = _leaving_planes(planes.slots, planes.connected)
     kept = [plane ^ bridge for plane, bridge in zip(planes.slots, bridges)]
-    return _SkeletonPlanes(bridges, kept, _part_planes(n, kept, planes.connected)[1])
+    return _SkeletonPlanes(bridges, kept, *_part_planes(n, kept, planes.connected))
 
 
 class _RemovalPlanes(NamedTuple):

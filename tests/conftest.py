@@ -12,10 +12,11 @@ the two sides of every check share no code path.  The exceptions are
 predicates on every pattern, because what it checks is which patterns the
 sweep skips, `iso_classes_by_relabel`, which relabels through the
 package's `quotient.relabel`, and the walk behind
-`skeleton_findings_by_walk` and `removability_findings_by_walk`, which
-gives each connected graph its cut labels from `connectivity._cut_labels`
-and looks each skeleton part up in the two-edge-connected plane of its own
-vertex count, because what it checks is the plane route of the sweeps.
+`skeleton_findings_by_walk`, `removability_findings_by_walk` and
+`tech_sweep_by_walk`, which gives each connected graph its cut labels from
+`connectivity._cut_labels` and looks each skeleton part up in the
+two-edge-connected plane of its own vertex count or retests it alone,
+because what it checks is the plane route of the sweeps.
 """
 
 from collections import Counter
@@ -359,17 +360,24 @@ def _two_edge_connected_table(n):
     return _planes(n).two_edge_connected.to_bytes(((1 << comb(n, 2)) + 7) // 8, "little")
 
 
+def _skeleton_parts(n, bits, labels):
+    """Bridge slots of a connected graph, from its cut labels, and the vertex
+    masks of the parts left after deleting them."""
+    from connposet.connectivity import _bridges_of, _components_without
+
+    bridge_slots = _bridges_of(bits, labels)
+    return bridge_slots, _components_without(n, bits, bridge_slots)
+
+
 def skeleton_findings_by_walk(n):
     """connectivity.skeleton_findings from the labelled walk: each graph's
     bridges and parts from its cut labels, each part relabelled and looked
     up in the two-edge-connected plane of its own vertex count."""
-    from connposet.connectivity import _skeleton_split
-
     findings = []
     checked = 0
     for bits, labels in _labelled_graphs(n):
         checked += 1
-        bridge_slots, parts = _skeleton_split(n, bits, labels)
+        bridge_slots, parts = _skeleton_parts(n, bits, labels)
         if len(bridge_slots) != len(parts) - 1:
             findings.append(
                 {"graph": f"{n}:{bits:x}", "problem": "bridge count != t-1",
@@ -412,3 +420,39 @@ def removability_findings_by_walk(n):
                  "condensation": condensed.to_json()}
             )
     return checked, findings
+
+
+def tech_sweep_by_walk(n):
+    """bounds.tech_inequality_sweep from the labelled walk: each connected
+    graph with a bridge and at least M edges split into its skeleton parts
+    from its cut labels, each part's |R| from removable_by_retest on the part
+    relabelled alone, and the minimum taken over (lhs, k, bits)."""
+    from connposet import EdgeSet
+
+    M = (comb(n, 2) + 1) // 2
+    checked = excluded = holding = 0
+    best = None
+    for bits, labels in _labelled_graphs(n):
+        bridge_slots, masks = _skeleton_parts(n, bits, labels)
+        if not bridge_slots or bits.bit_count() < M:
+            continue
+        parts = [mask.bit_count() for mask in masks]
+        if len(parts) == 2 and min(parts) == 1:
+            excluded += 1
+            continue
+        checked += 1
+        r = sum(len(removable_by_retest(EdgeSet(*_induced_bits(n, bits, mask))))
+                for mask in masks)
+        lhs = (n * n - sum(a * a for a in parts)) // 2 - 2 * (len(parts) - 1) - r
+        holding += lhs >= n
+        key = (lhs, bits.bit_count(), bits)
+        if best is None or key < best:
+            best = key
+    return {
+        "n": n,
+        "checked": checked,
+        "excluded": excluded,
+        "holding": holding,
+        "empirical_min": None if best is None else best[0],
+        "witness": None if best is None else f"{n}:{best[2]:x}",
+    }

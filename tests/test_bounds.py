@@ -22,19 +22,24 @@ from connposet import (
 )
 from connposet.bounds import (
     LogValue,
-    _part_r_values,
+    _part_removable_planes,
+    _shadow_counts,
     appendix_grid,
     squares_sweep,
     tech_inequality_sweep,
 )
-from connposet.connectivity import (
-    _removable_of,
-    _removable_slots,
-    _skeleton_split,
-)
+from connposet.connectivity import _bits_at, _removable_of, _skeleton_planes
 from connposet.graphs import _level_bits, level_census, slot_count
 
-from conftest import _induced_bits, _labelled_graphs, irk_table_by_retest
+from conftest import (
+    _induced_bits,
+    _labelled_graphs,
+    irk_table_by_retest,
+    pairs_on,
+    removable_by_retest,
+    tech_sweep_by_walk,
+    uf_connected_bits,
+)
 
 
 def frac_binom_log2(x: float, k: int) -> float:
@@ -361,39 +366,52 @@ def test_tech_sweep_n5():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_tech_sweep_labels_only_the_witness_plane(n, monkeypatch):
-    # one cut labelling per connected graph with a bridge and at least M
-    # edges: 5,040 at n = 6, of the 26,704 connected graphs
-    import connposet.bounds as bounds_mod
+def test_tech_sweep_matches_walk(n):
+    assert tech_inequality_sweep(n) == tech_sweep_by_walk(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tech_sweep_labels_no_graph(n, monkeypatch):
+    # every term comes from the planes: no graph gets its cut labels, and
+    # the sweep covers each connected graph with a bridge and at least M
+    # edges (5,040 at n = 6, of the 26,704 connected graphs)
+    import connposet.connectivity as connectivity_mod
 
     labelled = []
-    real = bounds_mod._cut_labels
+    real = connectivity_mod._cut_labels
 
     def spy(n, bits):
-        labels = real(n, bits)
-        labelled.append((bits, labels))
-        return labels
+        labelled.append(bits)
+        return real(n, bits)
 
-    monkeypatch.setattr(bounds_mod, "_cut_labels", spy)
+    monkeypatch.setattr(connectivity_mod, "_cut_labels", spy)
     summary = tech_inequality_sweep(n)
+    assert labelled == []
     M = (slot_count(n) + 1) // 2
     connected = level_census(n, "connected").counts
     bridgeless = level_census(n, "two_edge_connected").counts
-    assert len(labelled) == sum(connected[M:]) - sum(bridgeless[M:])
-    assert [bits for bits, _ in labelled] == sorted(bits for bits, _ in labelled)
-    assert all(b.bit_count() >= M and 0 in labels.values() for b, labels in labelled)
-    assert summary["checked"] + summary["excluded"] == len(labelled)
+    candidates = sum(connected[M:]) - sum(bridgeless[M:])
+    assert summary["checked"] + summary["excluded"] == candidates
     if n == 6:
-        assert len(labelled) == 5040
+        assert candidates == 5040
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_part_r_values_match_relabelled_parts(n):
-    # the whole graph's labels against each part relabelled and labelled alone
-    for bits, labels in _labelled_graphs(n):
-        _, masks = _skeleton_split(n, bits, labels)
-        expected = [len(_removable_slots(*_induced_bits(n, bits, mask))) for mask in masks]
-        assert _part_r_values(n, bits, labels, masks) == expected, f"{n}:{bits:x}"
+    # the plane R of each skeleton part, slot by slot, against the part
+    # relabelled and retested alone; its popcount is the graph's sum of r_i
+    from connposet import skeleton
+
+    removable = _part_removable_planes(_skeleton_planes(n))
+    slot = {pair: s for s, pair in enumerate(pairs_on(n))}
+    for bits in range(1 << slot_count(n)):
+        expected = 0
+        if uf_connected_bits(n, bits):
+            for part in skeleton(EdgeSet(n, bits)).parts:
+                mask = sum(1 << v for v in part)
+                for a, b in removable_by_retest(EdgeSet(*_induced_bits(n, bits, mask))):
+                    expected |= 1 << slot[part[a - 1], part[b - 1]]
+        assert _bits_at(removable, bits) == expected, f"{n}:{bits:x}"
 
 
 def test_technical_lemma_examples():
@@ -429,6 +447,28 @@ def test_shadow_ratio_report_generates(n, epsilon):
         assert math.isfinite(row.lhs.log2)
         assert math.isfinite(row.rhs.log2)
         assert math.isfinite(row.margin_log2)
+
+
+def _set_shadow(members, m):
+    return {bits ^ 1 << s for bits in members for s in range(m) if bits >> s & 1}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_shadow_counts_match_sets(n):
+    # the plane shadow algebra against the per-level member sets and their
+    # shadows, one deletion at a time
+    m = slot_count(n)
+    connected = _level_bits(n, "connected")
+    two = _level_bits(n, "two_edge_connected")
+    for k in range(1, m + 1):
+        x, y = set(connected[k]), set(two[k])
+        down = set(connected[k - 1])
+        shadow_y = _set_shadow(y, m) & down
+        shadow_z = _set_shadow(x - y, m) & down
+        assert _shadow_counts(n, k) == (
+            len(x), len(y), len(x - y), len(shadow_y | shadow_z), len(shadow_z),
+            len(shadow_y & set(two[k - 1])),
+        ), k
 
 
 def test_shadow_ratio_level_identity():

@@ -123,6 +123,50 @@ def test_flags_a_subcommand_would_ignore_exit_2(args):
     assert f"unrecognized arguments: {args[-2]} {args[-1]}" in proc.stderr
 
 
+# per lemma id, a sweep flag it does not read
+UNREAD_LEMMA_FLAGS = [
+    ("squares", "--n", "4"),
+    ("disc", "--epsilon", "0.5"),
+    ("skeleton", "--k", "3"),
+    ("removable", "--seed", "1"),
+    ("chorded", "--n", "9"),
+    ("chorded", "--epsilon", "2"),
+    ("irk", "--trials", "9"),
+    ("tech", "--epsilon", "3"),
+    ("tech", "--k", "2"),
+    ("tech", "--seed", "4"),
+    ("tech", "--trials", "9"),
+    ("tech", "--q-max", "2"),
+    ("tech", "--n-max", "3"),
+    ("lovasz", "--k", "3"),
+    ("technical", "--n", "4"),
+    ("shadow-ratio", "--q-max", "3"),
+    ("appendix", "--seed", "1"),
+    ("selftest", "--n", "4"),
+]
+
+
+@pytest.mark.parametrize("lemma,flag,value", UNREAD_LEMMA_FLAGS)
+def test_lemma_rejects_a_flag_it_does_not_read(lemma, flag, value):
+    proc = run_cli("lemma", lemma, flag, value, expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: lemma {lemma} does not read {flag}\n"
+
+
+def test_lemma_takes_workers_and_its_own_flags():
+    # --workers is taken everywhere; a lemma's own flags change its output
+    plain = run_cli("lemma", "chorded", "--q-max", "3").stdout
+    assert run_cli("lemma", "chorded", "--q-max", "3", "--workers", "2").stdout == plain
+    assert run_cli("lemma", "chorded", "--q-max", "2").stdout != plain
+
+
+def test_lemma_names_the_first_unread_flag():
+    proc = run_cli("lemma", "tech", "--n", "5", "--epsilon", "3", "--k", "2", "--seed", "4",
+                   "--trials", "9", "--q-max", "2", "--n-max", "3", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr == "error: lemma tech does not read --k\n"
+
+
 @pytest.mark.parametrize("lemma", ["skeleton", "removable"])
 @pytest.mark.parametrize("args", [("--n", "7"), ("--n", "8", "--budget-override")])
 def test_sweeps_exit_2_over_budget(lemma, args):

@@ -19,13 +19,12 @@ from connposet import (
 from connposet.connectivity import (
     _bits_at,
     _bridge_slots,
+    _bridgeless_labels,
     _components_without,
     _cut_labels,
     _removable_of,
-    _removable_slots,
     _removal_planes,
     _skeleton_planes,
-    _skeleton_split,
     _two_edge_connected_bits,
     chorded_cycle_sweep,
     doubled_star,
@@ -37,6 +36,7 @@ from connposet.limits import BudgetExceededError
 
 from conftest import (
     _induced_bits,
+    _skeleton_parts,
     bits_edges,
     bridges_by_deletion,
     chorded_sweep_all_patterns,
@@ -92,12 +92,12 @@ def assert_labels_match_oracles(n, bits):
         with pytest.raises(ValueError):
             _bridge_slots(n, bits)
     if two_ec:
-        slots = _removable_slots(n, bits)
+        slots = _removable_of(bits, _bridgeless_labels(n, bits))
         assert slots == sorted(slots)
         assert sorted(pairs[s] for s in slots) == removable_by_retest(g)
     else:
         with pytest.raises(ValueError):
-            _removable_slots(n, bits)
+            _bridgeless_labels(n, bits)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -250,22 +250,29 @@ def _leader_bits(parts):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_sweep_planes_match_cut_labels(n):
-    # per graph: the bridges B, the leaders of G - B (so t), R and the
-    # leaders of G - R (so q), against the cut labels
+    # per graph: the bridges B, the leaders of G - B (so t), the pairs that
+    # reach each other in G - B, R and the leaders of G - R (so q), against
+    # the cut labels
     sk = _skeleton_planes(n)
     rp = _removal_planes(n)
+    pairs = pairs_on(n)
+    inside = [sk.reach[i][j] for i, j in pairs]
     for x in range(1 << slot_count(n)):
         bridges, leaders = _bits_at(sk.bridges, x), _bits_at(sk.leaders, x)
         removable, parts = _bits_at(rp.removable, x), _bits_at(rp.leaders, x)
         labels = _cut_labels(n, x)
         if labels is None:
-            assert bridges == leaders == removable == parts == 0
+            assert bridges == leaders == removable == parts == _bits_at(inside, x) == 0
             continue
-        bridge_slots, skeleton_parts = _skeleton_split(n, x, labels)
+        bridge_slots, skeleton_parts = _skeleton_parts(n, x, labels)
         assert bridges == sum(1 << s for s in bridge_slots)
         assert bridges.bit_count() == len(bridge_slots)
         assert leaders == _leader_bits(skeleton_parts)
         assert leaders.bit_count() == len(skeleton_parts)
+        assert _bits_at(inside, x) == sum(
+            1 << s for s, (i, j) in enumerate(pairs)
+            if any(mask >> i & mask >> j & 1 for mask in skeleton_parts)
+        )
         if bridge_slots:
             assert removable == parts == 0
             continue

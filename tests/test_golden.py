@@ -4,9 +4,10 @@
 sha256 of the stdout it produced when the file was recorded.  The commands
 cover every subcommand at n <= 5 in json, ndjson and csv, the n = 6
 commands of the benchmark workloads, the other n = 6 formats of `matchings`
-and `chains`, `lemma tech` at n = 6, and the census, `lemma disc`,
-`lemma irk`, `lemma skeleton`, `lemma removable`, `explore quotient` and
-`explore hamiltonian` at n = 7.  Stderr is not compared.
+and `chains`, `lemma tech` and `lemma shadow-ratio` at n = 6, and the census,
+`lemma disc`, `lemma irk`, `lemma skeleton`, `lemma removable`, `lemma tech`,
+`lemma shadow-ratio`, `explore quotient` and `explore hamiltonian` at n = 7.
+Stderr is not compared.
 
 Re-record (only after a deliberate output change) with
 
@@ -76,8 +77,10 @@ WRITER_COMMANDS = [
 ]
 
 
-# the tech sweep at n = 6, recorded from parts relabelled and labelled alone
-TECH_COMMANDS = [("lemma", "tech", "--n", "6")]
+# the tech sweep at n = 6, recorded from parts relabelled and labelled alone,
+# and the shadow-ratio report at n = 6, recorded from the per-level bit lists
+# and their shadows as Python sets
+TECH_COMMANDS = [("lemma", "tech", "--n", "6"), ("lemma", "shadow-ratio", "--n", "6")]
 
 
 # census and disc at n = 7, recorded from the per-mask predicate scans, irk
@@ -86,13 +89,17 @@ TECH_COMMANDS = [("lemma", "tech", "--n", "6")]
 # labelled-graph canon dict, the Hamiltonian poset at n = 7, recorded from
 # the per-mask predicate scan and the member-list closure loops, and the
 # skeleton and removability sweeps at n = 7, recorded from the labelled walk
-# that gave each connected graph its cut labels
+# that gave each connected graph its cut labels, and the tech sweep and the
+# shadow-ratio report at n = 7, recorded from the same walk and from the
+# per-level bit lists
 N7_COMMANDS = [
     ("census", "--n", "7", "--budget-override", "--family", family) for family in FAMILIES
 ] + [("lemma", "disc", "--n", "7", "--budget-override"),
      ("lemma", "irk", "--n", "7", "--budget-override"),
      ("lemma", "skeleton", "--n", "7", "--budget-override"),
      ("lemma", "removable", "--n", "7", "--budget-override"),
+     ("lemma", "tech", "--n", "7", "--budget-override"),
+     ("lemma", "shadow-ratio", "--n", "7", "--budget-override"),
      ("explore", "quotient", "--n", "7", "--budget-override"),
      ("explore", "hamiltonian", "--n", "7", "--budget-override")]
 
