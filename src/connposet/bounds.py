@@ -35,7 +35,7 @@ from .graphs import (
     _validate_uniform,
     slot_count,
 )
-from .connectivity import _SkeletonPlanes, _skeleton_planes
+from .connectivity import _split_planes
 from .limits import check_scan_budget
 
 LOG2_TOL = 1e-9
@@ -556,14 +556,15 @@ def tech_inequality_eval(
     return TechEvaluation(lhs=lhs, hypothesis_met=hypothesis)
 
 
-def _part_removable_planes(sk: _SkeletonPlanes) -> list[int]:
-    """Per slot s, the graphs x where s lies in R of its part of G - B: x
-    keeps s and x - s has more bridges than x (bit x of d << 2^s is bit
-    x - 2^s of d), as deleting s adds bridges only inside its own part."""
-    bridges = _sliced_count(sk.bridges)
+def _part_removable_planes(bridges: list[int], kept: list[int]) -> list[int]:
+    """Per slot s, from the bridge and kept planes of the connected plane's
+    split, the graphs x where s lies in R of its part of G - B: x keeps s
+    and x - s has more bridges than x (bit x of d << 2^s is bit x - 2^s of
+    d), as deleting s adds bridges only inside its own part."""
+    count = _sliced_count(bridges)
     return [
-        _sliced_greater([d << (1 << s) for d in bridges], bridges, kept)
-        for s, kept in enumerate(sk.kept)
+        _sliced_greater([d << (1 << s) for d in count], count, plane)
+        for s, plane in enumerate(kept)
     ]
 
 
@@ -588,13 +589,14 @@ def tech_inequality_sweep(n: int, budget_override: bool = False) -> dict:
     # connected with a bridge (not 2-edge-connected), on a level k >= M (the
     # level planes are disjoint, so their sum is their union)
     candidates = (planes.connected ^ planes.two_edge_connected) & sum(planes.levels[M:])
-    sk = _skeleton_planes(n)
-    inside = [sk.reach[i][j] for i, j in _slot_pairs(n)]
-    excluded = _sliced_equal(_sliced_count(sk.leaders), 2, candidates) & _sliced_equal(
+    bridges, kept, leaders, reach = _split_planes(n, planes.connected)
+    inside = [reach[i][j] for i, j in _slot_pairs(n)]
+    del reach  # not read past here
+    excluded = _sliced_equal(_sliced_count(leaders), 2, candidates) & _sliced_equal(
         _sliced_count(inside), comb(n - 1, 2), candidates
     )
     checked = candidates ^ excluded
-    total = _sliced_count(inside + sk.leaders + sk.leaders + _part_removable_planes(sk))
+    total = _sliced_count(inside + leaders + leaders + _part_removable_planes(bridges, kept))
     holding = 0
     best = None
     # the witness is the first minimum in (lhs, k, bits) order: the largest

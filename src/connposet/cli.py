@@ -347,7 +347,7 @@ def _cmd_lemma(args) -> int:
         ]
         if sweep["mismatches"]:
             print(
-                f"note: block test and chorded-cycle search diverge on "
+                f"note: block test and chorded-cycle test diverge on "
                 f"{len(sweep['mismatches'])} instances (reported, not asserted)",
                 file=sys.stderr,
             )

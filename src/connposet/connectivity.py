@@ -17,7 +17,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import (
@@ -29,12 +29,13 @@ from .graphs import (
     _plane_members,
     _planes,
     _reach_planes,
+    _reachable_mask,
     _slot_pairs,
     _sliced_count,
     _sliced_equal,
     _sliced_greater,
 )
-from .limits import check_scan_budget
+from .limits import check_chorded_budget, check_scan_budget
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +235,6 @@ class MultiGraph:
     def edge_total(self) -> int:
         return sum(mult for _, _, mult in self.edges)
 
-    def multiplicities(self) -> dict[tuple[int, int], int]:
-        return {(u, v): mult for u, v, mult in self.edges}
-
     @classmethod
     def from_pairs(cls, q: int, pairs: Iterable[tuple[int, int]]) -> "MultiGraph":
         counts: dict[tuple[int, int], int] = {}
@@ -257,43 +255,35 @@ class MultiGraph:
         return cls(data["q"], tuple(tuple(e) for e in data["edges"]))
 
 
-def _has_spanning_cycle(vertices: tuple[int, ...], support: set[tuple[int, int]]) -> bool:
-    """Is there a cycle through all the given vertices (|vertices| >= 3)?"""
-    first, rest = vertices[0], vertices[1:]
-
-    def linked(a: int, b: int) -> bool:
-        return (a, b) in support if a < b else (b, a) in support
-
-    for perm in permutations(rest):
-        cyc = (first,) + perm
-        if all(linked(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))):
-            return True
-    return False
-
-
 def is_chorded_cycle_free(h: MultiGraph) -> bool:
-    """True iff no vertex subset carries a spanning cycle plus an extra edge.
+    """True iff no cycle of h has a chord: an edge off the cycle with both
+    ends on it (for a 2-cycle, a third parallel copy).
 
-    A pair joined by two parallel edges is a cycle; a third parallel edge is
-    a chord.  For larger subsets a chord is any edge (including a parallel
-    copy of a cycle edge) beyond the |S| edges the spanning cycle uses.
+    By Dirac and Plummer, a copy f of the pair uv is a chord exactly when
+    h - f still holds two internally disjoint u-v paths, a remaining
+    parallel copy counting as one.  So a pair of multiplicity 3 fails, a
+    doubled pair fails where some u-v path avoids uv, and a simple pair
+    fails unless u and v are disconnected in h - uv or one vertex w splits
+    them there (Menger).
     """
-    mults = h.multiplicities()
-    if any(c >= 3 for c in mults.values()):
-        return False
-    support = set(mults)
-    touched = sorted({v for u, v in support} | {u for u, v in support})
-    for size in range(3, len(touched) + 1):
-        for subset in combinations(touched, size):
-            members = set(subset)
-            inside = [
-                (pair, c) for pair, c in mults.items()
-                if pair[0] in members and pair[1] in members
-            ]
-            if sum(c for _, c in inside) < size + 1:
-                continue
-            if _has_spanning_cycle(subset, {pair for pair, _ in inside}):
-                return False
+    adj = [0] * (h.q + 1)
+    for u, v, _ in h.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    for u, v, mult in h.edges:
+        if mult >= 3:
+            return False
+        rest = list(adj)
+        rest[u] ^= 1 << v
+        rest[v] ^= 1 << u
+        reach = _reachable_mask(h.q, rest, u)
+        if not reach >> v & 1:
+            continue
+        if mult == 2 or all(
+            _reachable_mask(h.q, [a & ~(1 << w) for a in rest], u) >> v & 1
+            for w in _iter_bits(reach ^ 1 << u ^ 1 << v)
+        ):
+            return False
     return True
 
 
@@ -412,61 +402,35 @@ def _condense(n: int, bits: int, labels: dict[int, int]) -> tuple[RemovabilityRe
 # where a check flags it or where the planes leave its condensation open.
 
 
-def _part_planes(
-    n: int, kept: Sequence[int], within: int
-) -> tuple[list[list[int]], list[int]]:
-    """The parts of each graph x of the plane `within` with only its kept
-    edges left (kept[s]: the graphs that keep slot s).  Returns the reach
-    planes from each root u < n (reach[u][v]: u reaches v in x; reach[0] is
-    empty) and the leader planes (leaders[v - 1]: no smaller vertex reaches
-    v, so v is the smallest vertex of its part); the leaders count the parts."""
-    pairs = _slot_pairs(n)
-    reach = [[]] + [_reach_planes(n, pairs, kept, u, within) for u in range(1, n)]
-    leaders = []
-    for v in range(1, n + 1):
-        led = within
-        for u in range(1, v):
-            led ^= led & reach[u][v]
-        leaders.append(led)
-    return reach, leaders
-
-
 def _bits_at(planes: Sequence[int], x: int) -> int:
     """Graph x's row of the planes: bit i holds bit x of planes[i]."""
     return sum((plane >> x & 1) << i for i, plane in enumerate(planes))
 
 
-class _SkeletonPlanes(NamedTuple):
-    bridges: list[int]  # B_s: slot s is a bridge of x
-    kept: list[int]  # H_s: x holds s and s is no bridge, an edge of G - B
-    reach: list[list[int]]  # reach[u][v]: u < n reaches v in G - B
-    leaders: list[int]  # per vertex v (index v - 1): v leads its part of G - B
+class _SplitPlanes(NamedTuple):
+    leaving: list[int]  # slot s leaves the family at x: a bridge of x, or in R(x)
+    kept: list[int]  # x holds s and s does not leave: an edge of G - B, or of G - R
+    leaders: list[int]  # per vertex v (index v - 1): v is the smallest vertex of its part
+    reach: list[list[int]]  # reach[u][v]: u < n reaches v by kept edges (reach[0] empty)
 
 
-def _skeleton_planes(n: int) -> _SkeletonPlanes:
-    """The skeleton of every connected graph on [n], as planes."""
-    planes = _planes(n)
-    bridges = _leaving_planes(planes.slots, planes.connected)
-    kept = [plane ^ bridge for plane, bridge in zip(planes.slots, bridges)]
-    return _SkeletonPlanes(bridges, kept, *_part_planes(n, kept, planes.connected))
-
-
-class _RemovalPlanes(NamedTuple):
-    removable: list[int]  # R_s: slot s lies in R(x)
-    leaders: list[int]  # per vertex v (index v - 1): v leads its part of G - R
-    inner: list[int]  # slot s lies in R(x) with both ends in one part of G - R
-
-
-def _removal_planes(n: int) -> _RemovalPlanes:
-    """R(G) and the parts of G - R(G) of every 2-edge-connected graph on [n],
-    as planes."""
-    planes = _planes(n)
-    two = planes.two_edge_connected
-    removable = _leaving_planes(planes.slots, two)
-    kept = [plane ^ r for plane, r in zip(planes.slots, removable)]
-    reach, leaders = _part_planes(n, kept, two)
-    inner = [r & reach[i][j] for r, (i, j) in zip(removable, _slot_pairs(n))]
-    return _RemovalPlanes(removable, leaders, inner)
+def _split_planes(n: int, family: int) -> _SplitPlanes:
+    """Every graph x of the family plane split by the slots that leave it:
+    over the connected plane by its bridges into the parts of G - B, over
+    the two-edge-connected plane by R(G) into the parts of G - R(G).  The
+    leaders count the parts."""
+    pairs = _slot_pairs(n)
+    slots = _planes(n).slots
+    leaving = _leaving_planes(slots, family)
+    kept = [plane ^ out for plane, out in zip(slots, leaving)]
+    reach = [[]] + [_reach_planes(n, pairs, kept, u, family) for u in range(1, n)]
+    leaders = []
+    for v in range(1, n + 1):
+        led = family
+        for u in range(1, v):
+            led ^= led & reach[u][v]
+        leaders.append(led)
+    return _SplitPlanes(leaving, kept, leaders, reach)
 
 
 def skeleton_findings(n: int, budget_override: bool = False) -> tuple[int, list[dict]]:
@@ -476,15 +440,16 @@ def skeleton_findings(n: int, budget_override: bool = False) -> tuple[int, list[
     check_scan_budget(n, budget_override)
     pairs = _slot_pairs(n)
     connected = _planes(n).connected
-    sk = _skeleton_planes(n)
+    bridges, kept, leaders, reach = _split_planes(n, connected)
+    del reach  # not read: t counts the leaders
     # |B| + 1 = t: the bit-sliced count of the B_s and C against the leaders'
-    plus_one, t = _sliced_count(sk.bridges + [connected]), _sliced_count(sk.leaders)
+    plus_one, t = _sliced_count(bridges + [connected]), _sliced_count(leaders)
     miscounted = _sliced_greater(plus_one, t, connected) | _sliced_greater(t, plus_one, connected)
     # an edge s = (i, j) of G - B is a bridge of G - B where i reaches j only by s
     cut = []
     for s, (i, j) in enumerate(pairs):
-        holding = sk.kept[s] & connected
-        without = sk.kept[:s] + [0] + sk.kept[s + 1:]
+        holding = kept[s] & connected
+        without = kept[:s] + [0] + kept[s + 1:]
         cut.append(holding ^ _reach_planes(n, pairs, without, i, holding)[j])
     flagged = miscounted
     for plane in cut:
@@ -495,11 +460,11 @@ def skeleton_findings(n: int, budget_override: bool = False) -> tuple[int, list[
         if miscounted >> x & 1:
             findings.append(
                 {"graph": graph, "problem": "bridge count != t-1",
-                 "bridges": _bits_at(sk.bridges, x).bit_count(),
-                 "t": _bits_at(sk.leaders, x).bit_count()}
+                 "bridges": _bits_at(bridges, x).bit_count(),
+                 "t": _bits_at(leaders, x).bit_count()}
             )
         cut_slots = list(_iter_bits(_bits_at(cut, x)))
-        for mask in _component_masks(n, _bits_at(sk.kept, x)):
+        for mask in _component_masks(n, _bits_at(kept, x)):
             if any(mask >> pairs[s][0] & 1 for s in cut_slots):
                 findings.append(
                     {"graph": graph, "problem": "part not 2-edge-connected",
@@ -535,21 +500,23 @@ def removability_findings(n: int, budget_override: bool = False) -> tuple[int, l
     check_scan_budget(n, budget_override)
     pairs = _slot_pairs(n)
     two = _planes(n).two_edge_connected
-    rp = _removal_planes(n)
+    removable, kept, leaders, reach = _split_planes(n, two)
     # an R edge inside one part of G - R would be a loop of the condensation
+    inner = [r & reach[i][j] for r, (i, j) in zip(removable, pairs)]
+    del kept, reach  # not read past here
     stray = 0
-    for plane in rp.inner:
+    for plane in inner:
         stray |= plane
     if stray:
         x = (stray & -stray).bit_length() - 1
-        i, j = min(pair for pair, plane in zip(pairs, rp.inner) if plane >> x & 1)
+        i, j = min(pair for pair, plane in zip(pairs, inner) if plane >> x & 1)
         raise AssertionError(
             f"removable edge ({i},{j}) does not cross components in {n}:{x:x}"
         )
-    r_digits = _sliced_count(rp.removable)
-    q_digits = _sliced_count(rp.leaders)
+    r_digits = _sliced_count(removable)
+    q_digits = _sliced_count(leaders)
     # |R| > 2q - 2 is |R| + 2 > 2q
-    exceeds = _sliced_greater(_sliced_count(rp.removable + [two, two]), [0] + q_digits, two)
+    exceeds = _sliced_greater(_sliced_count(removable + [two, two]), [0] + q_digits, two)
     single = _sliced_equal(r_digits, 1, two)
     # few distinct condensations recur across the sweep; the memo lives
     # only as long as this call
@@ -564,7 +531,7 @@ def removability_findings(n: int, budget_override: bool = False) -> tuple[int, l
             if not free:
                 rejected_shapes.append((plane, condensed))
     # every other graph is condensed on its own, its R read from the planes
-    tables = _byte_tables(rp.removable, 1 << len(pairs))
+    tables = _byte_tables(removable, 1 << len(pairs))
     rejected: dict[int, MultiGraph] = {}
     part = [0] * (n + 1)
     for x in _plane_members(open_graphs):
@@ -592,8 +559,8 @@ def removability_findings(n: int, budget_override: bool = False) -> tuple[int, l
         if exceeds >> x & 1:
             findings.append(
                 {"graph": graph, "problem": "removable set exceeds 2q-2",
-                 "r": _bits_at(rp.removable, x).bit_count(),
-                 "q": _bits_at(rp.leaders, x).bit_count()}
+                 "r": _bits_at(removable, x).bit_count(),
+                 "q": _bits_at(leaders, x).bit_count()}
             )
         if single >> x & 1:
             findings.append({"graph": graph, "problem": "removable set of size 1"})
@@ -632,9 +599,10 @@ def chorded_cycle_sweep(q_max: int = 5, mult_max: int = 3) -> dict:
 
     Returns per-q statistics, any violations of the 2q-2 edge bound among
     chorded-cycle-free instances, tightness of the doubled star, and every
-    instance on which the cactus block test disagrees with the direct
-    chorded-cycle search.
+    instance on which the cactus block test disagrees with the chorded-cycle
+    test.  q_max is refused above limits.CHORDED_MAX_Q before any pattern.
     """
+    check_chorded_budget(q_max)
     results = {"per_q": {}, "bound_violations": [], "mismatches": []}
     # a pair at multiplicity >= 3 is a 2-cycle plus a chord and also a
     # non-cycle block, so both predicates reject it: only the patterns with

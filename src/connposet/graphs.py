@@ -416,15 +416,6 @@ class LevelCensus:
         return sum(self.counts)
 
 
-def scan_masks(n: int, family: str) -> Iterator[int]:
-    """Masks of all 2^m graphs on [n] in the family, ascending.
-
-    Callers enforce the public budget; n above the override limit is always
-    refused.
-    """
-    yield from _plane_members(_family_plane(n, family))
-
-
 def level_census(
     n: int, family: str = "connected", budget_override: bool = False
 ) -> LevelCensus:

@@ -23,6 +23,10 @@ CANONICAL_MAX_N = 8
 # Spanning-connected-subgraph posets enumerate 2^edges subsets.
 CPRIME_MAX_EDGES = 21
 
+# The chorded-cycle sweep keeps two bytes per multiplicity pattern, 3^C(q,2)
+# patterns for q vertices: q = 6 takes 29 MB, q = 7 would take 21 GB.
+CHORDED_MAX_Q = 6
+
 
 class BudgetExceededError(Exception):
     """A requested computation exceeds the configured budget."""
@@ -44,6 +48,14 @@ def _check_budget(n: int, override: bool, override_max: int) -> None:
         )
         raise BudgetExceededError(
             f"full scan at n={n} exceeds the budget of n<={limit}{hint}"
+        )
+
+
+def check_chorded_budget(q_max: int) -> None:
+    if q_max > CHORDED_MAX_Q:
+        raise BudgetExceededError(
+            f"chorded-cycle sweep at q={q_max} exceeds the budget of q<={CHORDED_MAX_Q}"
+            " (no override: it keeps 2 * 3^C(q,2) bytes)"
         )
 
 

@@ -4,7 +4,7 @@ The oracles here deliberately use different algorithms from the package
 (union-find instead of frontier BFS, per-edge deletion instead of
 cycle-space cut labels, subset enumeration instead of matching, one
 augmenting path at a time instead of phases, cycle enumeration instead of
-spanning-cycle search, a counting recurrence instead of bit planes, a hash
+the per-edge Menger test, a counting recurrence instead of bit planes, a hash
 index instead of a dense rank, per-mask retests instead of bit planes,
 per-graph canonical forms instead of one orbit expansion per class) so
 the two sides of every check share no code path.  The exceptions are
@@ -324,9 +324,9 @@ def _labelled_graphs(n, bridgeless=False):
     the bridgeless ones only.  Bridgelessness is read from the labels, not
     from the two-edge-connected plane."""
     from connposet.connectivity import _cut_labels
-    from connposet.graphs import scan_masks
+    from connposet.graphs import _family_plane, _plane_members
 
-    for bits in scan_masks(n, "connected"):
+    for bits in _plane_members(_family_plane(n, "connected")):
         labels = _cut_labels(n, bits)
         if not (bridgeless and 0 in labels.values()):
             yield bits, labels

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -rA` to see the per-criterion
 lines.  Criterion 5 is split: 5a checks the edge bound and its tightness;
-5b checks that the cactus block test is a sound stand-in for the direct
-chorded-cycle search on all multigraphs with q <= 5.  The two cannot agree
+5b checks that the cactus block test is a sound stand-in for the
+chorded-cycle test on all multigraphs with q <= 5.  The two cannot agree
 everywhere - the complete bipartite graph on parts of sizes 2 and 3 has no
 chorded cycle yet is a single non-cycle block - so 5b pins their divergence
 to exactly the ten labelings of that graph on {1..5}.
@@ -141,7 +141,7 @@ def test_criterion_5a_chorded_cycle_bound_and_tightness():
 def test_criterion_5b_block_test_oracle_agreement():
     with criterion(
         "5b",
-        "block test agrees with the chorded-cycle search on q <= 5 except on "
+        "block test agrees with the chorded-cycle test on q <= 5 except on "
         "the ten labeled K_{2,3}, which are chorded-cycle-free non-cacti",
     ):
         sweep = multigraph_sweep()
@@ -158,7 +158,7 @@ def test_criterion_5b_block_test_oracle_agreement():
             k23.add((5, tuple(edges)))
         assert len(k23) == 10
         assert witnesses == k23, (
-            f"the block (cactus) test and the direct chorded-cycle search must "
+            f"the block (cactus) test and the chorded-cycle test must "
             f"disagree on exactly the ten labelings of K_{{2,3}}; extra: "
             f"{sorted(witnesses - k23)}, missing: {sorted(k23 - witnesses)}"
         )

@@ -28,8 +28,8 @@ from connposet.bounds import (
     squares_sweep,
     tech_inequality_sweep,
 )
-from connposet.connectivity import _bits_at, _removable_of, _skeleton_planes
-from connposet.graphs import _level_bits, level_census, slot_count
+from connposet.connectivity import _bits_at, _removable_of, _split_planes
+from connposet.graphs import _level_bits, _planes, level_census, slot_count
 
 from conftest import (
     _induced_bits,
@@ -402,7 +402,8 @@ def test_part_r_values_match_relabelled_parts(n):
     # relabelled and retested alone; its popcount is the graph's sum of r_i
     from connposet import skeleton
 
-    removable = _part_removable_planes(_skeleton_planes(n))
+    sk = _split_planes(n, _planes(n).connected)
+    removable = _part_removable_planes(sk.leaving, sk.kept)
     slot = {pair: s for s, pair in enumerate(pairs_on(n))}
     for bits in range(1 << slot_count(n)):
         expected = 0

@@ -23,8 +23,7 @@ from connposet.connectivity import (
     _components_without,
     _cut_labels,
     _removable_of,
-    _removal_planes,
-    _skeleton_planes,
+    _split_planes,
     _two_edge_connected_bits,
     chorded_cycle_sweep,
     doubled_star,
@@ -32,7 +31,7 @@ from connposet.connectivity import (
     skeleton_findings,
 )
 from connposet.graphs import enumerate_level, slot_count
-from connposet.limits import BudgetExceededError
+from connposet.limits import CHORDED_MAX_Q, BudgetExceededError
 
 from conftest import (
     _induced_bits,
@@ -40,6 +39,7 @@ from conftest import (
     bits_edges,
     bridges_by_deletion,
     chorded_sweep_all_patterns,
+    cycle_chord_free,
     pairs_on,
     removability_findings_by_walk,
     removable_by_retest,
@@ -251,15 +251,25 @@ def _leader_bits(parts):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_sweep_planes_match_cut_labels(n):
     # per graph: the bridges B, the leaders of G - B (so t), the pairs that
-    # reach each other in G - B, R and the leaders of G - R (so q), against
-    # the cut labels
-    sk = _skeleton_planes(n)
-    rp = _removal_planes(n)
+    # reach each other in G - B, and the same three of R and G - R (so q),
+    # against the cut labels
+    from connposet.graphs import _planes
+
+    sk = _split_planes(n, _planes(n).connected)
+    rp = _split_planes(n, _planes(n).two_edge_connected)
     pairs = pairs_on(n)
     inside = [sk.reach[i][j] for i, j in pairs]
+    joined = [rp.reach[i][j] for i, j in pairs]
+
+    def joined_slots(parts):
+        return sum(
+            1 << s for s, (i, j) in enumerate(pairs)
+            if any(mask >> i & mask >> j & 1 for mask in parts)
+        )
+
     for x in range(1 << slot_count(n)):
-        bridges, leaders = _bits_at(sk.bridges, x), _bits_at(sk.leaders, x)
-        removable, parts = _bits_at(rp.removable, x), _bits_at(rp.leaders, x)
+        bridges, leaders = _bits_at(sk.leaving, x), _bits_at(sk.leaders, x)
+        removable, parts = _bits_at(rp.leaving, x), _bits_at(rp.leaders, x)
         labels = _cut_labels(n, x)
         if labels is None:
             assert bridges == leaders == removable == parts == _bits_at(inside, x) == 0
@@ -269,12 +279,9 @@ def test_sweep_planes_match_cut_labels(n):
         assert bridges.bit_count() == len(bridge_slots)
         assert leaders == _leader_bits(skeleton_parts)
         assert leaders.bit_count() == len(skeleton_parts)
-        assert _bits_at(inside, x) == sum(
-            1 << s for s, (i, j) in enumerate(pairs)
-            if any(mask >> i & mask >> j & 1 for mask in skeleton_parts)
-        )
+        assert _bits_at(inside, x) == joined_slots(skeleton_parts)
         if bridge_slots:
-            assert removable == parts == 0
+            assert removable == parts == _bits_at(joined, x) == 0
             continue
         r_slots = _removable_of(x, labels)
         removal_parts = _components_without(n, x, r_slots)
@@ -282,7 +289,9 @@ def test_sweep_planes_match_cut_labels(n):
         assert removable.bit_count() == len(r_slots)
         assert parts == _leader_bits(removal_parts)
         assert parts.bit_count() == len(removal_parts)
-        assert _bits_at(rp.inner, x) == 0
+        # every R edge joins two parts: no slot of R is joined
+        assert _bits_at(joined, x) == joined_slots(removal_parts)
+        assert removable & _bits_at(joined, x) == 0
 
 
 def test_removability_condenses_graphs_the_shapes_do_not_fix(monkeypatch):
@@ -359,6 +368,56 @@ def test_chorded_cycle_examples():
     assert is_chorded_cycle_free(c5)
 
 
+@pytest.mark.parametrize("q, mult_max", [(1, 3), (2, 3), (3, 3), (4, 3), (5, 2)])
+def test_chorded_cycle_free_matches_cycle_enumeration(q, mult_max):
+    # every multiplicity pattern: 4^6 = 4,096 at q = 4, 3^10 = 59,049 at q = 5
+    pairs = list(combinations(range(1, q + 1), 2))
+    for mults in product(range(mult_max + 1), repeat=len(pairs)):
+        edges = tuple((u, v, c) for (u, v), c in zip(pairs, mults) if c)
+        assert is_chorded_cycle_free(MultiGraph(q, edges)) == cycle_chord_free(q, edges), edges
+
+
+def test_chorded_cycle_free_matches_on_every_sweep_condensation(monkeypatch):
+    # the condensations removability_findings tests at n <= 6, seen through
+    # the module name that _condensation_free looks up at call time
+    import connposet.connectivity as connectivity
+
+    seen = set()
+    real = connectivity.is_chorded_cycle_free
+
+    def spy(h):
+        seen.add(h)
+        return real(h)
+
+    monkeypatch.setattr(connectivity, "is_chorded_cycle_free", spy)
+    for n in range(1, 7):
+        removability_findings(n)
+    assert max(h.q for h in seen) == 6 and len(seen) > 100
+    for h in seen:
+        assert real(h) == cycle_chord_free(h.q, h.edges), h.to_json()
+
+
+def multigraphs(q):
+    # a cycle through 2..q vertices plus up to q more edge copies, so both
+    # verdicts come up
+    pairs = list(combinations(range(1, q + 1), 2))
+
+    def build(drawn):
+        order, length, extra = drawn
+        ring = order[:length]
+        return MultiGraph.from_pairs(q, list(zip(ring, ring[1:] + ring[:1])) + extra)
+
+    return st.tuples(
+        st.permutations(range(1, q + 1)), st.integers(2, q),
+        st.lists(st.sampled_from(pairs), max_size=q),
+    ).map(build)
+
+
+@given(st.sampled_from([6, 7]).flatmap(multigraphs))
+def test_chorded_cycle_free_matches_cycle_enumeration_q6_q7(h):
+    assert is_chorded_cycle_free(h) == cycle_chord_free(h.q, h.edges)
+
+
 def test_cactus_examples():
     assert is_cactus(MultiGraph(2, ((1, 2, 2),)))
     assert not is_cactus(MultiGraph(2, ((1, 2, 3),)))
@@ -427,6 +486,21 @@ def test_chorded_cycle_sweep_matches_all_patterns(q_max, mult_max):
 
 def test_chorded_cycle_sweep_q5_count():
     assert chorded_cycle_sweep(5)["per_q"][5]["chorded_cycle_free"] == 4003
+
+
+@pytest.mark.parametrize("q_max", [CHORDED_MAX_Q + 1, CHORDED_MAX_Q + 2])
+def test_chorded_sweep_checks_the_budget_before_any_pattern(monkeypatch, q_max):
+    # q = 7 would allocate 2 x 10.46 GB: the refusal must come before q = 1
+    import connposet.connectivity as connectivity
+
+    def no_patterns(q, mult_max):
+        raise AssertionError(f"patterns started at q={q}")
+
+    monkeypatch.setattr(connectivity, "_multigraphs_on", no_patterns)
+    with pytest.raises(BudgetExceededError, match=f"chorded-cycle sweep at q={q_max} exceeds"):
+        chorded_cycle_sweep(q_max)
+    with pytest.raises(AssertionError, match="patterns started at q=1"):
+        chorded_cycle_sweep(CHORDED_MAX_Q)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

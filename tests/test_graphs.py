@@ -23,9 +23,9 @@ from connposet.graphs import (
     FAMILIES,
     _census_counts,
     _connected_bits,
+    _family_plane,
     _level_bits,
     _planes,
-    scan_masks,
 )
 
 from conftest import bits_edges, connected_census, uf_connected_bits, uf_two_edge_connected
@@ -165,7 +165,7 @@ def test_census_budget_reaches_one_vertex_further():
         level_census(9, budget_override=True)
     # the scans that list members keep the n <= 7 cap
     with pytest.raises(BudgetExceededError):
-        next(scan_masks(8, "connected"))
+        _family_plane(8, "connected")
     with pytest.raises(BudgetExceededError):
         _level_bits(8, "all")
 
