@@ -9,7 +9,13 @@ is extracted from the final alternating-reachability cut.
 
 Complete matchings from every level into its neighbor toward the largest
 level K glue into |level K| chains of one-edge steps; such a partition
-proves width = |level K|, the paper's route to the Sperner property.  Where
+proves width = |level K|, the paper's route to the Sperner property.  For a
+family of edge bitmasks the symmetric-chain bracket map proposes each
+partner: on an up-set it is a complete matching from every level below
+m/2, so those pairs need no adjacency and no search, and Hopcroft-Karp,
+started from the proposals, repairs only the pairs where some image leaves
+the family.  `chains` and `matchings` print their matchings, so they keep
+the search over every adjacency row.  Where
 gluing fails, exact width uses the classical reduction: split every element
 into a left and right copy, connect the copies of every strictly comparable
 pair, and take a maximum matching.  |P| minus the matching size is both the
@@ -19,12 +25,14 @@ the size of a maximum antichain, so the two certificates confirm each other.
 
 from __future__ import annotations
 
+import itertools
 import random
 from array import array
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graphs import EdgeSet, _check_family, _level_bits, slot_count
 from .limits import check_scan_budget, check_width_budget
@@ -46,19 +54,41 @@ class ChainPartitionError(Exception):
 
 
 def hopcroft_karp(
-    n_left: int, n_right: int, neighbors: Callable[[int], Iterable[int]]
+    n_left: int,
+    n_right: int,
+    neighbors: Callable[[int], Iterable[int]],
+    seed: Sequence[int] | None = None,
 ) -> tuple[int, list[int], list[int]]:
     """Maximum bipartite matching by breadth-layered alternating phases.
 
     neighbors(u) yields the right-side indices adjacent to left index u; it
     may be a list lookup or a generator, so adjacency can be streamed for
-    instances too large to materialize.  Returns (size, match_l, match_r)
-    with -1 for unmatched.
+    instances too large to materialize.  seed, if given, is a matching to
+    start from: seed[u] is u's right partner, or -1.  Its pairs are taken as
+    edges unread, so only the lefts it leaves unmatched, and the alternating
+    paths through them, cost a neighbors call; a seed that sends two lefts
+    to one right, or holds an index out of range, raises ValueError.
+    Returns (size, match_l, match_r) with -1 for unmatched.
     """
-    match_l = [-1] * n_left
     match_r = [-1] * n_right
-    size = 0
+    if seed is None:
+        match_l = [-1] * n_left
+    else:
+        if len(seed) != n_left:
+            raise ValueError(f"seed has {len(seed)} entries for {n_left} lefts")
+        match_l = list(seed)
+        for u, v in enumerate(match_l):
+            if v == -1:
+                continue
+            if not 0 <= v < n_right:
+                raise ValueError(f"seed sends left {u} to {v}, out of 0..{n_right - 1}")
+            if match_r[v] >= 0:
+                raise ValueError(f"seed sends lefts {match_r[v]} and {u} to right {v}")
+            match_r[v] = u
+    size = n_left - match_l.count(-1)
     for u in range(n_left):
+        if match_l[u] >= 0:
+            continue
         for v in neighbors(u):
             if match_r[v] < 0:
                 match_r[v] = u
@@ -66,16 +96,16 @@ def hopcroft_karp(
                 size += 1
                 break
 
-    dist = [0] * n_left
+    dist: list[int] = []
 
-    def bfs() -> bool:
-        queue = deque()
-        for u in range(n_left):
-            if match_l[u] < 0:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _BIG
+    def bfs() -> list[int]:
+        """Layer the lefts from the free ones; the free lefts if an augmenting
+        path exists, else an empty list."""
+        free = [u for u, v in enumerate(match_l) if v < 0]
+        dist[:] = [_BIG] * n_left
+        for u in free:
+            dist[u] = 0
+        queue = deque(free)
         found = _BIG
         while queue:
             u = queue.popleft()
@@ -90,7 +120,7 @@ def hopcroft_karp(
                 elif dist[w] == _BIG:
                     dist[w] = du + 1
                     queue.append(w)
-        return found != _BIG
+        return free if found != _BIG else []
 
     def dfs(start: int) -> bool:
         stack = [(start, iter(neighbors(start)))]
@@ -116,9 +146,11 @@ def hopcroft_karp(
                 stack.pop()
         return False
 
-    while bfs():
-        for u in range(n_left):
-            if match_l[u] < 0 and dfs(u):
+    # a left stays free until a search starts from it, so the phase tries
+    # the lefts that were free when it was layered, in order
+    while size < n_left and (free := bfs()):
+        for u in free:
+            if dfs(u):
                 size += 1
     return size, match_l, match_r
 
@@ -205,27 +237,94 @@ def _universe_levels(
     return universe, _level_bits(n, universe)
 
 
+def _level_rank(full: int, level: Sequence[int]) -> array:
+    """Dense rank over the 2^m masks (full is 2^m - 1): the index in level of
+    each member, -1 for every other mask."""
+    rank = array("i", [-1]) * (full + 1)
+    for i, b in enumerate(level):
+        rank[b] = i
+    return rank
+
+
+def _one_edge_row(rank: array, full: int, direction: str) -> Callable[[int], array]:
+    """row(b) lists, by ascending slot, the rank of each member one edge above
+    (up) or below (down) b.  Setting a slot that b already holds (up), or
+    clearing one it lacks (down), gives b itself, which lies off the ranked
+    level, so no slot is tested.  Rows are arrays: a list row would hold a
+    fresh int per entry."""
+    singles = [1 << s for s in range(full.bit_length())]
+    if direction == "up":
+        return lambda b: array("i", [r for s in singles if (r := rank[b | s]) >= 0])
+    holes = [full ^ s for s in singles]
+    return lambda b: array("i", [r for h in holes if (r := rank[b & h]) >= 0])
+
+
 def _level_pair_adjacency(
     full: int, from_bits: Sequence[int], to_bits: Sequence[int], direction: str
 ) -> list[array]:
     """Row u lists, by ascending slot, the index in to_bits of each member one
-    edge above (up) or below (down) from_bits[u]; full is 2^m - 1.
+    edge above (up) or below (down) from_bits[u]; full is 2^m - 1."""
+    return list(map(_one_edge_row(_level_rank(full, to_bits), full, direction), from_bits))
 
-    The index is a dense rank over the 2^m masks, -1 off the target level.
-    Setting a slot that b already holds (up), or clearing one it lacks
-    (down), gives b itself, whose rank is -1, so no slot is tested.  Rows
-    are arrays: a list row would hold a fresh int per entry.
+
+@lru_cache(maxsize=None)
+def _bracket_table() -> tuple[tuple[int, int, int, int], ...]:
+    """For each 8-slot chunk, read with an edge as ")" (-1) and a non-edge as
+    "(" (+1): the chunk's change of height, the least height after one of its
+    slots, and the first and last slot count (1..8) at which it is reached."""
+    table = []
+    for chunk in range(256):
+        h, low, first, last = 0, 9, 0, 0
+        for j in range(1, 9):
+            h += -1 if chunk >> j - 1 & 1 else 1
+            if h < low:
+                low, first, last = h, j, j
+            elif h == low:
+                last = j
+        table.append((h, low, first, last))
+    return tuple(table)
+
+
+def _bracket_images(full: int, bits: Iterable[int], direction: str) -> Iterator[int]:
+    """The symmetric-chain bracket map of each mask of bits (de Bruijn,
+    Tengbergen & Kruyswijk 1951; Greene & Kleitman 1976).
+
+    Read the slots in order, an edge as ")" and a non-edge as "(", and let h
+    be the height (non-edges minus edges) after each prefix.  Up sets the
+    leftmost unmatched "(", the slot at the last argmin of h if that argmin
+    is below m; down clears the rightmost unmatched ")", the slot just
+    before the first argmin of h if the minimum is below 0.  A mask with no
+    such slot maps to itself.  The two maps are mutually inverse and each is
+    injective on every level; up is defined on every level k < m/2, so on an
+    up-set it is a complete matching from level k into level k + 1.  The
+    chunks of _bracket_table are read only up to the top edge: the slots
+    beyond it are "(", which only climb.
     """
-    rank = array("i", [-1]) * (full + 1)
-    for i, b in enumerate(to_bits):
-        rank[b] = i
-    singles = [1 << s for s in range(full.bit_length())]
+    table = _bracket_table()
     if direction == "up":
-        return [array("i", [r for s in singles if (r := rank[b | s]) >= 0])
-                for b in from_bits]
-    holes = [full ^ s for s in singles]
-    return [array("i", [r for h in holes if (r := rank[b & h]) >= 0])
-            for b in from_bits]
+        for b in bits:
+            x, h, low, last, base = b, 0, 0, 0, 0
+            while x:
+                delta, chunk_low, _, chunk_last = table[x & 255]
+                chunk_low += h
+                if chunk_low <= low:
+                    low, last = chunk_low, base + chunk_last
+                h += delta
+                x >>= 8
+                base += 8
+            yield b | 1 << last & full
+    else:
+        for b in bits:
+            x, h, low, first, base = b, 0, 0, 0, 0
+            while x:
+                delta, chunk_low, chunk_first, _ = table[x & 255]
+                chunk_low += h
+                if chunk_low < low:
+                    low, first = chunk_low, base + chunk_first
+                h += delta
+                x >>= 8
+                base += 8
+            yield b ^ 1 << first - 1 if low < 0 else b
 
 
 def adjacent_level_matching(
@@ -309,7 +408,7 @@ def _level_sizes(levels: Sequence[Sequence[int]]) -> dict[int, int]:
 
 
 def _complete_matching(
-    rows: Callable, levels: Sequence[Sequence[int]], k_from: int, k_to: int
+    match: Callable, levels: Sequence[Sequence[int]], k_from: int, k_to: int
 ) -> array:
     """Partner index in level k_to of every element of level k_from."""
     direction = "up" if k_to > k_from else "down"
@@ -319,8 +418,7 @@ def _complete_matching(
             k_from, k_to,
             f"level {k_from} is larger than level {k_to}; cannot glue {direction}ward",
         )
-    adj = rows(from_bits, to_bits, direction)
-    size, match_l, _ = hopcroft_karp(len(from_bits), len(to_bits), adj.__getitem__)
+    size, match_l = match(from_bits, to_bits, direction)
     if size < len(from_bits):
         raise ChainPartitionError(
             k_from, k_to, f"no complete matching from level {k_from} into level {k_to}"
@@ -328,25 +426,70 @@ def _complete_matching(
     return array("i", match_l)
 
 
-def _glued_chains(rows: Callable, levels: Sequence[Sequence[int]]) -> list[list[int]]:
+def _searched(rows: Callable) -> Callable:
+    """match= for _glued_chains: Hopcroft-Karp over every row that
+    rows(from_bits, to_bits, direction) gives, _level_pair_adjacency's
+    one-edge steps or the quotient's covers."""
+
+    def match(from_bits, to_bits, direction):
+        adj = rows(from_bits, to_bits, direction)
+        return hopcroft_karp(len(from_bits), len(to_bits), adj.__getitem__)[:2]
+
+    return match
+
+
+def _bracket_matching(full: int) -> Callable:
+    """match= for _glued_chains on a family of edge bitmasks within full.
+
+    Each element's bracket image (_bracket_images) is its proposed partner.
+    Where every image lies in the target level, the proposals are the
+    matching (the map is injective on a level, and check_chain_certificate
+    re-verifies every chain): no row is built and nothing is searched.
+    Otherwise Hopcroft-Karp starts from them and repairs the misses,
+    building the one-edge row of each element it visits the first time it
+    visits it, in a list indexed like from_bits.  On an up-set a miss is a
+    down-step or an up-step at k >= m/2.
+    """
+
+    def match(from_bits, to_bits, direction):
+        rank = _level_rank(full, to_bits)
+        seed = array("i", map(rank.__getitem__, _bracket_images(full, from_bits, direction)))
+        if -1 not in seed:
+            return len(seed), seed
+        row = _one_edge_row(rank, full, direction)
+        rows: list = [None] * len(from_bits)
+
+        def neighbors(u):
+            r = rows[u]
+            if r is None:
+                r = rows[u] = row(from_bits[u])
+            return r
+
+        return hopcroft_karp(len(from_bits), len(to_bits), neighbors, seed)[:2]
+
+    return match
+
+
+def _glued_chains(match: Callable, levels: Sequence[Sequence[int]]) -> list[list[int]]:
     """Glue complete level matchings through the largest level K.
 
-    rows(from_bits, to_bits, direction) gives a level pair's adjacency rows:
-    _level_pair_adjacency's one-edge steps, or the quotient's covers.  Below
-    K every level must match completely into the next one up; above K every
-    level must match completely into the next one down.  Each element of
-    level K then anchors one chain, listed by increasing level, and the
-    chains partition the universe.  If some pair lacks the required matching,
-    ChainPartitionError names the first one; a gap between nonempty levels
-    always yields such a pair (a nonempty level facing an empty one on its
-    side of K).
+    match(from_bits, to_bits, direction) gives a maximum matching of a level
+    pair as (size, match_l), match_l[u] the index in to_bits of from_bits[u]'s
+    partner (-1 for none): _searched over the caller's rows, or
+    _bracket_matching.  Below K every level must match completely into the
+    next one up; above K every level must match completely into the next one
+    down.  Each element of level K then anchors one chain, listed by
+    increasing level, and the chains partition the universe.  If some pair
+    lacks the required matching, ChainPartitionError names the first one; a
+    gap between nonempty levels always yields such a pair (a nonempty level
+    facing an empty one on its side of K).
     """
     sizes = _level_sizes(levels)
     K = _largest_level(sizes)
     lo, hi = min(sizes), max(sizes)
-    partner = {k: _complete_matching(rows, levels, k, k + 1) for k in range(lo, K)}
+    partner = {k: _complete_matching(match, levels, k, k + 1) for k in range(lo, K)}
     partner.update(
-        {k: _complete_matching(rows, levels, k, k - 1) for k in range(K + 1, hi + 1)}
+        {k: _complete_matching(match, levels, k, k - 1) for k in range(K + 1, hi + 1)}
     )
 
     chains = [[b] for b in levels[K]]
@@ -368,7 +511,7 @@ def _adds_one_edge(lower: int, upper: int) -> bool:
 
 
 def check_chain_certificate(
-    universe: Sequence[int], chains: Sequence[Sequence[int]], step=_adds_one_edge
+    universe: Iterable[int], chains: Sequence[Sequence[int]], step=_adds_one_edge
 ) -> None:
     """Re-verify that chains of bitmasks prove width = largest level.
 
@@ -379,13 +522,13 @@ def check_chain_certificate(
     into that many chains admits no larger antichain, and the largest level
     is itself an antichain.  Raises AssertionError otherwise.
     """
-    level_sizes = Counter(b.bit_count() for b in universe)
+    order = sorted(universe)  # flags by rank: memory follows the member count
+    level_sizes = Counter(b.bit_count() for b in order)
     largest = max(level_sizes.values(), default=0)
     if len(chains) != largest:
         raise AssertionError(
             f"{len(chains)} chains, but the largest level has {largest} elements"
         )
-    order = sorted(universe)  # flags by rank: memory follows the member count
     seen = bytearray(len(order))
     covered = 0
     for chain in chains:
@@ -420,8 +563,9 @@ def chain_partition(
     """
     _, levels = _universe_levels(n, universe, budget_override)
     full = (1 << slot_count(n)) - 1
-    chains = _glued_chains(lambda *pair: _level_pair_adjacency(full, *pair), levels)
-    check_chain_certificate([b for level in levels for b in level], chains)
+    rows = lambda *pair: _level_pair_adjacency(full, *pair)
+    chains = _glued_chains(_searched(rows), levels)
+    check_chain_certificate(itertools.chain.from_iterable(levels), chains)
     return ChainPartition(n, chains)
 
 
@@ -609,10 +753,10 @@ def _family_width(
     sizes = _level_sizes(levels)
     K = _largest_level(sizes)
     level_data = (sum(sizes.values()), sizes, K, sizes[K])
-    members = [b for level in levels for b in level]
     try:
-        chains = _glued_chains(lambda *pair: _level_pair_adjacency(full, *pair), levels)
+        chains = _glued_chains(_bracket_matching(full), levels)
     except ChainPartitionError:
+        members = [b for level in levels for b in level]
         result = width_dilworth(
             members,
             successors=_supermask_successors(members, full),
@@ -620,7 +764,7 @@ def _family_width(
         )
         _check_antichain(result.antichain)
         return FamilyWidth(*level_data, result.width, result.antichain, "dilworth")
-    check_chain_certificate(members, chains)
+    check_chain_certificate(itertools.chain.from_iterable(levels), chains)
     return FamilyWidth(*level_data, len(chains), levels[K], "chains")
 
 

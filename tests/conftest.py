@@ -6,7 +6,8 @@ cycle-space cut labels, subset enumeration instead of matching, one
 augmenting path at a time instead of phases, cycle enumeration instead of
 the per-edge Menger test, a counting recurrence instead of bit planes, a hash
 index instead of a dense rank, per-mask retests instead of bit planes,
-per-graph canonical forms instead of one orbit expansion per class) so
+per-graph canonical forms instead of one orbit expansion per class, a
+bracket stack walk instead of a chunk table) so
 the two sides of every check share no code path.  The exceptions are
 `chorded_sweep_all_patterns`, which calls the package's multigraph
 predicates on every pattern, because what it checks is which patterns the
@@ -238,6 +239,24 @@ def level_pair_rows(full, from_bits, to_bits, direction):
                 row.append(index[other])
         rows.append(row)
     return rows
+
+
+def bracket_step(bits, m, direction):
+    """The symmetric-chain bracket map by a stack walk over the m slots, an
+    edge read as ")" and a non-edge as "(": up sets the leftmost unmatched
+    "(", down clears the rightmost unmatched ")", and a mask with no such
+    slot maps to itself."""
+    opens, closes = [], []  # unmatched "(" (a stack) and ")" so far
+    for s in range(m):
+        if not bits >> s & 1:
+            opens.append(s)
+        elif opens:
+            opens.pop()
+        else:
+            closes.append(s)
+    if direction == "up":
+        return bits | 1 << opens[0] if opens else bits
+    return bits & ~(1 << closes[-1]) if closes else bits
 
 
 def augmenting_path_matching(n_left, n_right, neighbors):

@@ -5,9 +5,10 @@ sha256 of the stdout it produced when the file was recorded.  The commands
 cover every subcommand at n <= 5 in json, ndjson and csv, the n = 6
 commands of the benchmark workloads, the other n = 6 formats of `matchings`
 and `chains`, `lemma tech` and `lemma shadow-ratio` at n = 6, and the census,
-`lemma disc`, `lemma irk`, `lemma skeleton`, `lemma removable`, `lemma tech`,
-`lemma shadow-ratio`, `explore quotient` and `explore hamiltonian` at n = 7.
-Stderr is not compared.
+`sperner` (connected and two-edge-connected), `lemma disc`, `lemma irk`,
+`lemma skeleton`, `lemma removable`, `lemma tech`, `lemma shadow-ratio`,
+`explore quotient` and `explore hamiltonian` at n = 7.  Stderr is not
+compared.
 
 Re-record (only after a deliberate output change) with
 
@@ -91,10 +92,13 @@ TECH_COMMANDS = [("lemma", "tech", "--n", "6"), ("lemma", "shadow-ratio", "--n",
 # skeleton and removability sweeps at n = 7, recorded from the labelled walk
 # that gave each connected graph its cut labels, and the tech sweep and the
 # shadow-ratio report at n = 7, recorded from the same walk and from the
-# per-level bit lists
+# per-level bit lists, and the sperner verdicts at n = 7, recorded from level
+# matchings that searched every adjacency row
 N7_COMMANDS = [
     ("census", "--n", "7", "--budget-override", "--family", family) for family in FAMILIES
-] + [("lemma", "disc", "--n", "7", "--budget-override"),
+] + [("sperner", "--n", "7", "--budget-override"),
+     ("sperner", "--n", "7", "--budget-override", "--family", "two_edge_connected"),
+     ("lemma", "disc", "--n", "7", "--budget-override"),
      ("lemma", "irk", "--n", "7", "--budget-override"),
      ("lemma", "skeleton", "--n", "7", "--budget-override"),
      ("lemma", "removable", "--n", "7", "--budget-override"),

@@ -2,6 +2,7 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given, strategies as st
 
 from connposet import (
     BudgetExceededError,
@@ -15,12 +16,23 @@ from connposet import (
 from connposet.graphs import FAMILIES, _level_bits, enumerate_level, slot_count
 from connposet.poset import (
     ChainPartitionError,
+    _bracket_images,
+    _bracket_matching,
+    _family_width,
     _level_pair_adjacency,
+    _level_rank,
+    _searched,
+    _universe_levels,
     check_chain_certificate,
     hopcroft_karp,
 )
 
-from conftest import augmenting_path_matching, brute_width, level_pair_rows
+from conftest import (
+    augmenting_path_matching,
+    bracket_step,
+    brute_width,
+    level_pair_rows,
+)
 
 
 def random_bipartite(rng, n_left, n_right, density):
@@ -43,6 +55,168 @@ def test_matchers_agree_on_random_instances():
             if v >= 0:
                 assert v in adj[u] and mr[v] == u
         assert size_a == sum(1 for v in ml if v >= 0) == sum(1 for u in mr if u >= 0)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    n_left = draw(st.integers(1, 10))
+    n_right = draw(st.integers(1, 10))
+    adj = [
+        sorted(draw(st.sets(st.integers(0, n_right - 1), max_size=n_right)))
+        for _ in range(n_left)
+    ]
+    return n_left, n_right, adj
+
+
+@given(bipartite_graphs(), st.data())
+def test_seeded_matching_keeps_the_maximum(graph, data):
+    # any sub-matching of a matching is a valid seed: the search repairs the
+    # rest to a maximum matching of the same size
+    n_left, n_right, adj = graph
+    size, match_l, _ = augmenting_path_matching(n_left, n_right, adj.__getitem__)
+    kept = data.draw(st.sets(st.sampled_from(range(n_left))))
+    seed = [v if u in kept else -1 for u, v in enumerate(match_l)]
+    seeded, ml, mr = hopcroft_karp(n_left, n_right, adj.__getitem__, seed)
+    assert seeded == size == hopcroft_karp(n_left, n_right, adj.__getitem__)[0]
+    for u, v in enumerate(ml):
+        if v >= 0:
+            assert v in adj[u] and mr[v] == u
+    assert seeded == sum(v >= 0 for v in ml)
+
+
+@given(bipartite_graphs(), st.data())
+def test_seeded_matching_rejects_a_bad_seed(graph, data):
+    n_left, n_right, adj = graph
+    seed = [-1] * n_left
+    u = data.draw(st.integers(0, n_left - 1))
+    seed[u] = data.draw(st.one_of(st.integers(n_right, n_right + 5), st.integers(-5, -2)))
+    with pytest.raises(ValueError, match="seed sends left"):
+        hopcroft_karp(n_left, n_right, adj.__getitem__, seed)
+    if n_left > 1:
+        seed = [-1] * n_left
+        a, b = data.draw(st.lists(st.integers(0, n_left - 1), min_size=2, max_size=2,
+                                  unique=True))
+        seed[a] = seed[b] = data.draw(st.integers(0, n_right - 1))
+        with pytest.raises(ValueError, match="seed sends lefts"):
+            hopcroft_karp(n_left, n_right, adj.__getitem__, seed)
+    with pytest.raises(ValueError, match="entries"):
+        hopcroft_karp(n_left, n_right, adj.__getitem__, [-1] * (n_left + 1))
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_bracket_table_matches_stack_walk(m):
+    full = (1 << m) - 1
+    for direction in ("up", "down"):
+        images = list(_bracket_images(full, range(full + 1), direction))
+        assert images == [bracket_step(b, m, direction) for b in range(full + 1)]
+
+
+@given(st.integers(13, 21).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(0, (1 << m) - 1), max_size=40))))
+def test_bracket_table_matches_stack_walk_on_wide_masks(case):
+    m, masks = case
+    for direction in ("up", "down"):
+        images = list(_bracket_images((1 << m) - 1, masks, direction))
+        assert images == [bracket_step(b, m, direction) for b in masks]
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_bracket_maps_are_inverse_and_injective(m):
+    full = (1 << m) - 1
+    up = list(_bracket_images(full, range(full + 1), "up"))
+    down = list(_bracket_images(full, range(full + 1), "down"))
+    for b in range(full + 1):
+        if up[b] != b:
+            assert (up[b] ^ b).bit_count() == 1 and up[b] & b == b
+            assert down[up[b]] == b
+        else:  # no unmatched "(": only at k >= m/2
+            assert 2 * b.bit_count() >= m
+        if down[b] != b:
+            assert (down[b] ^ b).bit_count() == 1 and down[b] & b == down[b]
+            assert up[down[b]] == b
+        else:
+            assert 2 * b.bit_count() <= m
+    for images in (up, down):
+        moved = [t for b, t in enumerate(images) if t != b]
+        assert len(set(moved)) == len(moved)
+
+
+def _adjacency_route(full):
+    return _searched(lambda *pair: _level_pair_adjacency(full, *pair))
+
+
+def _assert_routes_agree(monkeypatch, levels, full):
+    """_family_width's bracket route and the adjacency route (_glued_chains
+    over _level_pair_adjacency) give the same width, level data, antichain
+    and method."""
+    import connposet.poset as poset_mod
+
+    bracket = _family_width(levels, full, True)
+    with monkeypatch.context() as patch:
+        patch.setattr(poset_mod, "_bracket_matching", _adjacency_route)
+        adjacency = _family_width(levels, full, True)
+    assert bracket == adjacency
+
+
+@pytest.mark.parametrize(
+    "n,family",
+    # the two-edge-connected family on [2] is empty: it has no width
+    [(n, f) for n in range(1, 7) for f in FAMILIES if (n, f) != (2, "two_edge_connected")],
+)
+def test_bracket_route_agrees_with_adjacency_route(monkeypatch, n, family):
+    _assert_routes_agree(monkeypatch, _level_bits(n, family), (1 << slot_count(n)) - 1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bracket_glues_up_sets_below_half_without_search(monkeypatch, n, family):
+    import connposet.poset as poset_mod
+
+    def no_search(*args):
+        raise AssertionError("searched below m/2")
+
+    monkeypatch.setattr(poset_mod, "hopcroft_karp", no_search)
+    m = slot_count(n)
+    match = _bracket_matching((1 << m) - 1)
+    levels = _level_bits(n, family)
+    for k in range((m + 1) // 2):
+        if levels[k] and levels[k + 1]:
+            size, partner = match(levels[k], levels[k + 1], "up")
+            assert size == len(levels[k])
+            assert [levels[k + 1][j] ^ b for b, j in zip(levels[k], partner)] == [
+                bracket_step(b, m, "up") ^ b for b in levels[k]]
+
+
+def test_bracket_route_repairs_misses_below_largest_level(monkeypatch):
+    # the triangle-free graphs on [5] are a down-set with no level gap; the
+    # up map sends some of them below K onto a triangle, so the search runs
+    from connposet.quotient import contains_triangle
+
+    n = 5
+    full = (1 << slot_count(n)) - 1
+    _, levels = _universe_levels(n, lambda g: not contains_triangle(g), False)
+    K = max(range(len(levels)), key=lambda k: len(levels[k]))
+    misses = 0
+    for k in range(K):
+        rank = _level_rank(full, levels[k + 1])
+        misses += sum(rank[t] < 0 for t in _bracket_images(full, levels[k], "up"))
+    assert misses > 0 and all(levels[: K + 1])
+    _assert_routes_agree(monkeypatch, levels, full)
+    assert _family_width(levels, full, False).method == "chains"
+
+
+def test_wrong_bracket_seed_fails_the_chain_certificate(monkeypatch):
+    import connposet.poset as poset_mod
+
+    real = poset_mod._bracket_images
+
+    def rotated(full, bits, direction):
+        images = list(real(full, bits, direction))
+        return images[1:] + images[:1]  # a complete, injective, wrong proposal
+
+    monkeypatch.setattr(poset_mod, "_bracket_images", rotated)
+    with pytest.raises(AssertionError, match="exactly one edge"):
+        poset_mod.sperner_verdict(4)
 
 
 def test_matching_up_into_tiny_level():
@@ -280,7 +454,7 @@ def test_chain_route_agrees_with_dilworth(monkeypatch, n, universe):
     chained = poset_mod.sperner_verdict(n, universe)
     assert chained.method == "chains"
 
-    def no_chains(full, levels):
+    def no_chains(match, levels):
         raise ChainPartitionError(0, 0, "chain route disabled")
 
     monkeypatch.setattr(poset_mod, "_glued_chains", no_chains)
@@ -326,8 +500,8 @@ def test_sperner_verdict_checks_chain_certificate(monkeypatch):
 
     real = poset_mod._glued_chains
 
-    def dropped_member(full, levels):
-        chains = real(full, levels)
+    def dropped_member(match, levels):
+        chains = real(match, levels)
         chains[0].pop()
         return chains
 
@@ -451,6 +625,24 @@ def test_cprime_level_pair_rows_match_oracle(monkeypatch):
     )
     for levels, full in seen:
         _assert_rows_match_oracle(full, levels)
+        _assert_routes_agree(monkeypatch, levels, full)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_hamiltonian_bracket_route_agrees_with_adjacency_route(monkeypatch, n):
+    import connposet.quotient as quotient_mod
+
+    real = quotient_mod._family_width
+    seen = []
+
+    def spy(levels, full, budget_override):
+        seen.append((levels, full))
+        return real(levels, full, budget_override)
+
+    monkeypatch.setattr(quotient_mod, "_family_width", spy)
+    quotient_mod.property_poset_report(n, "hamiltonian")
+    assert len(seen) == 1
+    _assert_routes_agree(monkeypatch, *seen[0])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
