@@ -21,22 +21,14 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, log2
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .graphs import (
-    EdgeSet,
-    _leaving_planes,
-    _planes,
-    _shadow_bits,
-    _sliced_count,
-    _sliced_equal,
-    _sliced_greater,
-    _slot_pairs,
-    _validate_uniform,
-    slot_count,
-)
-from .connectivity import _split_planes
 from .limits import check_scan_budget
+
+# The plane sweeps import graphs and connectivity where they run, so the
+# log-space arithmetic (binom, squares, technical, appendix) loads neither.
+if TYPE_CHECKING:
+    from .graphs import EdgeSet
 
 LOG2_TOL = 1e-9
 EXACT_LIMIT = 1 << 63
@@ -383,6 +375,7 @@ def lovasz_check(X: Iterable[EdgeSet]) -> BoundReport:
     equivalently |shadow(X)|/|X| >= k/(x-k+1).  This holds for every family,
     with equality for full levels.
     """
+    from .graphs import _shadow_bits, _validate_uniform
     n, k, members = _validate_uniform(X, min_level=1)
     actual = len(_shadow_bits(g.bits for g in members))
     x = binom_inverse(len(members), k)
@@ -410,6 +403,7 @@ def disconnected_report(n: int, budget_override: bool = False) -> list[BoundRepo
     isolated vertex by n 2^binom(n-1,2) and the rest by 2^n 2^(binom(n-2,2)+1);
     both are exact counting facts and are expected to hold at every n.
     """
+    from .graphs import _planes, _slot_pairs
     check_scan_budget(n, budget_override)
     planes = _planes(n)
     disconnected = planes.ones.bit_count() - planes.connected.bit_count()
@@ -487,6 +481,7 @@ def i_r_census(n: int, epsilon: float = 1.0, budget_override: bool = False) -> I
     the zero binomial at desk scale (upper argument below k), produce no
     comparison row so that every emitted row has finite log-space values.
     """
+    from .graphs import _leaving_planes, _planes, _sliced_count, _sliced_equal, slot_count
     _check_epsilon(epsilon)
     check_scan_budget(n, budget_override)
     m = slot_count(n)
@@ -561,6 +556,7 @@ def _part_removable_planes(bridges: list[int], kept: list[int]) -> list[int]:
     split, the graphs x where s lies in R of its part of G - B: x keeps s
     and x - s has more bridges than x (bit x of d << 2^s is bit x - 2^s of
     d), as deleting s adds bridges only inside its own part."""
+    from .graphs import _sliced_count, _sliced_greater
     count = _sliced_count(bridges)
     return [
         _sliced_greater([d << (1 << s) for d in count], count, plane)
@@ -582,6 +578,8 @@ def tech_inequality_sweep(n: int, budget_override: bool = False) -> dict:
     m + 2 - (S + 2t + sum_i r_i); the excluded shape (n-1, 1) is t = 2 with
     S = binom(n-1, 2).
     """
+    from .connectivity import _split_planes
+    from .graphs import _planes, _sliced_count, _sliced_equal, _slot_pairs, slot_count
     check_scan_budget(n, budget_override)
     planes = _planes(n)
     m = slot_count(n)
@@ -686,6 +684,7 @@ def _shadow_counts(n: int, k: int) -> tuple[int, int, int, int, int, int]:
     """The sizes of level k's connected graphs X, their 2-edge-connected side
     Y and the rest Z, of shadow(X) and shadow(Z) in the connected universe,
     and of the 2-edge-connected graphs in shadow(Y), on the universe planes."""
+    from .graphs import _planes
     planes = _planes(n)
     level = planes.connected & planes.levels[k]
     y = planes.two_edge_connected & level
@@ -717,6 +716,7 @@ def shadow_ratio_report(
     exist in range are emitted with an explanatory note where meaningful and
     skipped where no finite quantity exists.
     """
+    from .graphs import slot_count
     _check_epsilon(epsilon)
     _check_epsilon(diff_epsilon)
     check_scan_budget(n, budget_override)

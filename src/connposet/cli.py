@@ -11,14 +11,12 @@ invocations (including --seed) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import random
 import sys
 
-from . import bounds, connectivity, graphs, poset, quotient
-from .limits import BudgetExceededError, check_scan_budget
+# Each subcommand imports the compute modules it calls, so a process compiles
+# only those: `binom` loads bounds and no graph module (README, Start-up).
+from .limits import BudgetExceededError, ChainPartitionError, check_scan_budget
 
 # The sweep flags each lemma reads, with their defaults.  Every sweep flag is
 # None on the parser, so one given to a lemma that does not read it shows and
@@ -129,6 +127,8 @@ def _emit(doc, records, fmt: str, out: str | None, columns: list[str] | None = N
         if not columns:
             _write("", out)
             return
+        import csv
+        import io
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore",
                                 restval="", lineterminator="\n")
@@ -156,6 +156,7 @@ def _csv_cell(value):
 
 
 def _cmd_census(args) -> int:
+    from . import graphs
     census = graphs.level_census(args.n, args.family, args.budget_override)
     doc = {
         "n": census.n,
@@ -188,6 +189,7 @@ def _sperner_doc(report) -> dict:
 
 
 def _cmd_sperner(args) -> int:
+    from . import poset
     report = poset.sperner_verdict(args.n, args.family, args.budget_override)
     doc = _sperner_doc(report)
     rows = [{k: v for k, v in doc.items() if k not in ("antichain", "level_sizes")}]
@@ -202,6 +204,7 @@ def _cmd_sperner(args) -> int:
 
 def _level_matchings(args):
     """The adjacent-level matchings of _cmd_matchings, by k, up before down."""
+    from . import graphs, poset
     check_scan_budget(args.n, args.budget_override)
     m = graphs.slot_count(args.n)
     if args.k is not None and not 0 <= args.k <= m:
@@ -258,6 +261,7 @@ def _cmd_matchings(args) -> int:
 
 
 def _cmd_chains(args) -> int:
+    from . import poset
     partition = poset.chain_partition(args.n, args.family, args.budget_override)
     n, chains = partition.n, partition.chain_bits
     if args.fmt == "csv":
@@ -305,6 +309,7 @@ def _cmd_lemma(args) -> int:
         elif dest not in reads:
             raise ValueError(f"lemma {name} does not read --{dest.replace('_', '-')}")
     if name == "squares":
+        from . import bounds
         checked, violations = bounds.squares_sweep(_at_least_one("--n-max", args.n_max))
         doc = {"lemma": "squares", "n_max": args.n_max, "checked": checked,
                "violations": violations}
@@ -312,6 +317,7 @@ def _cmd_lemma(args) -> int:
         return _fail("squares", violations) if violations else 0
 
     if name == "disc":
+        from . import bounds
         rows = bounds.disconnected_report(args.n, args.budget_override)
         doc = {"lemma": "disc", "n": args.n, "rows": _report_rows(rows)}
         _emit(doc, _report_rows(rows), args.fmt, args.out)
@@ -319,6 +325,7 @@ def _cmd_lemma(args) -> int:
         return _fail("disc", bad) if bad else 0
 
     if name == "skeleton":
+        from . import connectivity
         checked, findings = connectivity.skeleton_findings(args.n, args.budget_override)
         doc = {"lemma": "skeleton", "n": args.n, "checked": checked,
                "findings": findings}
@@ -326,6 +333,7 @@ def _cmd_lemma(args) -> int:
         return _fail("skeleton", findings) if findings else 0
 
     if name == "removable":
+        from . import connectivity
         checked, findings = connectivity.removability_findings(args.n, args.budget_override)
         doc = {"lemma": "removable", "n": args.n, "checked": checked,
                "findings": findings}
@@ -333,6 +341,7 @@ def _cmd_lemma(args) -> int:
         return _fail("removable", findings) if findings else 0
 
     if name == "chorded":
+        from . import connectivity
         sweep = connectivity.chorded_cycle_sweep(_at_least_one("--q-max", args.q_max))
         doc = {"lemma": "chorded", "q_max": args.q_max, **sweep}
         rows = [
@@ -354,6 +363,7 @@ def _cmd_lemma(args) -> int:
         return _fail("chorded", findings) if findings else 0
 
     if name == "irk":
+        from . import bounds, graphs
         census = bounds.i_r_census(args.n, args.epsilon, args.budget_override)
         doc = {
             "lemma": "irk",
@@ -374,12 +384,15 @@ def _cmd_lemma(args) -> int:
         return 0
 
     if name == "tech":
+        from . import bounds
         summary = bounds.tech_inequality_sweep(args.n, args.budget_override)
         doc = {"lemma": "tech", **summary}
         _emit(doc, [summary], args.fmt, args.out)
         return 0
 
     if name == "lovasz":
+        import random
+        from . import bounds, graphs
         trials = _at_least_one("--trials", args.trials)
         rng = random.Random(args.seed)
         m = graphs.slot_count(args.n)
@@ -409,6 +422,8 @@ def _cmd_lemma(args) -> int:
         return _fail("lovasz", violations) if violations else 0
 
     if name == "technical":
+        import random
+        from . import bounds
         trials = _at_least_one("--trials", args.trials)
         rng = random.Random(args.seed)
         violations = []
@@ -427,6 +442,7 @@ def _cmd_lemma(args) -> int:
         return _fail("technical", violations) if violations else 0
 
     if name == "shadow-ratio":
+        from . import bounds
         rows = bounds.shadow_ratio_report(
             args.n, args.k, args.epsilon, budget_override=args.budget_override
         )
@@ -436,6 +452,7 @@ def _cmd_lemma(args) -> int:
         return 0
 
     if name == "appendix":
+        from . import bounds
         rows = []
         violations = []
         for item in (1, 2, 3, 4):
@@ -477,6 +494,7 @@ def _explorer_doc(report) -> dict:
 
 
 def _cmd_explore(args) -> int:
+    from . import quotient
     if args.which == "cprime":
         reports = quotient.cprime_search(args.n, args.budget_override)
         docs = [_explorer_doc(r) for r in reports]
@@ -515,6 +533,7 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_binom(args) -> int:
+    from . import bounds
     if (args.x is None) == (args.target is None):
         print("binom: provide exactly one of --x or --target", file=sys.stderr)
         return 2
@@ -552,7 +571,7 @@ def main(argv=None) -> int:
         if args.command == "binom":
             return _cmd_binom(args)
         parser.error(f"unknown command {args.command!r}")
-    except poset.ChainPartitionError as exc:  # a level pair blocks the gluing
+    except ChainPartitionError as exc:  # a level pair blocks the gluing
         name = args.which if args.command == "explore" else args.command
         print(f"FAIL {name}: {exc} (pair {exc.k_from}->{exc.k_to})", file=sys.stderr)
         return 1

@@ -2,7 +2,8 @@
 
 Every full scan of the 2^m graph universe is gated: the defaults keep a run
 on a laptop under a few minutes, and anything heavier requires an explicit
-override from the caller.
+override from the caller.  The two errors the CLI maps to exit codes live
+here too, so it can catch them without importing a compute module.
 """
 
 # Hard cap on the vertex count any graph value may carry.
@@ -30,6 +31,15 @@ CHORDED_MAX_Q = 6
 
 class BudgetExceededError(Exception):
     """A requested computation exceeds the configured budget."""
+
+
+class ChainPartitionError(Exception):
+    """A level pair lacks the complete matching the chain gluing needs."""
+
+    def __init__(self, k_from: int, k_to: int, message: str):
+        super().__init__(message)
+        self.k_from = k_from
+        self.k_to = k_to
 
 
 def check_scan_budget(n: int, override: bool = False) -> None:

@@ -35,18 +35,9 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graphs import EdgeSet, _check_family, _level_bits, slot_count
-from .limits import check_scan_budget, check_width_budget
+from .limits import ChainPartitionError, check_scan_budget, check_width_budget
 
 _BIG = 1 << 60
-
-
-class ChainPartitionError(Exception):
-    """A level pair lacks the complete matching the chain gluing needs."""
-
-    def __init__(self, k_from: int, k_to: int, message: str):
-        super().__init__(message)
-        self.k_from = k_from
-        self.k_to = k_to
 
 
 # ---------------------------------------------------------------------------

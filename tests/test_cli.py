@@ -50,6 +50,19 @@ def test_sperner_mismatch_fails_only_for_connected(monkeypatch, capsys):
     assert "FAIL" not in capsys.readouterr().err
 
 
+def test_blocked_chain_gluing_fails(monkeypatch, capsys):
+    from connposet import cli, limits, poset
+
+    def blocked(n, universe="connected", budget_override=False):
+        raise limits.ChainPartitionError(3, 4, "no complete matching")
+
+    monkeypatch.setattr(poset, "chain_partition", blocked)
+    assert cli.main(["chains", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "FAIL chains: no complete matching (pair 3->4)\n"
+
+
 def test_census_formats():
     doc = json.loads(run_cli("census", "--n", "4").stdout)
     assert doc["counts"] == [0, 0, 0, 16, 15, 6, 1]
