@@ -17,8 +17,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import combinations
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import (
     EdgeSet,
@@ -126,10 +126,6 @@ def bridges(g: EdgeSet) -> list[tuple[int, int]]:
     return sorted(pairs[s] for s in _bridge_slots(g.n, g.bits))
 
 
-def _mask_vertices(mask: int) -> tuple[int, ...]:
-    return tuple(_iter_bits(mask))
-
-
 @dataclass(frozen=True)
 class Skeleton:
     """Bridge set plus the vertex partition left after deleting the bridges."""
@@ -151,7 +147,7 @@ def skeleton(g: EdgeSet) -> Skeleton:
     pairs = _slot_pairs(g.n)
     return Skeleton(
         tuple(sorted(pairs[s] for s in bridge_slots)),
-        tuple(_mask_vertices(m) for m in _components_without(g.n, g.bits, bridge_slots)),
+        tuple(tuple(_iter_bits(m)) for m in _components_without(g.n, g.bits, bridge_slots)),
     )
 
 
@@ -192,20 +188,9 @@ def _bridgeless_labels(n: int, bits: int) -> dict[int, int]:
     return labels
 
 
-def _removal_split(
-    n: int, bits: int, labels: dict[int, int]
-) -> tuple[RemovabilityReport, list[int]]:
-    """The report for a bridgeless graph and the vertex masks of the
-    components of G - R(G)."""
-    slots = _removable_of(bits, labels)
-    comps = _components_without(n, bits, slots)
-    pairs = _slot_pairs(n)
-    return RemovabilityReport(tuple(sorted(pairs[s] for s in slots)), len(comps)), comps
-
-
 def removable_edges(g: EdgeSet) -> RemovabilityReport:
     """Edges whose deletion destroys 2-edge-connectivity, from the cut labels."""
-    return _removal_split(g.n, g.bits, _bridgeless_labels(g.n, g.bits))[0]
+    return removal_condensation(g)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -294,54 +279,34 @@ def is_cactus(h: MultiGraph) -> bool:
     complete bipartite graph on parts of sizes 2 and 3 has no chorded cycle
     yet is a single non-cycle block.  Both predicates imply the 2q-2 edge
     bound; they first diverge at q = 5.
+
+    Each edge copy off a spanning forest closes a cycle with the forest path
+    between its ends.  These cycles span the cycle space, so h is a cactus
+    (no edge on two cycles) iff no forest edge lies on two of them.
     """
-    if any(mult >= 3 for _, _, mult in h.edges):
-        return False
-    # expand parallel edges into distinct edge ids
-    edge_list: list[tuple[int, int]] = []
+    near: list[list[int]] = [[] for _ in range(h.q + 1)]
     for u, v, mult in h.edges:
-        edge_list.extend([(u, v)] * mult)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(h.q + 1)]
-    for eid, (u, v) in enumerate(edge_list):
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-
-    disc = [0] * (h.q + 1)
-    low = [0] * (h.q + 1)
-    timer = 1
-    stack: list[int] = []
-    blocks: list[list[int]] = []
-
-    def dfs(u: int, parent_eid: int) -> None:
-        nonlocal timer
-        disc[u] = low[u] = timer
-        timer += 1
-        for v, eid in adj[u]:
-            if eid == parent_eid:
-                continue
-            if disc[v]:
-                if disc[v] < disc[u]:
-                    stack.append(eid)
-                    low[u] = min(low[u], disc[v])
-            else:
-                stack.append(eid)
-                dfs(v, eid)
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    cut = stack.index(eid)
-                    blocks.append(stack[cut:])
-                    del stack[cut:]
-
+        near[u] += [v] * mult
+        near[v] += [u] * mult
+    parent, depth = [0] * (h.q + 1), [-1] * (h.q + 1)
     for root in range(1, h.q + 1):
-        if not disc[root]:
-            dfs(root, -1)
-
-    for block in blocks:
-        verts = set()
-        for eid in block:
-            verts.update(edge_list[eid])
-        if len(block) != 1 and len(block) != len(verts):
-            return False
+        if depth[root] < 0:
+            depth[root], order = 0, [root]
+            for u in order:  # breadth first
+                for v in near[u]:
+                    if depth[v] < 0:
+                        parent[v], depth[v] = u, depth[u] + 1
+                        order.append(v)
+    on_cycle = [False] * (h.q + 1)  # the forest edge from v to its parent
+    for u, v, mult in h.edges:
+        for _ in range(mult - (parent[u] == v or parent[v] == u)):
+            a, b = u, v
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                if on_cycle[a]:
+                    return False
+                on_cycle[a], a = True, parent[a]
     return True
 
 
@@ -378,7 +343,10 @@ def removal_condensation(g: EdgeSet) -> tuple[RemovabilityReport, MultiGraph]:
 
 
 def _condense(n: int, bits: int, labels: dict[int, int]) -> tuple[RemovabilityReport, MultiGraph]:
-    report, comps = _removal_split(n, bits, labels)
+    slots = _removable_of(bits, labels)
+    comps = _components_without(n, bits, slots)
+    pairs = _slot_pairs(n)
+    report = RemovabilityReport(tuple(sorted(pairs[s] for s in slots)), len(comps))
     comp_of = {}
     for idx, mask in enumerate(comps, start=1):
         for v in _iter_bits(mask):
@@ -468,7 +436,7 @@ def skeleton_findings(n: int, budget_override: bool = False) -> tuple[int, list[
             if any(mask >> pairs[s][0] & 1 for s in cut_slots):
                 findings.append(
                     {"graph": graph, "problem": "part not 2-edge-connected",
-                     "part": list(_mask_vertices(mask))}
+                     "part": list(_iter_bits(mask))}
                 )
     return connected.bit_count(), findings
 
@@ -492,6 +460,19 @@ def _condensation_free(memo: dict, q: int, cross: list[int]) -> tuple[bool, Mult
     return hit
 
 
+def _part_codes(n: int, pairs: Sequence[tuple[int, int]], word: int) -> tuple[int, list[int]]:
+    """The part count of a graph whose reach word has bit s where pairs[s]
+    share a part, and the part pair (a <= b as 16a + b) of each slot: parts
+    are numbered by leader, the least vertex that reaches v, in turn."""
+    lead = list(range(n + 1))
+    for s, (u, v) in enumerate(pairs):
+        if word >> s & 1 and lead[v] == v:
+            lead[v] = u
+    number: dict[int, int] = {}
+    part = [0] + [number.setdefault(u, len(number) + 1) for u in lead[1:]]
+    return len(number), [min(part[i], part[j]) << 4 | max(part[i], part[j]) for i, j in pairs]
+
+
 def removability_findings(n: int, budget_override: bool = False) -> tuple[int, list[dict]]:
     """Check |R| <= 2q-2, |R| != 1 and a chorded-cycle-free condensation
     over all 2-edge-connected graphs on [n]: |R| counts the R_s planes, q
@@ -502,13 +483,11 @@ def removability_findings(n: int, budget_override: bool = False) -> tuple[int, l
     two = _planes(n).two_edge_connected
     removable, kept, leaders, reach = _split_planes(n, two)
     # an R edge inside one part of G - R would be a loop of the condensation
-    inner = [r & reach[i][j] for r, (i, j) in zip(removable, pairs)]
+    joined = [reach[i][j] for i, j in pairs]
+    inner = [r & plane for r, plane in zip(removable, joined)]
     del kept, reach  # not read past here
-    stray = 0
-    for plane in inner:
-        stray |= plane
-    if stray:
-        x = (stray & -stray).bit_length() - 1
+    if any(inner):
+        x = min((plane & -plane).bit_length() - 1 for plane in inner if plane)
         i, j = min(pair for pair, plane in zip(pairs, inner) if plane >> x & 1)
         raise AssertionError(
             f"removable edge ({i},{j}) does not cross components in {n}:{x:x}"
@@ -530,24 +509,23 @@ def removability_findings(n: int, budget_override: bool = False) -> tuple[int, l
             free, condensed = _condensation_free(memo, q, cross)
             if not free:
                 rejected_shapes.append((plane, condensed))
-    # every other graph is condensed on its own, its R read from the planes
-    tables = _byte_tables(removable, 1 << len(pairs))
+    # every other graph is condensed on its own, its R and its parts read
+    # from the planes; few partitions recur, so each is labelled once
+    tables = list(zip(_byte_tables(removable, 1 << len(pairs)),
+                      _byte_tables(joined, 1 << len(pairs))))
+    del joined
     rejected: dict[int, MultiGraph] = {}
-    part = [0] * (n + 1)
+    labelled: dict[int, tuple[int, list[int]]] = {}  # reach word: part count, codes
     for x in _plane_members(open_graphs):
-        r_bits = 0
-        for g, table in enumerate(tables):
-            r_bits |= table[x] << 8 * g
-        parts = _component_masks(n, x ^ r_bits)
-        for p, mask in enumerate(parts, start=1):
-            for v in _iter_bits(mask):
-                part[v] = p
-        cross = []
-        for s in _iter_bits(r_bits):
-            i, j = pairs[s]
-            a, b = part[i], part[j]
-            cross.append(a << 4 | b if a < b else b << 4 | a)
-        free, condensed = _condensation_free(memo, len(parts), cross)
+        r_bits = word = 0
+        for g, (r_table, joined_table) in enumerate(tables):
+            r_bits |= r_table[x] << 8 * g
+            word |= joined_table[x] << 8 * g
+        hit = labelled.get(word)
+        if hit is None:
+            hit = labelled[word] = _part_codes(n, pairs, word)
+        q, codes = hit
+        free, condensed = _condensation_free(memo, q, [codes[s] for s in _iter_bits(r_bits)])
         if not free:
             rejected[x] = condensed
     flagged = exceeds | single
@@ -576,22 +554,64 @@ def removability_findings(n: int, budget_override: bool = False) -> tuple[int, l
     return two.bit_count(), findings
 
 
-def _multigraphs_on(q: int, mult_max: int) -> Iterator[tuple[tuple[int, int, int], ...]]:
-    """The edge triples of every multiplicity pattern on the pairs of [q], in
-    `product` order over the pairs in `combinations` order."""
-    options = [
-        ((),) + tuple(((u, v, c),) for c in range(1, mult_max + 1))
-        for u, v in combinations(range(1, q + 1), 2)
-    ]
-    for parts in product(*options):
-        yield sum(parts, ())
-
-
 def doubled_star(q: int) -> MultiGraph:
     """Star on q vertices with every edge doubled: 2q-2 edges, all 2-cycles."""
     if q < 2:
         return MultiGraph(max(q, 1), ())
     return MultiGraph(q, tuple((1, v, 2) for v in range(2, q + 1)))
+
+
+def _exact_theta(q: int, pairs: Sequence[tuple[int, int]], mults: Sequence[int]) -> bool | None:
+    """None unless the edge copies form exactly a theta: branch vertices a, b
+    of degree 3 joined by three internally disjoint paths, every other
+    vertex of degree 2 or 0.  Else whether a and b are adjacent."""
+    near: list[list[int]] = [[] for _ in range(q + 1)]
+    for (u, v), mult in zip(pairs, mults):
+        near[u] += [v] * mult
+        near[v] += [u] * mult
+    branch = [v for v, vs in enumerate(near) if len(vs) == 3]
+    if len(branch) != 2 or any(len(vs) not in (0, 2, 3) for vs in near):
+        return None
+    a, b = branch
+    length = 0
+    for w in near[a]:  # each path from a, through vertices of degree 2
+        prev, length = a, length + 1
+        while len(near[w]) == 2:
+            prev, w, length = w, near[w][near[w][0] == prev], length + 1
+        if w != b:
+            return None
+    return b in near[a] if length == sum(mults) else None
+
+
+def _chorded_walk(q: int, pairs: list[tuple[int, int]], weight: list[int],
+                  base: int) -> tuple[list[list[int]], bytearray]:
+    """The chorded-cycle-free patterns (digits < base, index sum(digit *
+    weight)) on the pairs of [q] by edge total, and the cactus flags.  A
+    child raises its parent's last nonzero digit or a later one.  Both
+    predicates are hereditary, so a child whose lower covers all pass fails
+    only if its edges form exactly a theta, joined at its branch vertices
+    for a chorded cycle."""
+    free_ok = bytearray(base ** len(pairs))
+    cactus_ok = bytearray(len(free_ok))
+    free_ok[0] = cactus_ok[0] = 1
+    layers = [[0]]
+    while layers[-1]:
+        layers.append([])
+        for parent in layers[-2]:
+            digits = [parent // w % base for w in weight]
+            held = [j for j, d in enumerate(digits) if d]
+            for i in range(held[-1] if held else 0, len(pairs)):
+                child = parent + weight[i]
+                lower = [child - weight[j] for j in held if j != i]
+                if digits[i] == base - 1 or not all(map(free_ok.__getitem__, lower)):
+                    continue
+                theta = _exact_theta(q, pairs, digits[:i] + [digits[i] + 1] + digits[i + 1:])
+                if cactus_ok[parent] and all(map(cactus_ok.__getitem__, lower)):
+                    cactus_ok[child] = theta is None
+                if not theta:
+                    free_ok[child] = 1
+                    layers[-1].append(child)
+    return layers, cactus_ok
 
 
 def chorded_cycle_sweep(q_max: int = 5, mult_max: int = 3) -> dict:
@@ -606,42 +626,22 @@ def chorded_cycle_sweep(q_max: int = 5, mult_max: int = 3) -> dict:
     results = {"per_q": {}, "bound_violations": [], "mismatches": []}
     # a pair at multiplicity >= 3 is a 2-cycle plus a chord and also a
     # non-cycle block, so both predicates reject it: only the patterns with
-    # every multiplicity <= 2 are evaluated, the rest just counted
+    # every multiplicity <= 2 are walked, the rest just counted
     base = min(mult_max, 2) + 1
     for q in range(1, q_max + 1):
-        pair_list = list(combinations(range(1, q + 1), 2))
-        # the patterns come in base-`base` counting order, first pair most
-        # significant, so a lower cover (one edge fewer) has the index
-        # idx - weight[pair] and is reached first
-        weight = {pair: base ** i for i, pair in enumerate(reversed(pair_list))}
-        # both predicates are hereditary (losing an edge keeps them true), so
-        # each is called only where it held on every lower cover and is
-        # recorded False elsewhere
-        free_ok = bytearray(base ** len(pair_list))
-        cactus_ok = bytearray(len(free_ok))
-        free_count = 0
-        for idx, edges in enumerate(_multigraphs_on(q, base - 1)):
-            lower = [idx - weight[u, v] for u, v, _ in edges]
-            test_free = all(map(free_ok.__getitem__, lower))
-            test_cactus = all(map(cactus_ok.__getitem__, lower))
-            if not (test_free or test_cactus):
-                continue
-            h = MultiGraph(q, edges)
-            if test_free:
-                free_ok[idx] = is_chorded_cycle_free(h)
-            if test_cactus:
-                cactus_ok[idx] = is_cactus(h)
-            free = free_ok[idx]
-            if free != cactus_ok[idx]:
-                results["mismatches"].append(h.to_json())
-            if free:
-                free_count += 1
-                if h.edge_total > 2 * q - 2:
-                    results["bound_violations"].append(h.to_json())
+        pairs = list(combinations(range(1, q + 1), 2))
+        weight = [base ** i for i in reversed(range(len(pairs)))]
+        layers, cactus_ok = _chorded_walk(q, pairs, weight, base)
+        # reported by index, as `product` over the pairs lists them
+        for key, found in (("mismatches", [x for k in layers for x in k if not cactus_ok[x]]),
+                           ("bound_violations", [x for k in layers[2 * q - 1:] for x in k])):
+            results[key] += [MultiGraph(q, tuple((u, v, c) for (u, v), w in zip(pairs, weight)
+                                                 if (c := x // w % base))).to_json()
+                             for x in sorted(found)]
         star = doubled_star(q)
         results["per_q"][q] = {
             "multigraphs": (mult_max + 1) ** (q * (q - 1) // 2),
-            "chorded_cycle_free": free_count,
+            "chorded_cycle_free": sum(map(len, layers)),
             "doubled_star_edges": star.edge_total,
             "doubled_star_tight": q < 2
             or (star.edge_total == 2 * q - 2 and is_chorded_cycle_free(star)),

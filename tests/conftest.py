@@ -4,20 +4,21 @@ The oracles here deliberately use different algorithms from the package
 (union-find instead of frontier BFS, per-edge deletion instead of
 cycle-space cut labels, subset enumeration instead of matching, one
 augmenting path at a time instead of phases, cycle enumeration instead of
-the per-edge Menger test, a counting recurrence instead of bit planes, a hash
-index instead of a dense rank, per-mask retests instead of bit planes,
-per-graph canonical forms instead of one orbit expansion per class, a
-bracket stack walk instead of a chunk table) so
-the two sides of every check share no code path.  The exceptions are
-`chorded_sweep_all_patterns`, which calls the package's multigraph
-predicates on every pattern, because what it checks is which patterns the
-sweep skips, `iso_classes_by_relabel`, which relabels through the
-package's `quotient.relabel`, and the walk behind
-`skeleton_findings_by_walk`, `removability_findings_by_walk` and
-`tech_sweep_by_walk`, which gives each connected graph its cut labels from
-`connectivity._cut_labels` and looks each skeleton part up in the
-two-edge-connected plane of its own vertex count or retests it alone,
-because what it checks is the plane route of the sweeps.
+the per-edge Menger test and the spanning-forest cactus test, a counting
+recurrence instead of bit planes, a hash index instead of a dense rank,
+per-mask retests instead of bit planes, per-graph canonical forms instead
+of one orbit expansion per class, a bracket stack walk instead of a chunk
+table) so the two sides of every check share no code path.  The exceptions
+are `pattern_verdicts` and `chorded_sweep_all_patterns`, which call the
+package's multigraph predicates on every pattern, because what they check
+is which patterns the sweep skips and how it decides the rest,
+`iso_classes_by_relabel`, which relabels through the package's
+`quotient.relabel`, and the walk behind `skeleton_findings_by_walk`,
+`removability_findings_by_walk` and `tech_sweep_by_walk`, which gives each
+connected graph its cut labels from `connectivity._cut_labels` and looks
+each skeleton part up in the two-edge-connected plane of its own vertex
+count or retests it alone, because what it checks is the plane route of the
+sweeps.
 """
 
 from collections import Counter
@@ -156,22 +157,18 @@ def irk_table_by_retest(n):
 def chorded_sweep_all_patterns(q_max, mult_max):
     """The result of connectivity.chorded_cycle_sweep with both predicates
     called on every multiplicity pattern (multiplicities <= min(mult_max, 2),
-    enumerated here), not only where every lower cover passed."""
-    from connposet.connectivity import (
-        MultiGraph,
-        doubled_star,
-        is_cactus,
-        is_chorded_cycle_free,
-    )
+    read from `pattern_verdicts`), not only where every lower cover passed."""
+    from connposet.connectivity import MultiGraph, doubled_star, is_chorded_cycle_free
 
     results = {"per_q": {}, "bound_violations": [], "mismatches": []}
     for q in range(1, q_max + 1):
         pair_list = list(combinations(range(1, q + 1), 2))
         free_count = 0
-        for mults in product(range(min(mult_max, 2) + 1), repeat=len(pair_list)):
+        for mults, (free, cactus) in pattern_verdicts(q).items():
+            if max(mults, default=0) > mult_max:
+                continue
             h = MultiGraph(q, tuple((u, v, c) for (u, v), c in zip(pair_list, mults) if c))
-            free = is_chorded_cycle_free(h)
-            if free != is_cactus(h):
+            if free != cactus:
                 results["mismatches"].append(h.to_json())
             if free:
                 free_count += 1
@@ -300,15 +297,10 @@ def brute_width(elements, lt):
     return best
 
 
-def cycle_chord_free(q, edges):
-    """No cycle of the multigraph has a chord, by enumerating simple cycles.
-
-    `edges` holds (u, v, multiplicity) triples on vertices 1..q.  Parallel
-    copies get their own edge ids, so two copies of a pair form a 2-cycle.
-    A chord is an edge off the cycle with both ends on it (for a 2-cycle,
-    a third parallel copy).
-    """
-    ends = [(u, v) for u, v, mult in edges for _ in range(mult)]
+def _simple_cycles(q, ends):
+    """(edge ids, vertex set) of every simple cycle of the multigraph whose
+    edge copies are `ends`, once per direction of travel.  Parallel copies
+    have their own ids, so two copies of a pair form a 2-cycle."""
     incident = {v: [] for v in range(1, q + 1)}
     for eid, (u, v) in enumerate(ends):
         incident[u].append((v, eid))
@@ -323,15 +315,53 @@ def cycle_chord_free(q, edges):
                 if eid in used:
                     continue
                 if w == start and used:
-                    cycle = used | {eid}
-                    if any(
-                        other not in cycle and a in verts and b in verts
-                        for other, (a, b) in enumerate(ends)
-                    ):
-                        return False
+                    yield used | {eid}, verts
                 elif w > start and w not in verts:
                     stack.append((w, verts | {w}, used | {eid}))
+
+
+def cycle_chord_free(q, edges):
+    """No cycle of the multigraph has a chord, by enumerating simple cycles.
+
+    `edges` holds (u, v, multiplicity) triples on vertices 1..q.  A chord is
+    an edge off the cycle with both ends on it (for a 2-cycle, a third
+    parallel copy).
+    """
+    ends = [(u, v) for u, v, mult in edges for _ in range(mult)]
+    return not any(
+        other not in cycle and a in verts and b in verts
+        for cycle, verts in _simple_cycles(q, ends)
+        for other, (a, b) in enumerate(ends)
+    )
+
+
+def cycles_edge_disjoint(q, edges):
+    """No edge copy lies on two distinct simple cycles, by enumerating them:
+    the multigraph is a cactus."""
+    ends = [(u, v) for u, v, mult in edges for _ in range(mult)]
+    seen, covered = set(), set()
+    for cycle, _ in _simple_cycles(q, ends):
+        if cycle not in seen:  # the same cycle, travelled the other way
+            if covered & cycle:
+                return False
+            seen.add(cycle)
+            covered |= cycle
     return True
+
+
+@lru_cache(maxsize=None)
+def pattern_verdicts(q):
+    """(is_chorded_cycle_free, is_cactus) of every multiplicity pattern with
+    multiplicities <= 2 on the pairs of [q] in `combinations` order, keyed by
+    the multiplicity tuple, in `product` order."""
+    from connposet.connectivity import MultiGraph, is_cactus, is_chorded_cycle_free
+
+    pair_list = list(combinations(range(1, q + 1), 2))
+    verdicts = {}
+    for mults in product(range(3), repeat=len(pair_list)):
+        h = MultiGraph(q, tuple((u, v, c) for (u, v), c in zip(pair_list, mults) if c))
+        verdicts[mults] = (is_chorded_cycle_free(h), is_cactus(h))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from connposet.connectivity import (
     _bridgeless_labels,
     _components_without,
     _cut_labels,
+    _exact_theta,
+    _part_codes,
     _removable_of,
     _split_planes,
     _two_edge_connected_bits,
@@ -30,7 +32,7 @@ from connposet.connectivity import (
     removability_findings,
     skeleton_findings,
 )
-from connposet.graphs import enumerate_level, slot_count
+from connposet.graphs import _component_masks, _plane_members, _planes, enumerate_level, slot_count
 from connposet.limits import CHORDED_MAX_Q, BudgetExceededError
 
 from conftest import (
@@ -40,7 +42,9 @@ from conftest import (
     bridges_by_deletion,
     chorded_sweep_all_patterns,
     cycle_chord_free,
+    cycles_edge_disjoint,
     pairs_on,
+    pattern_verdicts,
     removability_findings_by_walk,
     removable_by_retest,
     skeleton_findings_by_walk,
@@ -241,6 +245,25 @@ def test_plane_sweep_reports_what_the_walk_reports(monkeypatch, n):
     checked, findings = removability_findings(n)
     assert len(findings) > 100
     assert (checked, findings) == removability_findings_by_walk(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_part_codes_number_the_components_of_g_minus_r(n):
+    # the parts the removability sweep reads from the reach planes of G - R,
+    # on every two-edge-connected graph (the open ones among them), against
+    # the components of G - R numbered by smallest vertex
+    two = _planes(n).two_edge_connected
+    rp = _split_planes(n, two)
+    pairs = pairs_on(n)
+    joined = [rp.reach[i][j] for i, j in pairs]
+    for x in _plane_members(two):
+        masks = _component_masks(n, x ^ _bits_at(rp.leaving, x))
+        part = [0] * (n + 1)
+        for p, mask in enumerate(masks, start=1):
+            for v in range(1, n + 1):
+                part[v] += p * (mask >> v & 1)
+        codes = [min(part[i], part[j]) * 16 + max(part[i], part[j]) for i, j in pairs]
+        assert _part_codes(n, pairs, _bits_at(joined, x)) == (len(masks), codes), f"{n}:{x:x}"
 
 
 def _leader_bits(parts):
@@ -451,6 +474,19 @@ def test_cactus_implies_chorded_cycle_free_q4():
             assert is_chorded_cycle_free(h)
 
 
+@pytest.mark.parametrize("q, mult_max", [(1, 3), (2, 3), (3, 3), (4, 3), (5, 2)])
+def test_cactus_matches_cycle_enumeration(q, mult_max):
+    pairs = list(combinations(range(1, q + 1), 2))
+    for mults in product(range(mult_max + 1), repeat=len(pairs)):
+        edges = tuple((u, v, c) for (u, v), c in zip(pairs, mults) if c)
+        assert is_cactus(MultiGraph(q, edges)) == cycles_edge_disjoint(q, edges), edges
+
+
+@given(st.sampled_from([6, 7]).flatmap(multigraphs))
+def test_cactus_matches_cycle_enumeration_q6_q7(h):
+    assert is_cactus(h) == cycles_edge_disjoint(h.q, h.edges)
+
+
 def test_chorded_cycle_sweep_small():
     sweep = chorded_cycle_sweep(4)
     assert sweep["bound_violations"] == []
@@ -478,7 +514,7 @@ def test_chorded_predicates_hold_on_every_lower_cover(q):
                 assert all(predicate(g) for g in lower), (predicate.__name__, h.to_json())
 
 
-@pytest.mark.parametrize("q_max", range(1, 5))
+@pytest.mark.parametrize("q_max", range(1, 6))
 @pytest.mark.parametrize("mult_max", range(4))
 def test_chorded_cycle_sweep_matches_all_patterns(q_max, mult_max):
     assert chorded_cycle_sweep(q_max, mult_max) == chorded_sweep_all_patterns(q_max, mult_max)
@@ -488,15 +524,35 @@ def test_chorded_cycle_sweep_q5_count():
     assert chorded_cycle_sweep(5)["per_q"][5]["chorded_cycle_free"] == 4003
 
 
+@pytest.mark.parametrize("q", range(1, 6))
+def test_exact_theta_decides_where_every_lower_cover_passes(q):
+    # the walk's classifier against both predicates on every pattern
+    # (multiplicities <= 2) whose lower covers all pass the predicate
+    pairs = list(combinations(range(1, q + 1), 2))
+    verdicts = pattern_verdicts(q)
+    seen = set()
+    for mults, (free, cactus) in verdicts.items():
+        lower = [verdicts[mults[:i] + (c - 1,) + mults[i + 1:]] for i, c in enumerate(mults) if c]
+        theta = _exact_theta(q, pairs, mults)
+        if all(f for f, _ in lower):
+            assert free == (not theta), mults
+            seen.add(theta)
+        if all(c for _, c in lower):
+            assert cactus == (theta is None), mults
+    # at q = 5 both obstructions occur: a chorded theta and K_{2,3}
+    assert seen == ({None, True, False} if q == 5 else {None, True} if q > 2 else {None})
+
+
 @pytest.mark.parametrize("q_max", [CHORDED_MAX_Q + 1, CHORDED_MAX_Q + 2])
 def test_chorded_sweep_checks_the_budget_before_any_pattern(monkeypatch, q_max):
-    # q = 7 would allocate 2 x 10.46 GB: the refusal must come before q = 1
+    # q = 7 would allocate 2 x 10.46 GB: the refusal must come before the
+    # walk allocates its flag tables at q = 1
     import connposet.connectivity as connectivity
 
-    def no_patterns(q, mult_max):
+    def no_walk(q, pairs, weight, base):
         raise AssertionError(f"patterns started at q={q}")
 
-    monkeypatch.setattr(connectivity, "_multigraphs_on", no_patterns)
+    monkeypatch.setattr(connectivity, "_chorded_walk", no_walk)
     with pytest.raises(BudgetExceededError, match=f"chorded-cycle sweep at q={q_max} exceeds"):
         chorded_cycle_sweep(q_max)
     with pytest.raises(AssertionError, match="patterns started at q=1"):

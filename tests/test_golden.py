@@ -7,8 +7,8 @@ commands of the benchmark workloads, the other n = 6 formats of `matchings`
 and `chains`, `lemma tech` and `lemma shadow-ratio` at n = 6, and the census,
 `sperner` (connected and two-edge-connected), `lemma disc`, `lemma irk`,
 `lemma skeleton`, `lemma removable`, `lemma tech`, `lemma shadow-ratio`,
-`explore quotient` and `explore hamiltonian` at n = 7.  Stderr is not
-compared.
+`explore quotient` and `explore hamiltonian` at n = 7, and `lemma chorded`
+at q = 6.  Stderr is not compared.
 
 Re-record (only after a deliberate output change) with
 
@@ -108,6 +108,12 @@ N7_COMMANDS = [
      ("explore", "hamiltonian", "--n", "7", "--budget-override")]
 
 
+# the chorded-cycle sweep at q = 6, recorded from the walk over all 3^15
+# multiplicity patterns that called both predicates wherever every lower
+# cover passed
+CHORDED_COMMANDS = [("lemma", "chorded", "--q-max", "6")]
+
+
 def run(argv):
     """Exit code and stdout sha256 of one in-process CLI run."""
     from connposet import cli
@@ -149,9 +155,13 @@ def test_n7_outputs_match_golden():
     assert _mismatches(N7_COMMANDS) == []
 
 
+def test_chorded_q6_output_matches_golden():
+    assert _mismatches(CHORDED_COMMANDS) == []
+
+
 if __name__ == "__main__":
     commands = (small_commands() + BENCH_COMMANDS + WRITER_COMMANDS + TECH_COMMANDS
-                + N7_COMMANDS)
+                + N7_COMMANDS + CHORDED_COMMANDS)
     record = {" ".join(argv): run(argv) for argv in commands}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(record)} commands to {GOLDEN}", file=sys.stderr)
