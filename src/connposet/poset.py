@@ -497,48 +497,53 @@ def _glued_chains(match: Callable, levels: Sequence[Sequence[int]]) -> list[list
     return chains
 
 
-def _adds_one_edge(lower: int, upper: int) -> bool:
-    return upper & lower == lower and (upper ^ lower).bit_count() == 1
-
-
 def check_chain_certificate(
-    universe: Iterable[int], chains: Sequence[Sequence[int]], step=_adds_one_edge
+    universe: Iterable[int], chains: Sequence[Sequence[int]], step: Callable | None = None
 ) -> None:
     """Re-verify that chains of bitmasks prove width = largest level.
 
     Every element of the universe must appear exactly once, each consecutive
-    pair (lower, upper) of a chain must pass step, a cover of the order (by
+    pair (lower, upper) of a chain must be a cover of the order (step, or by
     default: upper adds exactly one edge to lower), and there must be as many
     chains as the largest level (by bit count) has elements.  A partition
     into that many chains admits no larger antichain, and the largest level
-    is itself an antichain.  Raises AssertionError otherwise.
+    is itself an antichain.  A chain's members are checked before its steps.
+    Raises AssertionError otherwise.
     """
     order = sorted(universe)  # flags by rank: memory follows the member count
-    level_sizes = Counter(b.bit_count() for b in order)
-    largest = max(level_sizes.values(), default=0)
+    size = len(order)
+    largest = max(Counter(map(int.bit_count, order)).values(), default=0)
     if len(chains) != largest:
         raise AssertionError(
             f"{len(chains)} chains, but the largest level has {largest} elements"
         )
-    seen = bytearray(len(order))
+    seen = bytearray(size)
     covered = 0
     for chain in chains:
         for b in chain:
             i = bisect_left(order, b)
-            if i == len(order) or order[i] != b or seen[i]:
+            if i == size or order[i] != b or seen[i]:
                 raise AssertionError(
                     f"chain member {b:#x} is repeated or outside the universe"
                 )
             seen[i] = 1
-            covered += 1
-        for lower, upper in zip(chain, chain[1:]):
-            if not step(lower, upper):
-                raise AssertionError(f"chain step {lower:#x} -> {upper:#x} " + (
-                    "does not add exactly one edge" if step is _adds_one_edge
-                    else "is not a cover of the order"))
-    if covered != len(order):
+        covered += len(chain)
+        if step is None:  # inline: no call per step
+            steps = iter(chain)
+            lower = next(steps, 0)
+            for upper in steps:
+                if upper & lower != lower or (upper ^ lower).bit_count() != 1:
+                    raise AssertionError(f"chain step {lower:#x} -> {upper:#x} "
+                                         "does not add exactly one edge")
+                lower = upper
+        else:
+            for lower, upper in zip(chain, chain[1:]):
+                if not step(lower, upper):
+                    raise AssertionError(f"chain step {lower:#x} -> {upper:#x} "
+                                         "is not a cover of the order")
+    if covered != size:
         raise AssertionError(
-            f"chains cover {covered} of {len(order)} elements; "
+            f"chains cover {covered} of {size} elements; "
             f"{order[seen.find(0)]:#x} is missing"
         )
 

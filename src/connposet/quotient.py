@@ -18,14 +18,14 @@ one-edge steps, and supergraphs of connected graphs stay connected.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Iterator
+from typing import Callable
 
-from .connectivity import is_two_edge_connected
 from .graphs import (
     EdgeSet,
     _check_n,
@@ -52,24 +52,33 @@ from .poset import (
 
 
 @lru_cache(maxsize=None)
-def _perm_images(n: int) -> tuple[tuple[int, ...], ...]:
-    """For every permutation of [n], the image slot bit of every slot.  The
-    tables share one int object per slot bit."""
+def _lanes(n: int) -> tuple[str, int, tuple[int, ...]]:
+    """The orbit table of [n]: per slot s one int, whose lane p holds the
+    image slot bit of s under the p-th permutation of [n] (in
+    itertools.permutations order).  A lane is an array item, 16 bits while
+    m <= 16 and 32 bits up to m = 28.  Returns the item code, the byte
+    length of a column and the columns."""
     pairs = _slot_pairs(n)
+    code = "H" if len(pairs) <= 16 else "I"
     bit_of = {}
     for s, (i, j) in enumerate(pairs):
         bit_of[i, j] = bit_of[j, i] = 1 << s
-    images = []
-    for perm in permutations(range(1, n + 1)):
-        to = (0, *perm)  # to[v]: the image of vertex v
-        images.append(tuple(bit_of[to[i], to[j]] for i, j in pairs))
-    return tuple(images)
+    perms = list(permutations(range(1, n + 1)))
+    columns = tuple(
+        int.from_bytes(array(code, [bit_of[p[i - 1], p[j - 1]] for p in perms]), sys.byteorder)
+        for i, j in pairs
+    )
+    return code, len(perms) * array(code).itemsize, columns
 
 
-def _orbit(bits: int, n: int) -> Iterator[int]:
-    """A graph relabeled by every permutation of [n], repeats included."""
-    slots = list(_iter_bits(bits))
-    return (sum(map(image.__getitem__, slots)) for image in _perm_images(n))
+def _orbit(bits: int, n: int) -> memoryview:
+    """A graph relabeled by every permutation of [n], one lane each, repeats
+    included: the OR of its slots' columns, read back lane by lane."""
+    code, size, columns = _lanes(n)
+    lanes = 0
+    for s in _iter_bits(bits):
+        lanes |= columns[s]
+    return memoryview(lanes.to_bytes(size, sys.byteorder)).cast(code)
 
 
 def relabel(g: EdgeSet, perm: dict[int, int]) -> EdgeSet:
@@ -103,21 +112,28 @@ def _connected_classes(n: int) -> tuple[tuple[IsoClass, ...], array]:
     """All isomorphism classes of connected graphs on [n], plus the class
     index of every graph on [n] (-1 where the graph is disconnected).
 
-    Graphs are scanned in ascending bits order, so the first member of each
-    orbit encountered is its canonical form; one orbit expansion per class
-    replaces per-graph canonicalization.
+    Level by level, the next graph still flagged is the smallest of its
+    orbit, so it is the canonical form; its orbit gets the next class index
+    and loses its flags.  One orbit expansion per class replaces per-graph
+    canonicalization, and no graph is visited twice.
     """
     connected = _family_plane(n, "connected")
-    class_of = array("i", [-1]) * (1 << slot_count(n))
+    size = 1 << slot_count(n)
+    class_of = array("i", [-1]) * size
+    spread = bytes.maketrans(b"01", b"\0\1")  # a binary digit to a byte
     classes: list[IsoClass] = []
     for level in _planes(n).levels:
-        for bits in _plane_members(connected & level):
-            if class_of[bits] >= 0:
-                continue
+        # byte x is bit x of the level's connected plane
+        flags = bytearray(f"{connected & level:0{size}b}"[::-1].encode()).translate(spread)
+        bits = flags.find(1)
+        while bits >= 0:
             orbit = set(_orbit(bits, n))
+            index = len(classes)
             for member in orbit:
-                class_of[member] = len(classes)
+                class_of[member] = index
+                flags[member] = 0
             classes.append(IsoClass(EdgeSet(n, bits), len(orbit)))
+            bits = flags.find(1, bits + 1)
     return tuple(classes), class_of
 
 
@@ -262,8 +278,7 @@ def cprime_search(n_max: int, budget_override: bool = False) -> list[ExplorerRep
     then by closeness of the margin.
     """
     _check_n(n_max)
-    if n_max > 6 and not budget_override:
-        raise ValueError("cprime_search is budgeted to n_max <= 6")
+    check_scan_budget(n_max, budget_override)  # before the first host, not at n_max
     reports = []
     for n in range(2, n_max + 1):
         for cls in connected_classes(n):
@@ -299,6 +314,14 @@ def contains_triangle(g: EdgeSet) -> bool:
         adj[a] >> b & 1 and adj[b] >> c & 1 and adj[a] >> c & 1
         for a, b, c in combinations(range(1, g.n + 1), 3)
     )
+
+
+def is_two_edge_connected(g: EdgeSet) -> bool:
+    """connectivity.is_two_edge_connected, imported on the first call: the
+    built-in's plane needs no predicate, so the explorers never load it."""
+    from .connectivity import is_two_edge_connected
+
+    return is_two_edge_connected(g)
 
 
 PROPERTY_BUILTINS: dict[str, Callable[[EdgeSet], bool]] = {

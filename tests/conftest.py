@@ -7,7 +7,8 @@ augmenting path at a time instead of phases, cycle enumeration instead of
 the per-edge Menger test and the spanning-forest cactus test, a counting
 recurrence instead of bit planes, a hash index instead of a dense rank,
 per-mask retests instead of bit planes, per-graph canonical forms instead
-of one orbit expansion per class, a bracket stack walk instead of a chunk
+of one orbit expansion per class, a sum of image slots per permutation
+instead of lane-packed columns, a bracket stack walk instead of a chunk
 table) so the two sides of every check share no code path.  The exceptions
 are `pattern_verdicts` and `chorded_sweep_all_patterns`, which call the
 package's multigraph predicates on every pattern, because what they check
@@ -110,6 +111,27 @@ def iso_classes_by_relabel(n):
     order = sorted(sizes, key=lambda c: (c.bit_count(), c))
     position = {c: i for i, c in enumerate(order)}
     return [(c, sizes[c]) for c in order], {b: position[c] for b, c in canon.items()}
+
+
+@lru_cache(maxsize=None)
+def perm_slot_images(n):
+    """For every permutation of [n], in itertools.permutations order, the
+    image slot bit of every slot."""
+    pairs = pairs_on(n)
+    bit_of = {}
+    for s, (i, j) in enumerate(pairs):
+        bit_of[i, j] = bit_of[j, i] = 1 << s
+    return [
+        [bit_of[perm[i - 1], perm[j - 1]] for i, j in pairs]
+        for perm in permutations(range(1, n + 1))
+    ]
+
+
+def slot_sum_orbit(n, bits):
+    """A graph relabeled by every permutation of [n], repeats included: per
+    permutation, the sum of its slots' image bits."""
+    slots = [s for s in range(comb(n, 2)) if bits >> s & 1]
+    return [sum(image[s] for s in slots) for image in perm_slot_images(n)]
 
 
 def bridges_by_deletion(g):

@@ -355,6 +355,16 @@ def test_explore_cprime():
     assert len(doc["reports"]) == 3
 
 
+@pytest.mark.parametrize("argv, hint", [
+    (("--n", "7"), "--budget-override"),
+    (("--n", "8", "--budget-override"), "budget of n<=7"),
+])
+def test_explore_cprime_budget_names_the_limit(argv, hint):
+    proc = run_cli("explore", "cprime", *argv, expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget error: ") and hint in proc.stderr
+
+
 def test_explore_hamiltonian():
     doc = json.loads(run_cli("explore", "hamiltonian", "--n", "4").stdout)
     assert doc["element_count"] == 10

@@ -97,7 +97,9 @@ BASE = ["connposet", "connposet.cli", "connposet.limits"]
     (["lemma", "skeleton", "--n", "4"], ["connectivity", "graphs"]),
     (["lemma", "chorded", "--q-max", "3"], ["connectivity", "graphs"]),
     (["lemma", "irk", "--n", "4"], ["bounds", "graphs"]),
-    (["explore", "quotient", "--n", "4"], ["connectivity", "graphs", "poset", "quotient"]),
+    (["explore", "quotient", "--n", "4"], ["graphs", "poset", "quotient"]),
+    (["explore", "cprime", "--n", "4"], ["graphs", "poset", "quotient"]),
+    (["explore", "hamiltonian", "--n", "4"], ["graphs", "poset", "quotient"]),
 ])
 def test_subcommand_loads_only_what_it_calls(argv, compute):
     code, loaded = _fresh(

@@ -495,6 +495,34 @@ def test_check_chain_certificate_rejects(chains, problem):
         check_chain_certificate([0, 1, 2, 3], chains)
 
 
+def test_check_chain_certificate_rejects_a_repeated_universe_element():
+    # the chains are a valid partition of the set, but not of the universe
+    with pytest.raises(AssertionError, match="cover 4 of 5 elements; 0x3 is missing"):
+        check_chain_certificate([0, 1, 2, 3, 3], [[0, 1, 3], [2]])
+
+
+@pytest.mark.parametrize(
+    "chains,problem",
+    [
+        # a chain's members are checked before its steps
+        ([[0, 3, 7], [1, 2]], "member 0x7 is repeated or outside"),
+        ([[0, 3], [1, 2, 7]], "step 0x0 -> 0x3 does not add exactly one edge"),
+        ([[0, 1, 3], [2, 6, 2]], "member 0x6 is repeated or outside"),
+        ([[3, 1, 0], [2]], "step 0x3 -> 0x1 does not add exactly one edge"),  # downward
+    ],
+)
+def test_check_chain_certificate_reports_the_first_failure(chains, problem):
+    with pytest.raises(AssertionError, match=problem):
+        check_chain_certificate([0, 1, 2, 3], chains)
+
+
+def test_check_chain_certificate_uses_a_given_step():
+    # a one-edge step that the given order does not have is refused
+    with pytest.raises(AssertionError, match="0x0 -> 0x1 is not a cover of the order"):
+        check_chain_certificate([0, 1], [[0, 1]], lambda lower, upper: False)
+    check_chain_certificate([0, 3], [[0, 3]], lambda lower, upper: True)
+
+
 def test_sperner_verdict_checks_chain_certificate(monkeypatch):
     import connposet.poset as poset_mod
 

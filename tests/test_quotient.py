@@ -32,6 +32,8 @@ from connposet.quotient import (
     ExplorerReport,
     _connected_classes,
     _covers_saturated,
+    _lanes,
+    _orbit,
     _property_plane,
     contains_triangle,
     relabel,
@@ -42,6 +44,7 @@ from conftest import (
     covers_one_level,
     iso_classes_by_relabel,
     pairs_on,
+    slot_sum_orbit,
     uf_connected_bits,
 )
 
@@ -74,6 +77,32 @@ def test_canonical_form_idempotent_and_budgeted():
     assert canonical_form(c) == c
     with pytest.raises(ValueError):
         canonical_form(EdgeSet.empty(9))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lane_orbit_matches_slot_sums_exhaustive(n):
+    for bits in range(1 << slot_count(n)):
+        assert sorted(_orbit(bits, n)) == sorted(slot_sum_orbit(n, bits)), bits
+
+
+@pytest.mark.parametrize("n,code,samples", [(6, "H", 40), (7, "I", 12), (8, "I", 3)])
+def test_lane_orbit_matches_slot_sums_sampled(n, code, samples):
+    # 16-bit lanes up to 15 slots (n = 6), 32-bit lanes at 21 and 28 slots
+    assert _lanes(n)[0] == code
+    m = slot_count(n)
+    rng = random.Random(n)
+    masks = [0, (1 << m) - 1, 1 << (m - 1), *(rng.getrandbits(m) for _ in range(samples))]
+    for bits in masks:
+        assert sorted(_orbit(bits, n)) == sorted(slot_sum_orbit(n, bits)), bits
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_canonical_form_is_the_relabel_minimum(n):
+    rng = random.Random(n)
+    perms = [dict(zip(range(1, n + 1), p)) for p in permutations(range(1, n + 1))]
+    path = EdgeSet.from_edges(n, [(i, i + 1) for i in range(1, n)])
+    for g in (path, EdgeSet(n, rng.getrandbits(slot_count(n)))):
+        assert canonical_form(g).bits == min(relabel(g, p).bits for p in perms), g.text()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -109,9 +138,9 @@ def test_class_level_counts_n4():
     assert per_level == {3: 2, 4: 2, 5: 1, 6: 1}
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_orbit_sizes_partition_labeled_counts(n):
-    census = level_census(n)
+    census = level_census(n, budget_override=True)
     by_level = {}
     for cls in connected_classes(n):
         by_level[cls.level] = by_level.get(cls.level, 0) + cls.orbit_size
@@ -390,6 +419,18 @@ def test_cprime_hosts_in_high_edge_slots():
 def test_cprime_rejects_disconnected():
     with pytest.raises(ValueError):
         cprime_sperner(EdgeSet.from_edges(4, [(1, 2), (3, 4)]))
+
+
+def test_cprime_search_refuses_before_the_first_host(monkeypatch):
+    import connposet.quotient as quotient_mod
+
+    hosts = []
+    monkeypatch.setattr(quotient_mod, "cprime_sperner", lambda *args: hosts.append(args))
+    with pytest.raises(BudgetExceededError, match="budget of n<=7"):
+        cprime_search(8, budget_override=True)
+    with pytest.raises(BudgetExceededError, match="--budget-override"):
+        cprime_search(7)
+    assert hosts == []
 
 
 def test_cprime_search_n4():
