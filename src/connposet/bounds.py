@@ -18,10 +18,9 @@ requires (the ratio and shift identities below are stated for it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, log2
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .limits import check_scan_budget
 
@@ -34,8 +33,7 @@ LOG2_TOL = 1e-9
 EXACT_LIMIT = 1 << 63
 
 
-@dataclass(frozen=True)
-class LogValue:
+class LogValue(NamedTuple):
     """A nonnegative magnitude as log2 (-inf encodes zero) plus optional exact form."""
 
     log2: float
@@ -241,8 +239,7 @@ def appendix_grid(property_id: int, points: int = 1000) -> list[tuple[float, int
 # composition inequalities
 
 
-@dataclass(frozen=True)
-class SquaresResult:
+class SquaresResult(NamedTuple):
     """Truth of the four composition inequalities for a_1 + ... + a_s = n."""
 
     binom_sum_ok: bool
@@ -334,8 +331,7 @@ def squares_sweep(n_max: int = 20) -> tuple[int, list[dict]]:
 # bound reports
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Comparison of two magnitudes; the stated claim is always lhs <= rhs."""
 
     name: str
@@ -447,14 +443,13 @@ def disconnected_report(n: int, budget_override: bool = False) -> list[BoundRepo
     return rows
 
 
-@dataclass(frozen=True)
-class IRCensus:
+class IRCensus(NamedTuple):
     """Counts of 2-edge-connected graphs by (edge count, removable-set size)."""
 
     n: int
     epsilon: float
     table: dict[tuple[int, int], int]
-    reports: list[BoundReport] = field(default_factory=list)
+    reports: list[BoundReport]
 
     def total(self) -> int:
         return sum(self.table.values())
@@ -519,8 +514,7 @@ def i_r_census(n: int, epsilon: float = 1.0, budget_override: bool = False) -> I
 # skeleton-sum inequality
 
 
-@dataclass(frozen=True)
-class TechEvaluation:
+class TechEvaluation(NamedTuple):
     lhs: int
     hypothesis_met: bool
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
@@ -126,8 +125,7 @@ def bridges(g: EdgeSet) -> list[tuple[int, int]]:
     return sorted(pairs[s] for s in _bridge_slots(g.n, g.bits))
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(NamedTuple):
     """Bridge set plus the vertex partition left after deleting the bridges."""
 
     bridges: tuple[tuple[int, int], ...]
@@ -165,8 +163,7 @@ def is_two_edge_connected(g: EdgeSet) -> bool:
 # removable edges of 2-edge-connected graphs
 
 
-@dataclass(frozen=True)
-class RemovabilityReport:
+class RemovabilityReport(NamedTuple):
     """R(G) together with the component count q of G - R(G) and 2q-2."""
 
     removable: tuple[tuple[int, int], ...]
@@ -197,24 +194,33 @@ def removable_edges(g: EdgeSet) -> RemovabilityReport:
 # multigraphs and chorded cycles
 
 
-@dataclass(frozen=True)
-class MultiGraph:
-    """Loop-free multigraph on vertex set {1,...,q} with edge multiplicities."""
-
+class _MultiGraphFields(NamedTuple):
     q: int
     edges: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
+
+class MultiGraph(_MultiGraphFields):
+    """Loop-free multigraph on vertex set {1,...,q} with edge multiplicities,
+    the edges (u, v, multiplicity) sorted."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, edges: Iterable[tuple[int, int, int]]) -> "MultiGraph":
+        edges = tuple(sorted(edges))
         seen = set()
-        for u, v, mult in self.edges:
-            if not (1 <= u < v <= self.q):
-                raise ValueError(f"bad edge ({u},{v}): need 1 <= u < v <= q={self.q}")
+        for u, v, mult in edges:
+            if not (1 <= u < v <= q):
+                raise ValueError(f"bad edge ({u},{v}): need 1 <= u < v <= q={q}")
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
             if (u, v) in seen:
                 raise ValueError(f"duplicate pair ({u},{v}); merge multiplicities")
             seen.add((u, v))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        return super().__new__(cls, q, edges)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "MultiGraph":
+        return cls(*fields)  # so that _replace checks and sorts too
 
     @property
     def edge_total(self) -> int:

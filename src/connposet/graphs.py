@@ -14,7 +14,6 @@ stream deterministic and restartable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -55,17 +54,25 @@ def _slot_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for j in range(2, n + 1) for i in range(1, j))
 
 
-@dataclass(frozen=True, order=True)
-class EdgeSet:
-    """A labeled graph on {1,...,n} encoded as an m-bit edge set."""
-
+class _EdgeSetFields(NamedTuple):
     n: int
     bits: int
 
-    def __post_init__(self) -> None:
-        m = slot_count(self.n)
-        if not 0 <= self.bits < (1 << m):
-            raise ValueError(f"bits out of range for n={self.n}: {self.bits}")
+
+class EdgeSet(_EdgeSetFields):
+    """A labeled graph on {1,...,n} encoded as an m-bit edge set.  It is the
+    tuple (n, bits): it orders and hashes as that tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, bits: int) -> "EdgeSet":
+        if not 0 <= bits < (1 << slot_count(n)):
+            raise ValueError(f"bits out of range for n={n}: {bits}")
+        return super().__new__(cls, n, bits)
+
+    @classmethod
+    def _make(cls, fields: Iterable[int]) -> "EdgeSet":
+        return cls(*fields)  # so that _replace checks too
 
     @property
     def edge_count(self) -> int:
@@ -403,8 +410,7 @@ def enumerate_level(
         yield EdgeSet(n, bits)
 
 
-@dataclass(frozen=True)
-class LevelCensus:
+class LevelCensus(NamedTuple):
     """Per-level counts of a graph family on [n]."""
 
     n: int

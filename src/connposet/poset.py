@@ -9,7 +9,9 @@ is extracted from the final alternating-reachability cut.
 
 Complete matchings from every level into its neighbor toward the largest
 level K glue into |level K| chains of one-edge steps; such a partition
-proves width = |level K|, the paper's route to the Sperner property.  For a
+proves width = |level K|, the paper's route to the Sperner property.  The
+width verdicts check the matchings themselves, pair by pair, and list no
+chain; `chains` lists the chains it prints and checks them.  For a
 family of edge bitmasks the symmetric-chain bracket map proposes each
 partner: on an up-set it is a complete matching from every level below
 m/2, so those pairs need no adjacency and no search, and Hopcroft-Karp,
@@ -26,13 +28,13 @@ the size of a maximum antichain, so the two certificates confirm each other.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from array import array
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graphs import EdgeSet, _check_family, _level_bits, slot_count
 from .limits import ChainPartitionError, check_scan_budget, check_width_budget
@@ -138,8 +140,9 @@ def hopcroft_karp(
         return False
 
     # a left stays free until a search starts from it, so the phase tries
-    # the lefts that were free when it was layered, in order
-    while size < n_left and (free := bfs()):
+    # the lefts that were free when it was layered, in order; once the
+    # smaller side is matched no augmenting path is left to layer
+    while size < min(n_left, n_right) and (free := bfs()):
         for u in free:
             if dfs(u):
                 size += 1
@@ -176,8 +179,7 @@ def _alternating_reachable(
 # adjacent-level matchings
 
 
-@dataclass(frozen=True)
-class MatchingResult:
+class MatchingResult(NamedTuple):
     """Maximum matching between two adjacent levels, matched from k_from."""
 
     n: int
@@ -369,8 +371,7 @@ def adjacent_level_matching(
 # chain partition through the largest level
 
 
-@dataclass(frozen=True)
-class ChainPartition:
+class ChainPartition(NamedTuple):
     """Chains of one-edge steps partitioning a graph universe, glued through
     its largest level."""
 
@@ -418,7 +419,7 @@ def _complete_matching(
 
 
 def _searched(rows: Callable) -> Callable:
-    """match= for _glued_chains: Hopcroft-Karp over every row that
+    """match= for _glued_partners: Hopcroft-Karp over every row that
     rows(from_bits, to_bits, direction) gives, _level_pair_adjacency's
     one-edge steps or the quotient's covers."""
 
@@ -430,12 +431,13 @@ def _searched(rows: Callable) -> Callable:
 
 
 def _bracket_matching(full: int) -> Callable:
-    """match= for _glued_chains on a family of edge bitmasks within full.
+    """match= for _glued_partners on a family of edge bitmasks within full.
 
     Each element's bracket image (_bracket_images) is its proposed partner.
     Where every image lies in the target level, the proposals are the
-    matching (the map is injective on a level, and check_chain_certificate
-    re-verifies every chain): no row is built and nothing is searched.
+    matching (the map is injective on a level, and
+    check_matching_certificate re-verifies every pair): no row is built and
+    nothing is searched.
     Otherwise Hopcroft-Karp starts from them and repairs the misses,
     building the one-edge row of each element it visits the first time it
     visits it, in a list indexed like from_bits.  On an up-set a miss is a
@@ -461,18 +463,21 @@ def _bracket_matching(full: int) -> Callable:
     return match
 
 
-def _glued_chains(match: Callable, levels: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Glue complete level matchings through the largest level K.
+def _glued_partners(
+    match: Callable, levels: Sequence[Sequence[int]]
+) -> tuple[int, dict[int, array]]:
+    """Complete level matchings toward the largest level K.
 
     match(from_bits, to_bits, direction) gives a maximum matching of a level
     pair as (size, match_l), match_l[u] the index in to_bits of from_bits[u]'s
     partner (-1 for none): _searched over the caller's rows, or
     _bracket_matching.  Below K every level must match completely into the
     next one up; above K every level must match completely into the next one
-    down.  Each element of level K then anchors one chain, listed by
-    increasing level, and the chains partition the universe.  If some pair
-    lacks the required matching, ChainPartitionError names the first one; a
-    gap between nonempty levels always yields such a pair (a nonempty level
+    down.  Returns K and partner, partner[k][u] the index of levels[k][u]'s
+    partner in level k + 1 (k < K) or k - 1 (k > K), for every level k
+    between the lowest and highest nonempty ones but K.  If some pair lacks
+    the required matching, ChainPartitionError names the first one; a gap
+    between nonempty levels always yields such a pair (a nonempty level
     facing an empty one on its side of K).
     """
     sizes = _level_sizes(levels)
@@ -482,8 +487,16 @@ def _glued_chains(match: Callable, levels: Sequence[Sequence[int]]) -> list[list
     partner.update(
         {k: _complete_matching(match, levels, k, k - 1) for k in range(K + 1, hi + 1)}
     )
+    return K, partner
 
+
+def _glued_chains(match: Callable, levels: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The chains of _glued_partners' matchings: each element of level K
+    anchors one, listed by increasing level, and the chains partition the
+    universe."""
+    K, partner = _glued_partners(match, levels)
     chains = [[b] for b in levels[K]]
+    lo, hi = min(partner, default=K), max(partner, default=K)
     for side in (range(K - 1, lo - 1, -1), range(K + 1, hi + 1)):
         # chain index of each element of the level glued last
         owner: Sequence[int] = range(len(chains))
@@ -495,6 +508,70 @@ def _glued_chains(match: Callable, levels: Sequence[Sequence[int]]) -> list[list
             for chain in chains:
                 chain.reverse()
     return chains
+
+
+def check_matching_certificate(
+    levels: Sequence[Sequence[int]],
+    K: int,
+    partner: Mapping[int, Sequence[int]],
+    covers: AbstractSet[tuple[int, int]] | None = None,
+) -> None:
+    """Re-verify that glued level matchings prove width = |levels[K]|, with
+    no chain listed.
+
+    K must be a largest level, and each levels[k] strictly ascending with
+    only members of k edges.  Every nonempty level k but K needs a complete
+    partner[k] as _glued_partners gives it, its indices in range and no two
+    of them equal, and each member and its partner must be a cover of the
+    order (a (lower, upper) pair of covers, or by default: the upper adds
+    exactly one edge to the lower).  The matchings then glue into |levels[K]|
+    chains partitioning the levels, so no antichain is larger than level K,
+    itself an antichain.  Beyond the input the check holds one byte per
+    member of a target level.  Raises AssertionError otherwise.
+    """
+    if not 0 <= K < len(levels) or len(levels[K]) != max(map(len, levels)):
+        raise AssertionError(f"level {K} is not a largest level")
+    for k, level in enumerate(levels):
+        if any(map(operator.ge, level, itertools.islice(level, 1, None))):
+            raise AssertionError(f"level {k} is not strictly ascending")
+        if not {k}.issuperset(map(int.bit_count, level)):
+            raise AssertionError(f"level {k} holds a member without {k} edges")
+    for k, level in enumerate(levels):
+        if k == K or not level:
+            continue
+        k_to = k + 1 if k < K else k - 1
+        target, match = levels[k_to], partner.get(k)
+        if match is None or len(match) != len(level):
+            raise AssertionError(f"level {k} has no complete matching into level {k_to}")
+        if min(match) < 0 or max(match) >= len(target):
+            raise AssertionError(f"a partner of level {k} lies outside level {k_to}")
+        hits = bytearray(len(target))
+        for j in match:
+            hits[j] = 1
+        if hits.count(1) != len(match):
+            raise AssertionError(f"two members of level {k} share a partner in level {k_to}")
+        up = k < K
+        if covers is not None:
+            if not covers.issuperset(_matched_pairs(level, target, match, up)):
+                lower, upper = next(pair for pair in _matched_pairs(level, target, match, up)
+                                    if pair not in covers)
+                raise AssertionError(f"chain step {lower:#x} -> {upper:#x} "
+                                     "is not a cover of the order")
+        elif not {1}.issuperset(
+            map(int.bit_count, map(operator.xor, level, map(target.__getitem__, match)))
+        ):
+            lower, upper = next((a, b) for a, b in _matched_pairs(level, target, match, up)
+                                if (a ^ b).bit_count() != 1)
+            raise AssertionError(f"chain step {lower:#x} -> {upper:#x} "
+                                 "does not add exactly one edge")
+
+
+def _matched_pairs(
+    level: Sequence[int], target: Sequence[int], match: Sequence[int], up: bool
+) -> Iterator[tuple[int, int]]:
+    """Each member of level and its partner in target, as (lower, upper)."""
+    partners = map(target.__getitem__, match)
+    return zip(level, partners) if up else zip(partners, level)
 
 
 def check_chain_certificate(
@@ -569,8 +646,7 @@ def chain_partition(
 # exact width via minimum chain cover
 
 
-@dataclass(frozen=True)
-class WidthResult:
+class WidthResult(NamedTuple):
     """Exact poset width (= minimum chain-cover size) with an antichain certificate."""
 
     element_count: int
@@ -675,8 +751,7 @@ def width_dilworth(
 # the largest-antichain verdict
 
 
-@dataclass(frozen=True)
-class SpernerReport:
+class SpernerReport(NamedTuple):
     """Width of a graded graph poset compared against its largest level."""
 
     n: int
@@ -740,17 +815,17 @@ def _family_width(
 
     levels[k] holds the members with k edges, all within the edge set full.
     The paper's route comes first: level matchings glued through the largest
-    level, re-verified by check_chain_certificate (method "chains"), whose
-    antichain is that level.  When gluing fails (an incomplete matching, or
-    a gap between nonempty levels), width_dilworth matches the full
-    comparability relation, and its antichain is re-checked pairwise (method
-    "dilworth").
+    level, re-verified pair by pair by check_matching_certificate (method
+    "chains"), whose antichain is that level.  When gluing fails (an
+    incomplete matching, or a gap between nonempty levels), width_dilworth
+    matches the full comparability relation, and its antichain is re-checked
+    pairwise (method "dilworth").
     """
     sizes = _level_sizes(levels)
     K = _largest_level(sizes)
     level_data = (sum(sizes.values()), sizes, K, sizes[K])
     try:
-        chains = _glued_chains(_bracket_matching(full), levels)
+        _, partner = _glued_partners(_bracket_matching(full), levels)
     except ChainPartitionError:
         members = [b for level in levels for b in level]
         result = width_dilworth(
@@ -760,8 +835,8 @@ def _family_width(
         )
         _check_antichain(result.antichain)
         return FamilyWidth(*level_data, result.width, result.antichain, "dilworth")
-    check_chain_certificate(itertools.chain.from_iterable(levels), chains)
-    return FamilyWidth(*level_data, len(chains), levels[K], "chains")
+    check_matching_certificate(levels, K, partner)
+    return FamilyWidth(*level_data, len(levels[K]), levels[K], "chains")
 
 
 def sperner_verdict(

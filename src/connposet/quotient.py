@@ -21,10 +21,9 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graphs import (
     EdgeSet,
@@ -42,12 +41,11 @@ from .graphs import (
 from .limits import CANONICAL_MAX_N, CPRIME_MAX_EDGES, check_scan_budget, check_width_budget
 from .poset import (
     _family_width,
-    _glued_chains,
-    _largest_level,
+    _glued_partners,
     _level_sizes,
     _searched,
     _universe_levels,
-    check_chain_certificate,
+    check_matching_certificate,
 )
 
 
@@ -95,8 +93,7 @@ def canonical_form(g: EdgeSet) -> EdgeSet:
     return EdgeSet(g.n, min(_orbit(g.bits, g.n)))
 
 
-@dataclass(frozen=True)
-class IsoClass:
+class IsoClass(NamedTuple):
     """An isomorphism class: canonical representative, orbit size, level."""
 
     canon: EdgeSet
@@ -142,8 +139,7 @@ def connected_classes(n: int) -> tuple[IsoClass, ...]:
     return classes
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(NamedTuple):
     """A one-edge-extension step between classes, with a labeled witness."""
 
     from_index: int
@@ -152,8 +148,7 @@ class Cover:
     witness_to: EdgeSet
 
 
-@dataclass(frozen=True)
-class QuotientPoset:
+class QuotientPoset(NamedTuple):
     """Connected-graph classes ordered by the closure of one-edge covers."""
 
     n: int
@@ -177,8 +172,7 @@ def quotient_poset(n: int, budget_override: bool = False) -> QuotientPoset:
     return QuotientPoset(n, classes, covers)
 
 
-@dataclass(frozen=True)
-class ExplorerReport:
+class ExplorerReport(NamedTuple):
     """Width-versus-largest-level verdict for an explored poset."""
 
     universe: str
@@ -202,14 +196,14 @@ class ExplorerReport:
 def quotient_sperner(n: int, budget_override: bool = False) -> ExplorerReport:
     """Width of the isomorphism quotient versus its largest level, by the chain
     core over the classes' canonical bitmasks: the rows are the recorded
-    covers, and so is every chain step.  A level pair that cannot be glued
+    covers, and so is every matched pair.  A level pair that cannot be glued
     raises ChainPartitionError.  The expected answer (conjectured, not
     proved) is that the quotient is Sperner.
     """
     qp = quotient_poset(n, budget_override)
     canon = [cls.canon.bits for cls in qp.classes]
     levels = [[b for b in canon if b.bit_count() == k] for k in range(slot_count(n) + 1)]
-    covers = dict.fromkeys((canon[c.from_index], canon[c.to_index]) for c in qp.covers)
+    covers = [(canon[c.from_index], canon[c.to_index]) for c in qp.covers]
     neighbors: dict[int, list[int]] = {b: [] for b in canon}  # covers either way
     for lower, upper in covers:
         neighbors[lower].append(upper)
@@ -219,18 +213,17 @@ def quotient_sperner(n: int, budget_override: bool = False) -> ExplorerReport:
         rank = {b: i for i, b in enumerate(to_bits)}
         return [[rank[c] for c in neighbors[b] if c in rank] for b in from_bits]
 
-    chains = _glued_chains(_searched(cover_rows), levels)
-    check_chain_certificate(canon, chains, lambda *step: step in covers)
+    K, partner = _glued_partners(_searched(cover_rows), levels)
+    check_matching_certificate(levels, K, partner, set(covers))
     level_sizes = _level_sizes(levels)
-    max_level_k = _largest_level(level_sizes)
     return ExplorerReport(
         universe="iso_classes",
         n=n,
         element_count=len(canon),
         level_sizes=level_sizes,
-        max_level_k=max_level_k,
-        max_level_size=level_sizes[max_level_k],
-        width=len(chains),
+        max_level_k=K,
+        max_level_size=level_sizes[K],
+        width=len(levels[K]),
         note="conjectured answer: yes (Sperner)",
     )
 
@@ -353,8 +346,7 @@ def _property_plane(n: int, name: str) -> int:
     return family
 
 
-@dataclass(frozen=True)
-class PropertyPosetReport:
+class PropertyPosetReport(NamedTuple):
     """Gradedness and width data for the graphs on [n] with a property."""
 
     n: int

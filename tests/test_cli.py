@@ -30,15 +30,13 @@ def test_sperner_json():
 
 
 def test_sperner_mismatch_fails_only_for_connected(monkeypatch, capsys):
-    import dataclasses
-
     from connposet import cli, poset
 
     real = poset.sperner_verdict
 
     def short_width(n, universe="connected", budget_override=False):
         report = real(n, universe, budget_override)
-        return dataclasses.replace(report, width=report.width - 1)
+        return report._replace(width=report.width - 1)
 
     monkeypatch.setattr(poset, "sperner_verdict", short_width)
     assert cli.main(["sperner", "--n", "4"]) == 1

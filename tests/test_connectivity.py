@@ -1,4 +1,5 @@
 import json
+import pickle
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -371,6 +372,18 @@ def test_multigraph_validation():
         MultiGraph(3, ((1, 2, 1), (1, 2, 2)))
     with pytest.raises(ValueError):
         MultiGraph(2, ((1, 3, 1),))
+
+
+def test_multigraph_sorts_its_edges_and_pickles():
+    h = MultiGraph(3, [(2, 3, 1), (1, 3, 2), (1, 2, 1)])
+    assert h.edges == ((1, 2, 1), (1, 3, 2), (2, 3, 1))
+    assert h == MultiGraph(3, h.edges[::-1])
+    assert h._replace(edges=h.edges[::-1]) == h
+    with pytest.raises(ValueError):
+        h._replace(edges=((2, 1, 1),))
+    assert hash(h) == hash((3, h.edges))
+    again = pickle.loads(pickle.dumps(h))
+    assert type(again) is MultiGraph and again == h
 
 
 def test_multigraph_from_pairs_and_json():

@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations
 from math import comb
@@ -73,6 +74,21 @@ def test_edgeset_validation():
         EdgeSet(11, 0)
     with pytest.raises(ValueError):
         EdgeSet(0, 0)
+    with pytest.raises(ValueError):
+        EdgeSet(4, -1)
+    with pytest.raises(ValueError):
+        EdgeSet(3, 7)._replace(bits=8)
+
+
+def test_edgeset_is_the_tuple_n_bits():
+    g = EdgeSet(4, 0b101)
+    assert hash(g) == hash((4, 0b101))
+    assert g == (4, 0b101) and tuple(g) == (4, 0b101)
+    assert sorted([EdgeSet(4, 3), EdgeSet(3, 7), EdgeSet(4, 1)]) == [(3, 7), (4, 1), (4, 3)]
+    assert repr(g) == "EdgeSet(n=4, bits=5)" and str(g) == "4:5"
+    again = pickle.loads(pickle.dumps(g))
+    assert type(again) is EdgeSet and again == g
+    assert not hasattr(g, "__dict__")
 
 
 def test_text_form():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from array import array
 
@@ -19,11 +20,14 @@ from connposet.poset import (
     _bracket_images,
     _bracket_matching,
     _family_width,
+    _glued_chains,
+    _glued_partners,
     _level_pair_adjacency,
     _level_rank,
     _searched,
     _universe_levels,
     check_chain_certificate,
+    check_matching_certificate,
     hopcroft_karp,
 )
 
@@ -447,8 +451,6 @@ def test_sperner_verdict_falls_back_on_level_gap():
     + [(6, "connected")],
 )
 def test_chain_route_agrees_with_dilworth(monkeypatch, n, universe):
-    import dataclasses
-
     import connposet.poset as poset_mod
 
     chained = poset_mod.sperner_verdict(n, universe)
@@ -457,7 +459,7 @@ def test_chain_route_agrees_with_dilworth(monkeypatch, n, universe):
     def no_chains(match, levels):
         raise ChainPartitionError(0, 0, "chain route disabled")
 
-    monkeypatch.setattr(poset_mod, "_glued_chains", no_chains)
+    monkeypatch.setattr(poset_mod, "_glued_partners", no_chains)
     dilworth = poset_mod.sperner_verdict(n, universe)
     assert dilworth.method == "dilworth"
     assert chained.strict
@@ -467,8 +469,8 @@ def test_chain_route_agrees_with_dilworth(monkeypatch, n, universe):
         # the Boolean lattices at n = 2, 3 have two largest levels: the chain
         # route certifies the lower one, the vertex cover picks the upper one
         assert dilworth.strict and len(dilworth.antichain) == chained.width
-        dilworth = dataclasses.replace(dilworth, antichain=chained.antichain)
-    assert dataclasses.replace(dilworth, method="chains") == chained
+        dilworth = dilworth._replace(antichain=chained.antichain)
+    assert dilworth._replace(method="chains") == chained
 
 
 def test_check_chain_certificate_accepts():
@@ -526,18 +528,194 @@ def test_check_chain_certificate_uses_a_given_step():
 def test_sperner_verdict_checks_chain_certificate(monkeypatch):
     import connposet.poset as poset_mod
 
-    real = poset_mod._glued_chains
+    real_partners, real_chains = poset_mod._glued_partners, poset_mod._glued_chains
+
+    def shared_partner(match, levels):
+        K, partner = real_partners(match, levels)
+        k = next(k for k in partner if len(partner[k]) > 1)
+        partner[k][1] = partner[k][0]
+        return K, partner
 
     def dropped_member(match, levels):
-        chains = real(match, levels)
+        chains = real_chains(match, levels)
         chains[0].pop()
         return chains
 
-    monkeypatch.setattr(poset_mod, "_glued_chains", dropped_member)
-    with pytest.raises(AssertionError, match="missing"):
-        poset_mod.sperner_verdict(4)
-    with pytest.raises(AssertionError, match="missing"):
-        poset_mod.chain_partition(4)
+    with monkeypatch.context() as patch:
+        patch.setattr(poset_mod, "_glued_partners", shared_partner)
+        with pytest.raises(AssertionError, match="share a partner"):
+            poset_mod.sperner_verdict(4)
+    with monkeypatch.context() as patch:
+        patch.setattr(poset_mod, "_glued_chains", dropped_member)
+        with pytest.raises(AssertionError, match="missing"):
+            poset_mod.chain_partition(4)
+
+
+# the Boolean lattice on three edge slots, glued through K = 1
+CUBE = [(0,), (1, 2, 4), (3, 5, 6), (7,)]
+CUBE_PARTNER = {0: [0], 2: [0, 2, 1], 3: [0]}  # 3 -> 1, 5 -> 4, 6 -> 2, 7 -> 3
+
+
+def _cube(levels=(), partner=()):
+    """CUBE and CUBE_PARTNER with the given levels and partner arrays
+    replaced, a partner array of None deleted."""
+    cube = [list(level) for level in CUBE]
+    arrays = {k: array("i", p) for k, p in CUBE_PARTNER.items()}
+    for k, level in dict(levels).items():
+        cube[k] = level
+    for k, p in dict(partner).items():
+        if p is None:
+            del arrays[k]
+        else:
+            arrays[k] = p
+    return cube, arrays
+
+
+def test_check_matching_certificate_accepts():
+    levels, partner = _cube()
+    check_matching_certificate(levels, 1, partner)
+    covers = {(0, 1), (1, 3), (4, 5), (2, 6), (3, 7)}
+    check_matching_certificate(levels, 1, partner, covers)
+    check_matching_certificate([(), (1, 2)], 1, {})  # empty levels need no partners
+
+
+@pytest.mark.parametrize(
+    "K,levels,partner,problem",
+    [
+        (1, {}, {2: [0, 0, 1]}, "two members of level 2 share a partner in level 1"),
+        (1, {}, {2: [-1, 2, 1]}, "a partner of level 2 lies outside level 1"),
+        (1, {}, {2: [0, 3, 1]}, "a partner of level 2 lies outside level 1"),
+        (1, {}, {3: None}, "level 3 has no complete matching into level 2"),
+        (1, {}, {2: [0, 2]}, "level 2 has no complete matching into level 1"),
+        (1, {1: [1, 2, 2, 4]}, {}, "level 1 is not strictly ascending"),
+        (1, {1: [2, 1, 4]}, {}, "level 1 is not strictly ascending"),
+        (1, {2: [3, 5, 7]}, {}, "level 2 holds a member without 2 edges"),
+        (1, {0: [3]}, {}, "level 0 holds a member without 0 edges"),
+        (3, {}, {}, "level 3 is not a largest level"),
+        (4, {}, {}, "level 4 is not a largest level"),
+        (1, {}, {2: [0, 1, 2]}, "step 0x2 -> 0x5 does not add exactly one edge"),
+    ],
+)
+def test_check_matching_certificate_rejects(K, levels, partner, problem):
+    levels, partner = _cube(levels, partner)
+    with pytest.raises(AssertionError, match=problem):
+        check_matching_certificate(levels, K, partner)
+
+
+def test_check_matching_certificate_uses_the_given_covers():
+    levels, partner = _cube()
+    covers = {(0, 1), (1, 3), (4, 5), (2, 6)}  # 3 -> 7 is not recorded
+    with pytest.raises(AssertionError, match="0x3 -> 0x7 is not a cover of the order"):
+        check_matching_certificate(levels, 1, partner, covers)
+
+
+def _rotating(match, k_from):
+    """match, with the partners of level k_from rotated by one: complete and
+    injective, but not the matching found."""
+
+    def rotated(from_bits, to_bits, direction):
+        size, partner = match(from_bits, to_bits, direction)
+        if from_bits and from_bits[0].bit_count() == k_from:
+            partner = partner[1:] + partner[:1]
+        return size, partner
+
+    return rotated
+
+
+def _verdicts(match, levels, covers=None):
+    """Whether check_matching_certificate accepts _glued_partners' matchings,
+    and whether check_chain_certificate accepts _glued_chains' chains."""
+    K, partner = _glued_partners(match, levels)
+    chains = _glued_chains(match, levels)
+    step = None if covers is None else lambda *pair: pair in covers
+    checks = (
+        lambda: check_matching_certificate(levels, K, partner, covers),
+        lambda: check_chain_certificate(itertools.chain.from_iterable(levels), chains, step),
+    )
+    verdicts = []
+    for check in checks:
+        try:
+            check()
+        except AssertionError:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    assert len(chains) == len(levels[K])
+    return verdicts
+
+
+def _assert_certificates_agree(match, levels, covers=None):
+    """Both checks accept the real gluing, and agree on one whose partners
+    are rotated on each level in turn."""
+    assert _verdicts(match, levels, covers) == [True, True]
+    for k, level in enumerate(levels):
+        if len(level) > 1:
+            accepted, chained = _verdicts(_rotating(match, k), levels, covers)
+            assert accepted == chained, k
+
+
+@pytest.mark.parametrize(
+    "n,family",
+    [(n, f) for n in range(1, 6) for f in FAMILIES if (n, f) != (2, "two_edge_connected")],
+)
+def test_matching_certificate_agrees_with_chain_certificate(n, family):
+    levels = _level_bits(n, family)
+    _assert_certificates_agree(_bracket_matching((1 << slot_count(n)) - 1), levels)
+
+
+def test_matching_certificate_agrees_on_cprime_hosts(monkeypatch):
+    import connposet.quotient as quotient_mod
+
+    real = quotient_mod._family_width
+    hosts = []
+
+    def spy(levels, full, budget_override):
+        hosts.append((levels, full))
+        return real(levels, full, budget_override)
+
+    monkeypatch.setattr(quotient_mod, "_family_width", spy)
+    quotient_mod.cprime_search(5)
+    assert len(hosts) == 30
+    for levels, full in hosts:
+        _assert_certificates_agree(_bracket_matching(full), levels)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_matching_certificate_agrees_on_the_quotient(monkeypatch, n):
+    import connposet.quotient as quotient_mod
+
+    real = quotient_mod._glued_partners
+    glued = []
+
+    def spy(match, levels):
+        glued.append((match, levels))
+        return real(match, levels)
+
+    monkeypatch.setattr(quotient_mod, "_glued_partners", spy)
+    quotient_mod.quotient_sperner(n)
+    qp = quotient_mod.quotient_poset(n)
+    canon = [cls.canon.bits for cls in qp.classes]
+    covers = {(canon[c.from_index], canon[c.to_index]) for c in qp.covers}
+    [(match, levels)] = glued
+    _assert_certificates_agree(match, levels, covers)
+
+
+def test_matching_stops_once_the_smaller_side_is_saturated():
+    # the greedy pass matches every graph of level 9 from level 8, so no
+    # phase is layered: each left's row is read once
+    n, k = 6, 8
+    levels = _level_bits(n, "connected")
+    rows = _level_pair_adjacency((1 << slot_count(n)) - 1, levels[k], levels[k + 1], "up")
+    calls = []
+
+    def neighbors(u):
+        calls.append(u)
+        return rows[u]
+
+    size, match_l, match_r = hopcroft_karp(len(levels[k]), len(levels[k + 1]), neighbors)
+    assert size == len(levels[k + 1]) < len(levels[k])
+    assert -1 not in match_r
+    assert calls == list(range(len(levels[k])))
 
 
 def test_dilworth_antichain_is_checked_pairwise(monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 from itertools import combinations, permutations
@@ -247,24 +246,28 @@ def test_quotient_chain_route_matches_closure_dilworth(n, width):
 def test_quotient_certificate_steps_are_recorded_covers(monkeypatch):
     import connposet.quotient as quotient_mod
 
-    real = quotient_mod.check_chain_certificate
+    real = quotient_mod.check_matching_certificate
     seen = []
 
-    def spy(universe, chains, step):
-        seen.append((universe, chains, step))
-        return real(universe, chains, step)
+    def spy(levels, K, partner, covers):
+        seen.append((levels, K, partner, covers))
+        return real(levels, K, partner, covers)
 
-    monkeypatch.setattr(quotient_mod, "check_chain_certificate", spy)
+    monkeypatch.setattr(quotient_mod, "check_matching_certificate", spy)
     report = quotient_sperner(5)
     qp = quotient_poset(5)
     canon = [cls.canon.bits for cls in qp.classes]
     covers = {(canon[c.from_index], canon[c.to_index]) for c in qp.covers}
-    [(universe, chains, step)] = seen
-    assert sorted(universe) == sorted(canon) and len(chains) == report.width
-    for lower in canon:
-        for upper in canon:
-            if upper.bit_count() == lower.bit_count() + 1:
-                assert step(lower, upper) == ((lower, upper) in covers)
+    [(levels, K, partner, checked)] = seen
+    assert sorted(b for level in levels for b in level) == sorted(canon)
+    assert K == report.max_level_k and len(levels[K]) == report.width
+    assert checked == covers
+    # a matched pair that is not a recorded cover is refused
+    k = next(k for k in partner if len(levels[k]) > 1)
+    rotated = dict(partner)
+    rotated[k] = partner[k][1:] + partner[k][:1]
+    with pytest.raises(AssertionError, match="is not a cover of the order"):
+        real(levels, K, rotated, covers)
 
 
 def test_cover_step_test_rejects_a_step_that_is_not_a_cover():
@@ -297,9 +300,7 @@ def test_blocked_quotient_level_pair_fails(monkeypatch, capsys):
         # every cover leaving one class on level K - 1 is dropped
         qp = real(n, budget_override)
         cut = next(i for i, cls in enumerate(qp.classes) if cls.level == K - 1)
-        return dataclasses.replace(
-            qp, covers=tuple(c for c in qp.covers if c.from_index != cut)
-        )
+        return qp._replace(covers=tuple(c for c in qp.covers if c.from_index != cut))
 
     monkeypatch.setattr(quotient_mod, "quotient_poset", blocked)
     with pytest.raises(ChainPartitionError) as err:
