@@ -31,6 +31,8 @@ if TYPE_CHECKING:
 
 LOG2_TOL = 1e-9
 EXACT_LIMIT = 1 << 63
+# the epsilon of the unbalanced-split row of shadow_ratio_report
+DIFF_EPSILON = 1 / 40
 
 
 class LogValue(NamedTuple):
@@ -193,8 +195,9 @@ def _scale(factor: float, v: LogValue) -> LogValue:
     return LogValue(math.log2(factor) + v.log2)
 
 
-def appendix_grid(property_id: int, points: int = 1000) -> list[tuple[float, int, float | None]]:
-    """Deterministic (x, k, delta) evaluation grids for the binomial identities.
+def appendix_grid(property_id: int) -> list[tuple[float, int, float | None]]:
+    """Deterministic (x, k, delta) evaluation grids of 1,000 points for the
+    binomial identities.
 
     Items 1 and 4 are sampled across their whole domains including the
     x = k boundary.  Item 2 is sampled at least one unit below its upper
@@ -203,16 +206,11 @@ def appendix_grid(property_id: int, points: int = 1000) -> list[tuple[float, int
     x >= k + 2, above the sliver x < k + 2 where both of its products cross.
     The excluded boundary behaviour is pinned separately in the test suite.
     """
-    grid: list[tuple[float, int, float | None]] = []
-    if property_id == 1:
-        for i in range(points):
-            k = i % 50 + 1
-            x = k + (i * 9973 % 100_000) / 10.0
-            grid.append((x, k, None))
-    elif property_id == 2:
+    if property_id == 2:
+        grid: list[tuple[float, int, float | None]] = []
         deltas = (0.5, 1.0, 2.0)
         i = 0
-        while len(grid) < points:
+        while len(grid) < 1000:
             k = i % 59 + 2
             delta = deltas[i % 3]
             hi = 2 * k - delta - 1.0
@@ -220,19 +218,12 @@ def appendix_grid(property_id: int, points: int = 1000) -> list[tuple[float, int
                 x = k + (i * 7919 % 1009) / 1009.0 * (hi - k)
                 grid.append((x, k, delta))
             i += 1
-    elif property_id == 3:
-        for i in range(points):
-            k = i % 50 + 1
-            x = k + 2 + (i * 9973 % 100_000) / 10.0
-            grid.append((x, k, None))
-    elif property_id == 4:
-        for i in range(points):
-            k = i % 50 + 1
-            x = k + (i * 9973 % 100_000) / 10.0
-            grid.append((x, k, None))
-    else:
+        return grid
+    if property_id not in (1, 3, 4):
         raise ValueError(f"property_id must be 1..4, got {property_id}")
-    return grid
+    shift = 2 if property_id == 3 else 0
+    return [(k + shift + (i * 9973 % 100_000) / 10.0, k, None)
+            for i in range(1000) for k in [i % 50 + 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +379,40 @@ def lovasz_check(X: Iterable[EdgeSet]) -> BoundReport:
         lhs=ext_binom(x, k - 1),
         rhs=LogValue.from_int(actual),
     )
+
+
+def lovasz_sweep(n: int, seed: int, trials: int,
+                 budget_override: bool = False) -> tuple[list[dict], list[dict]]:
+    """lovasz_check on each full level 1..m of the n-vertex universe and on
+    `trials` seeded random subfamilies of it.
+
+    Returns the rows (per level, the full level and then its sampled family
+    of smallest margin) and the row of every family the bound fails on.
+    """
+    import random
+    from .graphs import EdgeSet, _level_bits, slot_count
+    rng = random.Random(seed)
+    m = slot_count(n)
+    check_scan_budget(n, budget_override)
+    rows: list[dict] = []
+    violations: list[dict] = []
+    for k in range(1, m + 1):
+        level = [EdgeSet(n, b) for b in _level_bits(n, "all")[k]]
+        full_report = lovasz_check(level)
+        rows.append(full_report.as_row())
+        if not full_report.holds:
+            violations.append(full_report.as_row())
+        worst = None
+        for _ in range(trials):
+            size = rng.randint(1, len(level))
+            report = lovasz_check(rng.sample(level, size))
+            if not report.holds:
+                violations.append(report.as_row())
+            if worst is None or report.margin_log2 < worst["margin_log2"]:
+                worst = report.as_row()
+        worst["note"] = "smallest margin among sampled families"
+        rows.append(worst)
+    return rows, violations
 
 
 def disconnected_report(n: int, budget_override: bool = False) -> list[BoundReport]:
@@ -629,6 +654,23 @@ def technical_lemma_check(a: float, b: float, c1: float, c2: float, c3: float) -
     return a + b <= a1 + max(cap_b, a2 - a1) + 1e-12 * max(1.0, a, b)
 
 
+def technical_sweep(seed: int, trials: int) -> list[dict]:
+    """technical_lemma_check on `trials` seeded draws with c1 <= c2*c3, where
+    it is guaranteed; returns the inputs of every draw it fails on."""
+    import random
+    rng = random.Random(seed)
+    violations = []
+    for _ in range(trials):
+        a = rng.uniform(1e-3, 10.0)
+        b = rng.uniform(1e-3, 10.0)
+        c2 = rng.uniform(1e-3, 2.0)
+        c3 = rng.uniform(1e-3, 2.0)
+        c1 = c2 * c3 * rng.uniform(0.0, 1.0)
+        if not technical_lemma_check(a, b, c1, c2, c3):
+            violations.append({"a": a, "b": b, "c1": c1, "c2": c2, "c3": c3})
+    return violations
+
+
 # ---------------------------------------------------------------------------
 # shadow-ratio reports for the levels just above the middle
 
@@ -697,7 +739,6 @@ def shadow_ratio_report(
     n: int,
     k: int | None = None,
     epsilon: float = 1 / 18,
-    diff_epsilon: float = 1 / 40,
     budget_override: bool = False,
 ) -> list[BoundReport]:
     """Shadow-growth evaluations for levels strictly between M and M + n.
@@ -712,7 +753,6 @@ def shadow_ratio_report(
     """
     from .graphs import slot_count
     _check_epsilon(epsilon)
-    _check_epsilon(diff_epsilon)
     check_scan_budget(n, budget_override)
     m = slot_count(n)
     M = (m + 1) // 2
@@ -793,14 +833,14 @@ def shadow_ratio_report(
         unbalanced = size_z > n * size_y or size_y > n * size_z
         z_threshold_ok = None
         if size_z:
-            z_threshold_ok = binom_inverse(size_z, lvl) > _threshold(n, r0, diff_epsilon)
+            z_threshold_ok = binom_inverse(size_z, lvl) > _threshold(n, r0, DIFF_EPSILON)
         rows.append(
             BoundReport(
                 name="shadow_unbalanced_split",
                 params={
                     "n": n,
                     "k": lvl,
-                    "epsilon": diff_epsilon,
+                    "epsilon": DIFF_EPSILON,
                     "r": r0,
                     "hypothesis_met": unbalanced,
                     "z_threshold_ok": z_threshold_ok,

@@ -106,7 +106,11 @@ def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8")
+        except OSError as exc:  # a path that cannot be written is a usage error
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
+        with fh:
             fh.write(text)
 
 
@@ -281,10 +285,6 @@ def _cmd_chains(args) -> int:
     return 0
 
 
-def _report_rows(reports) -> list[dict]:
-    return [r.as_row() for r in reports]
-
-
 def _fail(name: str, findings) -> int:
     for finding in findings[:20]:
         print(f"FAIL {name}: {json.dumps(_clean(finding), sort_keys=True)}", file=sys.stderr)
@@ -308,48 +308,32 @@ def _cmd_lemma(args) -> int:
             setattr(args, dest, reads.get(dest))
         elif dest not in reads:
             raise ValueError(f"lemma {name} does not read --{dest.replace('_', '-')}")
+    # each branch computes the document, its rows and the failed invariants
+    columns = None
     if name == "squares":
         from . import bounds
-        checked, violations = bounds.squares_sweep(_at_least_one("--n-max", args.n_max))
-        doc = {"lemma": "squares", "n_max": args.n_max, "checked": checked,
-               "violations": violations}
-        _emit(doc, violations or [{"checked": checked}], args.fmt, args.out)
-        return _fail("squares", violations) if violations else 0
-
-    if name == "disc":
+        checked, findings = bounds.squares_sweep(_at_least_one("--n-max", args.n_max))
+        doc = {"lemma": name, "n_max": args.n_max, "checked": checked,
+               "violations": findings}
+        rows = findings or [{"checked": checked}]
+    elif name == "disc":
         from . import bounds
-        rows = bounds.disconnected_report(args.n, args.budget_override)
-        doc = {"lemma": "disc", "n": args.n, "rows": _report_rows(rows)}
-        _emit(doc, _report_rows(rows), args.fmt, args.out)
-        bad = [r.as_row() for r in rows if r.name != "disc_total" and not r.holds]
-        return _fail("disc", bad) if bad else 0
-
-    if name == "skeleton":
+        rows = [r.as_row() for r in bounds.disconnected_report(args.n, args.budget_override)]
+        doc = {"lemma": name, "n": args.n, "rows": rows}
+        findings = [r for r in rows if r["name"] != "disc_total" and not r["holds"]]
+    elif name in ("skeleton", "removable"):
         from . import connectivity
-        checked, findings = connectivity.skeleton_findings(args.n, args.budget_override)
-        doc = {"lemma": "skeleton", "n": args.n, "checked": checked,
-               "findings": findings}
-        _emit(doc, findings or [{"checked": checked}], args.fmt, args.out)
-        return _fail("skeleton", findings) if findings else 0
-
-    if name == "removable":
-        from . import connectivity
-        checked, findings = connectivity.removability_findings(args.n, args.budget_override)
-        doc = {"lemma": "removable", "n": args.n, "checked": checked,
-               "findings": findings}
-        _emit(doc, findings or [{"checked": checked}], args.fmt, args.out)
-        return _fail("removable", findings) if findings else 0
-
-    if name == "chorded":
+        sweep = (connectivity.skeleton_findings if name == "skeleton"
+                 else connectivity.removability_findings)
+        checked, findings = sweep(args.n, args.budget_override)
+        doc = {"lemma": name, "n": args.n, "checked": checked, "findings": findings}
+        rows = findings or [{"checked": checked}]
+    elif name == "chorded":
         from . import connectivity
         sweep = connectivity.chorded_cycle_sweep(_at_least_one("--q-max", args.q_max))
-        doc = {"lemma": "chorded", "q_max": args.q_max, **sweep}
-        rows = [
-            {"q": q, **stats} for q, stats in sorted(sweep["per_q"].items())
-        ]
-        _emit(doc, rows, args.fmt, args.out)
-        findings = list(sweep["bound_violations"])
-        findings += [
+        doc = {"lemma": name, "q_max": args.q_max, **sweep}
+        rows = [{"q": q, **stats} for q, stats in sorted(sweep["per_q"].items())]
+        findings = sweep["bound_violations"] + [
             {"problem": "doubled star not tight", "q": q}
             for q, stats in sweep["per_q"].items()
             if not stats["doubled_star_tight"]
@@ -360,101 +344,48 @@ def _cmd_lemma(args) -> int:
                 f"{len(sweep['mismatches'])} instances (reported, not asserted)",
                 file=sys.stderr,
             )
-        return _fail("chorded", findings) if findings else 0
-
-    if name == "irk":
+    elif name == "irk":
         from . import bounds, graphs
         census = bounds.i_r_census(args.n, args.epsilon, args.budget_override)
+        rows = [r.as_row() for r in census.reports]
         doc = {
-            "lemma": "irk",
+            "lemma": name,
             "n": args.n,
             "epsilon": args.epsilon,
             "table": {f"{k},{r}": c for (k, r), c in sorted(census.table.items())},
-            "rows": _report_rows(census.reports),
+            "rows": rows,
         }
-        _emit(doc, _report_rows(census.reports), args.fmt, args.out,
-              ["name", "n", "k", "r", "epsilon", "count",
-               "lhs_log2", "rhs_log2", "holds", "margin_log2", "note"])
+        columns = ["name", "n", "k", "r", "epsilon", "count",
+                   "lhs_log2", "rhs_log2", "holds", "margin_log2", "note"]
         total = census.total()
         # the (k, r) table's total against the census of the two-edge-connected plane
         expected = graphs.level_census(args.n, "two_edge_connected", args.budget_override).total
-        if total != expected:
-            return _fail("irk", [{"problem": "census total mismatch",
-                                  "total": total, "expected": expected}])
-        return 0
-
-    if name == "tech":
+        findings = [] if total == expected else [
+            {"problem": "census total mismatch", "total": total, "expected": expected}]
+    elif name == "tech":
         from . import bounds
         summary = bounds.tech_inequality_sweep(args.n, args.budget_override)
-        doc = {"lemma": "tech", **summary}
-        _emit(doc, [summary], args.fmt, args.out)
-        return 0
-
-    if name == "lovasz":
-        import random
-        from . import bounds, graphs
-        trials = _at_least_one("--trials", args.trials)
-        rng = random.Random(args.seed)
-        m = graphs.slot_count(args.n)
-        check_scan_budget(args.n, args.budget_override)
-        rows = []
-        violations = []
-        for k in range(1, m + 1):
-            level = [graphs.EdgeSet(args.n, b) for b in graphs._level_bits(args.n, "all")[k]]
-            full_report = bounds.lovasz_check(level)
-            rows.append(full_report.as_row())
-            if not full_report.holds:
-                violations.append(full_report.as_row())
-            worst = None
-            for _ in range(trials):
-                size = rng.randint(1, len(level))
-                family = rng.sample(level, size)
-                report = bounds.lovasz_check(family)
-                if not report.holds:
-                    violations.append(report.as_row())
-                if worst is None or report.margin_log2 < worst["margin_log2"]:
-                    worst = report.as_row()
-            worst["note"] = "smallest margin among sampled families"
-            rows.append(worst)
-        doc = {"lemma": "lovasz", "n": args.n, "trials": trials,
-               "seed": args.seed, "rows": rows}
-        _emit(doc, rows, args.fmt, args.out)
-        return _fail("lovasz", violations) if violations else 0
-
-    if name == "technical":
-        import random
+        doc, rows, findings = {"lemma": name, **summary}, [summary], []
+    elif name == "lovasz":
         from . import bounds
         trials = _at_least_one("--trials", args.trials)
-        rng = random.Random(args.seed)
-        violations = []
-        for _ in range(trials):
-            a = rng.uniform(1e-3, 10.0)
-            b = rng.uniform(1e-3, 10.0)
-            c2 = rng.uniform(1e-3, 2.0)
-            c3 = rng.uniform(1e-3, 2.0)
-            c1 = c2 * c3 * rng.uniform(0.0, 1.0)
-            if not bounds.technical_lemma_check(a, b, c1, c2, c3):
-                violations.append({"a": a, "b": b, "c1": c1, "c2": c2, "c3": c3})
-        doc = {"lemma": "technical", "trials": trials, "seed": args.seed,
-               "violations": violations}
-        _emit(doc, violations or [{"trials": trials, "violations": 0}],
-              args.fmt, args.out)
-        return _fail("technical", violations) if violations else 0
-
-    if name == "shadow-ratio":
+        rows, findings = bounds.lovasz_sweep(args.n, args.seed, trials, args.budget_override)
+        doc = {"lemma": name, "n": args.n, "trials": trials, "seed": args.seed,
+               "rows": rows}
+    elif name == "technical":
         from . import bounds
-        rows = bounds.shadow_ratio_report(
-            args.n, args.k, args.epsilon, budget_override=args.budget_override
-        )
-        doc = {"lemma": "shadow-ratio", "n": args.n, "epsilon": args.epsilon,
-               "rows": _report_rows(rows)}
-        _emit(doc, _report_rows(rows), args.fmt, args.out)
-        return 0
-
-    if name == "appendix":
+        trials = _at_least_one("--trials", args.trials)
+        findings = bounds.technical_sweep(args.seed, trials)
+        doc = {"lemma": name, "trials": trials, "seed": args.seed, "violations": findings}
+        rows = findings or [{"trials": trials, "violations": 0}]
+    elif name == "shadow-ratio":
         from . import bounds
-        rows = []
-        violations = []
+        reports = bounds.shadow_ratio_report(args.n, args.k, args.epsilon, args.budget_override)
+        rows, findings = [r.as_row() for r in reports], []
+        doc = {"lemma": name, "n": args.n, "epsilon": args.epsilon, "rows": rows}
+    elif name == "appendix":
+        from . import bounds
+        rows, findings = [], []
         for item in (1, 2, 3, 4):
             grid = bounds.appendix_grid(item)
             failures = [
@@ -462,21 +393,15 @@ def _cmd_lemma(args) -> int:
                 for x, k, d in grid
                 if not bounds.appendix_property_check(item, x, k, d)
             ]
-            rows.append({"item": item, "points": len(grid),
-                         "failures": len(failures)})
-            violations.extend(failures)
-        doc = {"lemma": "appendix", "rows": rows, "violations": violations}
-        _emit(doc, rows, args.fmt, args.out)
-        return _fail("appendix", violations) if violations else 0
-
-    if name == "selftest":
-        finding = {"problem": "synthetic failing invariant (test hook)",
-                   "witness": "selftest"}
-        _emit({"lemma": "selftest", "findings": [finding]}, [finding],
-              args.fmt, args.out)
-        return _fail("selftest", [finding])
-
-    raise ValueError(f"unknown lemma id {name!r}")
+            rows.append({"item": item, "points": len(grid), "failures": len(failures)})
+            findings += failures
+        doc = {"lemma": name, "rows": rows, "violations": findings}
+    else:
+        findings = [{"problem": "synthetic failing invariant (test hook)",
+                     "witness": "selftest"}]
+        doc, rows = {"lemma": name, "findings": findings}, findings
+    _emit(doc, rows, args.fmt, args.out, columns)
+    return _fail(name, findings) if findings else 0
 
 
 def _explorer_doc(report) -> dict:

@@ -620,8 +620,8 @@ def _chorded_walk(q: int, pairs: list[tuple[int, int]], weight: list[int],
     return layers, cactus_ok
 
 
-def chorded_cycle_sweep(q_max: int = 5, mult_max: int = 3) -> dict:
-    """Exhaust all multigraphs with q <= q_max vertices, multiplicity <= mult_max.
+def chorded_cycle_sweep(q_max: int = 5) -> dict:
+    """Exhaust all multigraphs with q <= q_max vertices, multiplicity <= 3.
 
     Returns per-q statistics, any violations of the 2q-2 edge bound among
     chorded-cycle-free instances, tightness of the doubled star, and every
@@ -630,10 +630,10 @@ def chorded_cycle_sweep(q_max: int = 5, mult_max: int = 3) -> dict:
     """
     check_chorded_budget(q_max)
     results = {"per_q": {}, "bound_violations": [], "mismatches": []}
-    # a pair at multiplicity >= 3 is a 2-cycle plus a chord and also a
+    # a pair at multiplicity 3 is a 2-cycle plus a chord and also a
     # non-cycle block, so both predicates reject it: only the patterns with
     # every multiplicity <= 2 are walked, the rest just counted
-    base = min(mult_max, 2) + 1
+    base = 3
     for q in range(1, q_max + 1):
         pairs = list(combinations(range(1, q + 1), 2))
         weight = [base ** i for i in reversed(range(len(pairs)))]
@@ -646,7 +646,7 @@ def chorded_cycle_sweep(q_max: int = 5, mult_max: int = 3) -> dict:
                              for x in sorted(found)]
         star = doubled_star(q)
         results["per_q"][q] = {
-            "multigraphs": (mult_max + 1) ** (q * (q - 1) // 2),
+            "multigraphs": 4 ** (q * (q - 1) // 2),
             "chorded_cycle_free": sum(map(len, layers)),
             "doubled_star_edges": star.edge_total,
             "doubled_star_tight": q < 2

@@ -190,6 +190,18 @@ def test_appendix_grid_holds(item):
     assert failures == []
 
 
+def test_appendix_grids():
+    # items 1 and 4 share one grid, and item 3's is that grid shifted up by 2 in x
+    one, three = appendix_grid(1), appendix_grid(3)
+    assert appendix_grid(4) == one
+    assert one[:2] == [(1.0, 1, None), (999.3, 2, None)] and one[-1] == (6352.7, 50, None)
+    assert [(k, d) for _, k, d in three] == [(k, d) for _, k, d in one]
+    assert [x3 - x1 for (x1, _, _), (x3, _, _) in zip(one, three)] == pytest.approx([2] * 1000)
+    assert appendix_grid(2)[:2] == [(2.0, 2, 0.5), (3.848364717542121, 3, 1.0)]
+    with pytest.raises(ValueError, match="property_id must be 1..4, got 5"):
+        appendix_grid(5)
+
+
 # ---------------------------------------------------------------------------
 # composition inequalities
 
@@ -311,8 +323,6 @@ def test_epsilon_must_be_finite_and_positive(bad):
         i_r_census(4, bad)
     with pytest.raises(ValueError, match="epsilon must be finite and positive"):
         shadow_ratio_report(4, epsilon=bad)
-    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
-        shadow_ratio_report(4, diff_epsilon=bad)
 
 
 # ---------------------------------------------------------------------------

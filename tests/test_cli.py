@@ -241,6 +241,171 @@ def test_lemma_selftest_prints_counterexample():
     assert "FAIL selftest" in proc.stderr
 
 
+# Each lemma's failing path, reached by patching the compute call it reads so
+# that it reports an invariant that does not hold.
+
+
+def _failed_lemma(capsys, *argv):
+    """The document and stderr of a lemma run that must exit 1."""
+    from connposet import cli
+
+    assert cli.main(["lemma", *argv]) == 1
+    captured = capsys.readouterr()
+    return json.loads(captured.out), captured.err
+
+
+def _json(value):
+    """A document as json.loads gives it back (int keys become strings)."""
+    return json.loads(json.dumps(value))
+
+
+def _fail_lines(name, findings):
+    lines = [f"FAIL {name}: {json.dumps(f, sort_keys=True)}\n" for f in findings[:20]]
+    if len(findings) > 20:
+        lines.append(f"FAIL {name}: ... {len(findings) - 20} more\n")
+    return "".join(lines)
+
+
+def test_lemma_squares_fails(monkeypatch, capsys):
+    from connposet import bounds
+
+    finding = {"parts": [2, 1], "problem": "sum of squares too large"}
+    monkeypatch.setattr(bounds, "squares_sweep", lambda n_max: (7, [finding]))
+    doc, err = _failed_lemma(capsys, "squares")
+    assert doc == {"lemma": "squares", "n_max": 20, "checked": 7, "violations": [finding]}
+    assert err == _fail_lines("squares", [finding])
+
+
+def test_lemma_disc_fails_on_a_split_row_only(monkeypatch, capsys):
+    from connposet import bounds
+
+    real = bounds.disconnected_report
+
+    def broken_bulk_split(n, budget_override=False):
+        return [r._replace(lhs=bounds.LogValue.from_int(100)) if r.name == "disc_bulk_split"
+                else r for r in real(n, budget_override)]
+
+    rows = [r.as_row() for r in broken_bulk_split(4)]
+    # disc_total does not hold at n = 4 either, but it is a report
+    assert [r["name"] for r in rows if not r["holds"]] == ["disc_total", "disc_bulk_split"]
+    monkeypatch.setattr(bounds, "disconnected_report", broken_bulk_split)
+    doc, err = _failed_lemma(capsys, "disc", "--n", "4")
+    assert doc == _json({"lemma": "disc", "n": 4, "rows": rows})
+    assert err == _fail_lines("disc", [rows[2]])
+
+
+def test_lemma_irk_fails_on_a_census_total_mismatch(monkeypatch, capsys):
+    from connposet import bounds
+
+    real = bounds.i_r_census
+
+    def missing_graph(n, epsilon=1.0, budget_override=False):
+        census = real(n, epsilon, budget_override)
+        table = dict(census.table)
+        table[6, 0] -= 1  # the complete graph K4
+        return census._replace(table=table)
+
+    monkeypatch.setattr(bounds, "i_r_census", missing_graph)
+    doc, err = _failed_lemma(capsys, "irk", "--n", "4")
+    assert doc == _json({"lemma": "irk", "n": 4, "epsilon": 1.0,
+                         "table": {"4,4": 3, "5,4": 6, "6,0": 0},
+                         "rows": [r.as_row() for r in real(4).reports]})
+    assert err == _fail_lines(
+        "irk", [{"problem": "census total mismatch", "total": 9, "expected": 10}])
+
+
+@pytest.mark.parametrize("lemma,compute", [("skeleton", "skeleton_findings"),
+                                           ("removable", "removability_findings")])
+def test_lemma_connectivity_sweep_fails(monkeypatch, capsys, lemma, compute):
+    from connposet import connectivity
+
+    finding = {"graph": "3:7", "problem": f"{lemma} invariant broken"}
+    monkeypatch.setattr(connectivity, compute, lambda n, budget_override=False: (4, [finding]))
+    doc, err = _failed_lemma(capsys, lemma, "--n", "3")
+    assert doc == {"lemma": lemma, "n": 3, "checked": 4, "findings": [finding]}
+    assert err == _fail_lines(lemma, [finding])
+
+
+def test_lemma_chorded_fails_after_its_divergence_note(monkeypatch, capsys):
+    from connposet import connectivity
+
+    real = connectivity.chorded_cycle_sweep
+    violation = {"q": 3, "edges": [[1, 2, 2], [2, 3, 2], [1, 3, 1]]}
+
+    def broken(q_max):
+        sweep = real(q_max)
+        sweep["bound_violations"].append(violation)
+        sweep["per_q"][2]["doubled_star_tight"] = False
+        sweep["mismatches"].append(violation)
+        return sweep
+
+    expected = broken(3)
+    monkeypatch.setattr(connectivity, "chorded_cycle_sweep", broken)
+    doc, err = _failed_lemma(capsys, "chorded", "--q-max", "3")
+    assert doc == _json({"lemma": "chorded", "q_max": 3, **expected})
+    assert err == (
+        "note: block test and chorded-cycle test diverge on 1 instances "
+        "(reported, not asserted)\n"
+        + _fail_lines("chorded", [violation, {"problem": "doubled star not tight", "q": 2}])
+    )
+
+
+def test_lemma_lovasz_fails(monkeypatch, capsys):
+    from connposet import bounds
+    from connposet.graphs import EdgeSet
+
+    real = bounds.lovasz_check
+
+    def broken(X):
+        return real(X)._replace(lhs=bounds.LogValue.from_int(5))
+
+    # n = 2 has one level of one graph, so the one trial samples that level
+    row = broken([EdgeSet(2, 1)]).as_row()
+    assert not row["holds"]
+    monkeypatch.setattr(bounds, "lovasz_check", broken)
+    doc, err = _failed_lemma(capsys, "lovasz", "--n", "2", "--trials", "1")
+    assert doc == _json({"lemma": "lovasz", "n": 2, "trials": 1, "seed": 0, "rows": [
+        row, {**row, "note": "smallest margin among sampled families"}]})
+    assert err == _fail_lines("lovasz", [row, row])
+
+
+def test_lemma_technical_fails(monkeypatch, capsys):
+    from connposet import bounds
+
+    calls = []
+
+    def first_draw_fails(a, b, c1, c2, c3):
+        calls.append({"a": a, "b": b, "c1": c1, "c2": c2, "c3": c3})
+        return len(calls) > 1
+
+    monkeypatch.setattr(bounds, "technical_lemma_check", first_draw_fails)
+    doc, err = _failed_lemma(capsys, "technical", "--trials", "3")
+    assert len(calls) == 3
+    assert doc == {"lemma": "technical", "trials": 3, "seed": 0, "violations": calls[:1]}
+    assert err == _fail_lines("technical", calls[:1])
+
+
+def test_lemma_appendix_fails_and_truncates(monkeypatch, capsys):
+    from connposet import bounds
+
+    monkeypatch.setattr(bounds, "appendix_property_check",
+                        lambda item, x, k, delta=None: not (item == 4 and k >= 49))
+    findings = [{"item": 4, "x": x, "k": k, "delta": None}
+                for x, k, _ in bounds.appendix_grid(4) if k >= 49]
+    doc, err = _failed_lemma(capsys, "appendix")
+    assert doc == {"lemma": "appendix", "violations": findings, "rows": [
+        {"item": item, "points": 1000, "failures": 40 if item == 4 else 0}
+        for item in (1, 2, 3, 4)]}
+    assert err.count("\n") == 21 and err.endswith("FAIL appendix: ... 20 more\n")
+    assert err == _fail_lines("appendix", findings)
+
+
+def test_lovasz_checks_the_vertex_count_before_the_budget():
+    proc = run_cli("lemma", "lovasz", "--n", "11", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr == "error: vertex count must be in 1..10, got 11\n"
+
+
 def test_usage_errors_exit_2():
     proc = subprocess.run(
         [sys.executable, "-m", "connposet", "frobnicate"],
@@ -407,6 +572,16 @@ def test_out_file_writing(tmp_path):
     doc = json.loads(target.read_text(encoding="utf-8"))
     assert doc["total"] == 38
     assert target.read_text().endswith("\n")
+
+
+@pytest.mark.parametrize("path", [".", "missing/x.json"])
+def test_out_path_that_cannot_be_opened_exits_2(path, tmp_path):
+    # a directory, and a file in a directory that does not exist
+    target = tmp_path / path
+    proc = run_cli("census", "--n", "3", "--out", str(target), expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot write --out {target}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_workers_do_not_change_output(tmp_path):

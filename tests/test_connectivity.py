@@ -528,9 +528,9 @@ def test_chorded_predicates_hold_on_every_lower_cover(q):
 
 
 @pytest.mark.parametrize("q_max", range(1, 6))
-@pytest.mark.parametrize("mult_max", range(4))
+@pytest.mark.parametrize("mult_max", [3])  # the oracle's bound, fixed in the sweep
 def test_chorded_cycle_sweep_matches_all_patterns(q_max, mult_max):
-    assert chorded_cycle_sweep(q_max, mult_max) == chorded_sweep_all_patterns(q_max, mult_max)
+    assert chorded_cycle_sweep(q_max) == chorded_sweep_all_patterns(q_max, mult_max)
 
 
 def test_chorded_cycle_sweep_q5_count():
