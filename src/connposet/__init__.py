@@ -12,9 +12,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "graphs": ("EdgeSet", "LevelCensus", "edge_slot", "enumerate_level", "is_connected",
                "level_census", "shadow", "slot_count", "slot_edge", "upper_shadow"),
-    "connectivity": ("MultiGraph", "RemovabilityReport", "Skeleton", "bridges", "contract_set",
-                     "is_cactus", "is_chorded_cycle_free", "is_two_edge_connected",
-                     "removable_edges", "removal_condensation", "skeleton"),
+    "connectivity": ("MultiGraph", "is_cactus", "is_chorded_cycle_free"),
     "poset": ("ChainPartition", "MatchingResult", "SpernerReport", "WidthResult",
               "adjacent_level_matching", "chain_partition", "sperner_verdict", "width_dilworth"),
     "bounds": ("BoundReport", "LogValue", "appendix_property_check", "binom_inverse",

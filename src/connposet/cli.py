@@ -102,6 +102,24 @@ def _clean(value):
     return value
 
 
+def _check_out(out: str) -> None:
+    """Refuse an --out path that _write could not open, before any
+    computation, with the error _write would give; no file is made."""
+    import errno
+    import os
+
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write --out {out}: {os.strerror(code)}")
+
+
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -435,26 +453,24 @@ def _cmd_explore(args) -> int:
         _emit(doc, [{k: v for k, v in doc.items() if k != "level_sizes"}],
               args.fmt, args.out)
         return 0
-    if args.which == "hamiltonian":
-        report = quotient.property_poset_report(args.n, "hamiltonian",
-                                                args.budget_override)
-        doc = {
-            "explore": "hamiltonian",
-            "n": report.n,
-            "element_count": report.element_count,
-            "level_sizes": {str(k): v for k, v in sorted(report.level_sizes.items())},
-            "graded": report.graded,
-            "upward_closed": report.upward_closed,
-            "minimal_levels": list(report.minimal_levels),
-            "width": report.width,
-            "max_level_k": report.max_level_k,
-            "max_level_size": report.max_level_size,
-            "sperner": report.sperner,
-        }
-        _emit(doc, [{k: v for k, v in doc.items() if k != "level_sizes"}],
-              args.fmt, args.out)
-        return 0
-    raise ValueError(f"unknown explorer {args.which!r}")
+    # the parser's choices leave only hamiltonian
+    report = quotient.property_poset_report(args.n, "hamiltonian", args.budget_override)
+    doc = {
+        "explore": "hamiltonian",
+        "n": report.n,
+        "element_count": report.element_count,
+        "level_sizes": {str(k): v for k, v in sorted(report.level_sizes.items())},
+        "graded": report.graded,
+        "upward_closed": report.upward_closed,
+        "minimal_levels": list(report.minimal_levels),
+        "width": report.width,
+        "max_level_k": report.max_level_k,
+        "max_level_size": report.max_level_size,
+        "sperner": report.sperner,
+    }
+    _emit(doc, [{k: v for k, v in doc.items() if k != "level_sizes"}],
+          args.fmt, args.out)
+    return 0
 
 
 def _cmd_binom(args) -> int:
@@ -477,25 +493,23 @@ def _cmd_binom(args) -> int:
     return 0
 
 
+COMMANDS = {
+    "census": _cmd_census,
+    "sperner": _cmd_sperner,
+    "matchings": _cmd_matchings,
+    "chains": _cmd_chains,
+    "lemma": _cmd_lemma,
+    "explore": _cmd_explore,
+    "binom": _cmd_binom,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "census":
-            return _cmd_census(args)
-        if args.command == "sperner":
-            return _cmd_sperner(args)
-        if args.command == "matchings":
-            return _cmd_matchings(args)
-        if args.command == "chains":
-            return _cmd_chains(args)
-        if args.command == "lemma":
-            return _cmd_lemma(args)
-        if args.command == "explore":
-            return _cmd_explore(args)
-        if args.command == "binom":
-            return _cmd_binom(args)
-        parser.error(f"unknown command {args.command!r}")
+        if args.out is not None:
+            _check_out(args.out)
+        return COMMANDS[args.command](args)
     except ChainPartitionError as exc:  # a level pair blocks the gluing
         name = args.which if args.command == "explore" else args.command
         print(f"FAIL {name}: {exc} (pair {exc.k_from}->{exc.k_to})", file=sys.stderr)
@@ -509,7 +523,6 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"FAIL invariant: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

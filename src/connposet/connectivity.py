@@ -1,4 +1,4 @@
-"""Bridges, skeleton decomposition, removable edges, and multigraph cycles.
+"""Multigraphs, their chorded-cycle and cactus tests, and the lemma sweeps.
 
 The skeleton of a connected graph is the pair (B, {A_1,...,A_t}): B its set
 of bridges and A_1..A_t the vertex sets of the components left after the
@@ -7,20 +7,19 @@ set of edges whose deletion destroys 2-edge-connectivity; deleting them
 splits the graph into q components, and |R(G)| is at most 2q-2 because the
 multigraph induced on those components never contains a chorded cycle.
 
-Conventions: a one-vertex graph is 2-edge-connected (skeleton parts of size
-one must qualify); a two-vertex single edge is not (the edge is a bridge).
+The sweeps check these facts for every graph on [n] at once on the universe
+planes of `graphs`; no graph is split on its own.  Conventions: a one-vertex
+graph is 2-edge-connected (skeleton parts of size one must qualify); a
+two-vertex single edge is not (the edge is a bridge).
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import (
-    EdgeSet,
     _byte_tables,
     _component_masks,
     _iter_bits,
@@ -35,159 +34,6 @@ from .graphs import (
     _sliced_greater,
 )
 from .limits import check_chorded_budget, check_scan_budget
-
-
-# ---------------------------------------------------------------------------
-# bridges and skeletons of simple graphs
-
-
-@lru_cache(maxsize=None)
-def _incidence(n: int) -> tuple[tuple, tuple[int, ...]]:
-    """Per vertex of K_n (index 0 unused): its (neighbour, slot bit) pairs,
-    and the mask of those slot bits."""
-    near: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    inc = [0] * (n + 1)
-    for s, (i, j) in enumerate(_slot_pairs(n)):
-        near[i].append((j, 1 << s))
-        near[j].append((i, 1 << s))
-        inc[i] |= 1 << s
-        inc[j] |= 1 << s
-    return tuple(map(tuple, near)), tuple(inc)
-
-
-def _cut_labels(n: int, bits: int) -> dict[int, int] | None:
-    """Cycle-space label of every edge slot, or None if the graph is disconnected.
-
-    A BFS tree is grown from vertex 1.  Every non-tree edge s gets its own
-    bit, 1 << s; every tree edge gets the XOR of the non-tree edges that
-    cross its fundamental cut, accumulated leaf to root in reverse BFS order.
-    An edge set is a cut exactly when its labels XOR to 0 (the exact form of
-    Pritchard and Thurimella's cycle space sampling), so the bridges are the
-    edges labelled 0, and in a bridgeless graph {e, f} is a 2-edge cut
-    exactly when e and f share a label.
-    """
-    near, inc = _incidence(n)
-    parent = [0] * (n + 1)
-    up = [0] * (n + 1)  # slot bit of the tree edge from v to its parent
-    order = [1]
-    seen = 2
-    tree = 0
-    for u in order:
-        for v, slot_bit in near[u]:
-            if bits & slot_bit and not seen >> v & 1:
-                seen |= 1 << v
-                parent[v] = u
-                up[v] = slot_bit
-                tree |= slot_bit
-                order.append(v)
-    if len(order) < n:
-        return None
-    rest = bits ^ tree
-    labels = {s: 1 << s for s in _iter_bits(rest)}
-    # non-tree edges at v; once v's children are added, those leaving v's subtree
-    below = [rest & mask for mask in inc]
-    for v in reversed(order[1:]):
-        labels[up[v].bit_length() - 1] = below[v]
-        below[parent[v]] ^= below[v]
-    return labels
-
-
-def _bridges_of(bits: int, labels: dict[int, int]) -> list[int]:
-    """Bridge slots, ascending: the edges labelled 0."""
-    return [s for s in _iter_bits(bits) if not labels[s]]
-
-
-def _removable_of(bits: int, labels: dict[int, int]) -> list[int]:
-    """R(G) of a bridgeless graph, ascending: the edges whose label another
-    edge shares."""
-    count = Counter(labels.values())
-    return [s for s in _iter_bits(bits) if labels[s] and count[labels[s]] > 1]
-
-
-def _components_without(n: int, bits: int, slots: list[int]) -> list[int]:
-    """Vertex masks of the components of the graph minus the given edge slots."""
-    for s in slots:
-        bits ^= 1 << s
-    return _component_masks(n, bits)
-
-
-def _bridge_slots(n: int, bits: int) -> list[int]:
-    """Bridge slots of a connected graph, ascending."""
-    labels = _cut_labels(n, bits)
-    if labels is None:
-        raise ValueError("bridges requires a connected graph")
-    return _bridges_of(bits, labels)
-
-
-def bridges(g: EdgeSet) -> list[tuple[int, int]]:
-    """The edges whose deletion disconnects g, sorted; rejects disconnected g."""
-    pairs = _slot_pairs(g.n)
-    return sorted(pairs[s] for s in _bridge_slots(g.n, g.bits))
-
-
-class Skeleton(NamedTuple):
-    """Bridge set plus the vertex partition left after deleting the bridges."""
-
-    bridges: tuple[tuple[int, int], ...]
-    parts: tuple[tuple[int, ...], ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.parts)
-
-
-def skeleton(g: EdgeSet) -> Skeleton:
-    """Skeleton of a connected graph; parts sorted by smallest member."""
-    labels = _cut_labels(g.n, g.bits)
-    if labels is None:
-        raise ValueError("skeleton requires a connected graph")
-    bridge_slots = _bridges_of(g.bits, labels)
-    pairs = _slot_pairs(g.n)
-    return Skeleton(
-        tuple(sorted(pairs[s] for s in bridge_slots)),
-        tuple(tuple(_iter_bits(m)) for m in _components_without(g.n, g.bits, bridge_slots)),
-    )
-
-
-def _two_edge_connected_bits(n: int, bits: int) -> bool:
-    labels = _cut_labels(n, bits)
-    return labels is not None and 0 not in labels.values()
-
-
-def is_two_edge_connected(g: EdgeSet) -> bool:
-    """Connected with no bridge; a single vertex qualifies, a single edge not."""
-    return _two_edge_connected_bits(g.n, g.bits)
-
-
-# ---------------------------------------------------------------------------
-# removable edges of 2-edge-connected graphs
-
-
-class RemovabilityReport(NamedTuple):
-    """R(G) together with the component count q of G - R(G) and 2q-2."""
-
-    removable: tuple[tuple[int, int], ...]
-    q: int
-
-    @property
-    def r(self) -> int:
-        return len(self.removable)
-
-    @property
-    def bound(self) -> int:
-        return 2 * self.q - 2
-
-
-def _bridgeless_labels(n: int, bits: int) -> dict[int, int]:
-    labels = _cut_labels(n, bits)
-    if labels is None or 0 in labels.values():
-        raise ValueError("removable edges require a 2-edge-connected graph")
-    return labels
-
-
-def removable_edges(g: EdgeSet) -> RemovabilityReport:
-    """Edges whose deletion destroys 2-edge-connectivity, from the cut labels."""
-    return removal_condensation(g)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,58 +160,6 @@ def is_cactus(h: MultiGraph) -> bool:
                     return False
                 on_cycle[a], a = True, parent[a]
     return True
-
-
-def contract_set(h: MultiGraph, s: Iterable[int]) -> MultiGraph:
-    """Merge the vertices of s into one; multiplicities add, inner edges vanish.
-
-    The merged vertex inherits the slot of min(s) in the relabeling to
-    {1,...,q'}, keeping the remaining vertices in their original order.
-    """
-    merged = set(s)
-    if not merged:
-        raise ValueError("cannot contract the empty set")
-    if not merged <= set(range(1, h.q + 1)):
-        raise ValueError(f"contraction set {sorted(merged)} not within 1..{h.q}")
-    rep = min(merged)
-    kept = sorted((set(range(1, h.q + 1)) - merged) | {rep})
-    relabel = {v: i + 1 for i, v in enumerate(kept)}
-    counts: dict[tuple[int, int], int] = {}
-    for u, v, mult in h.edges:
-        a = rep if u in merged else u
-        b = rep if v in merged else v
-        if a == b:
-            continue
-        a, b = relabel[a], relabel[b]
-        if a > b:
-            a, b = b, a
-        counts[(a, b)] = counts.get((a, b), 0) + mult
-    return MultiGraph(len(kept), tuple((u, v, c) for (u, v), c in counts.items()))
-
-
-def removal_condensation(g: EdgeSet) -> tuple[RemovabilityReport, MultiGraph]:
-    """The multigraph induced on the components of G - R(G) by the R(G) edges."""
-    return _condense(g.n, g.bits, _bridgeless_labels(g.n, g.bits))
-
-
-def _condense(n: int, bits: int, labels: dict[int, int]) -> tuple[RemovabilityReport, MultiGraph]:
-    slots = _removable_of(bits, labels)
-    comps = _components_without(n, bits, slots)
-    pairs = _slot_pairs(n)
-    report = RemovabilityReport(tuple(sorted(pairs[s] for s in slots)), len(comps))
-    comp_of = {}
-    for idx, mask in enumerate(comps, start=1):
-        for v in _iter_bits(mask):
-            comp_of[v] = idx
-    cross = []
-    for i, j in report.removable:
-        ci, cj = comp_of[i], comp_of[j]
-        if ci == cj:
-            raise AssertionError(
-                f"removable edge ({i},{j}) does not cross components in {n}:{bits:x}"
-            )
-        cross.append((min(ci, cj), max(ci, cj)))
-    return report, MultiGraph.from_pairs(len(comps), cross)
 
 
 # ---------------------------------------------------------------------------

@@ -310,11 +310,11 @@ def contains_triangle(g: EdgeSet) -> bool:
 
 
 def is_two_edge_connected(g: EdgeSet) -> bool:
-    """connectivity.is_two_edge_connected, imported on the first call: the
-    built-in's plane needs no predicate, so the explorers never load it."""
-    from .connectivity import is_two_edge_connected
-
-    return is_two_edge_connected(g)
+    """Connected, and still connected after deleting each edge; a single
+    vertex qualifies, a single edge not."""
+    return _connected_bits(g.n, g.bits) and all(
+        _connected_bits(g.n, g.bits ^ 1 << s) for s in _iter_bits(g.bits)
+    )
 
 
 PROPERTY_BUILTINS: dict[str, Callable[[EdgeSet], bool]] = {

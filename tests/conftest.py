@@ -1,25 +1,23 @@
 """Shared independent oracles for the test suite.
 
 The oracles here deliberately use different algorithms from the package
-(union-find instead of frontier BFS, per-edge deletion instead of
-cycle-space cut labels, subset enumeration instead of matching, one
-augmenting path at a time instead of phases, cycle enumeration instead of
-the per-edge Menger test and the spanning-forest cactus test, a counting
-recurrence instead of bit planes, a hash index instead of a dense rank,
-per-mask retests instead of bit planes, per-graph canonical forms instead
-of one orbit expansion per class, a sum of image slots per permutation
-instead of lane-packed columns, a bracket stack walk instead of a chunk
-table) so the two sides of every check share no code path.  The exceptions
-are `pattern_verdicts` and `chorded_sweep_all_patterns`, which call the
-package's multigraph predicates on every pattern, because what they check
-is which patterns the sweep skips and how it decides the rest,
-`iso_classes_by_relabel`, which relabels through the package's
-`quotient.relabel`, and the walk behind `skeleton_findings_by_walk`,
-`removability_findings_by_walk` and `tech_sweep_by_walk`, which gives each
-connected graph its cut labels from `connectivity._cut_labels` and looks
-each skeleton part up in the two-edge-connected plane of its own vertex
-count or retests it alone, because what it checks is the plane route of the
-sweeps.
+(union-find instead of frontier BFS, per-edge deletion instead of bridge
+planes, subset enumeration instead of matching, one augmenting path at a
+time instead of phases, cycle enumeration instead of the per-edge Menger
+test and the spanning-forest cactus test, a counting recurrence instead of
+bit planes, a hash index instead of a dense rank, per-mask retests instead
+of bit planes, per-graph canonical forms instead of one orbit expansion per
+class, a sum of image slots per permutation instead of lane-packed columns,
+a bracket stack walk instead of a chunk table) so the two sides of every
+check share no code path.  The exceptions are `pattern_verdicts` and
+`chorded_sweep_all_patterns`, which call the package's multigraph
+predicates on every pattern, because what they check is which patterns the
+sweep skips and how it decides the rest, `iso_classes_by_relabel`, which
+relabels through the package's `quotient.relabel`, and
+`removability_findings_by_walk`, which judges each condensation with the
+package's `MultiGraph` and `is_chorded_cycle_free`, because what it checks
+is how the plane sweep finds R, the parts and the condensation of each
+graph.
 """
 
 from collections import Counter
@@ -44,8 +42,8 @@ def pairs_on(n):
     return [(i, j) for j in range(2, n + 1) for i in range(1, j)]
 
 
-def uf_connected(n, edges):
-    """Union-find connectivity over an explicit edge list."""
+def uf_roots(n, edges):
+    """The union-find root of each vertex 1..n of an explicit edge list."""
     parent = list(range(n + 1))
 
     def find(x):
@@ -56,7 +54,21 @@ def uf_connected(n, edges):
 
     for i, j in edges:
         parent[find(i)] = find(j)
-    return len({find(v) for v in range(1, n + 1)}) == 1
+    return [find(v) for v in range(1, n + 1)]
+
+
+def uf_connected(n, edges):
+    """Union-find connectivity over an explicit edge list."""
+    return len(set(uf_roots(n, edges))) == 1
+
+
+def uf_components(n, edges):
+    """Vertex masks of the components of an explicit edge list on [n], by
+    union-find, numbered by smallest vertex."""
+    masks = {}  # by root, first reached from the component's smallest vertex
+    for v, root in enumerate(uf_roots(n, edges), start=1):
+        masks[root] = masks.get(root, 0) | 1 << v
+    return list(masks.values())
 
 
 def bits_edges(n, bits):
@@ -390,17 +402,36 @@ def pattern_verdicts(q):
 # the lemma sweeps graph by graph: the walk the plane sweeps replaced
 
 
-def _labelled_graphs(n, bridgeless=False):
-    """(bits, cut labels) of every connected graph on [n], ascending, or of
-    the bridgeless ones only.  Bridgelessness is read from the labels, not
-    from the two-edge-connected plane."""
-    from connposet.connectivity import _cut_labels
-    from connposet.graphs import _family_plane, _plane_members
+@lru_cache(maxsize=None)
+def skeleton_walk(n):
+    """(bits, B, parts) of every connected graph on [n], ascending: B its
+    bridges by per-edge deletion, as a slot mask, and the parts the vertex
+    masks of the components of G - B, numbered by smallest vertex."""
+    from connposet import EdgeSet
 
-    for bits in _plane_members(_family_plane(n, "connected")):
-        labels = _cut_labels(n, bits)
-        if not (bridgeless and 0 in labels.values()):
-            yield bits, labels
+    slot = {pair: 1 << s for s, pair in enumerate(pairs_on(n))}
+    walk = []
+    for bits in range(1 << comb(n, 2)):
+        if uf_connected_bits(n, bits):
+            bridges = sum(slot[e] for e in bridges_by_deletion(EdgeSet(n, bits)))
+            walk.append((bits, bridges, tuple(uf_components(n, bits_edges(n, bits ^ bridges)))))
+    return tuple(walk)
+
+
+@lru_cache(maxsize=None)
+def removal_walk(n):
+    """(bits, R, parts) of every two-edge-connected graph on [n], ascending:
+    R(G) by removable_by_retest, as a slot mask, and the parts the vertex
+    masks of the components of G - R, numbered by smallest vertex."""
+    from connposet import EdgeSet
+
+    slot = {pair: 1 << s for s, pair in enumerate(pairs_on(n))}
+    walk = []
+    for bits, bridges, _ in skeleton_walk(n):
+        if not bridges:
+            r = sum(slot[e] for e in removable_by_retest(EdgeSet(n, bits)))
+            walk.append((bits, r, tuple(uf_components(n, bits_edges(n, bits ^ r)))))
+    return tuple(walk)
 
 
 @lru_cache(maxsize=None)
@@ -423,65 +454,59 @@ def _induced_bits(n, bits, vertex_mask):
     return vertex_mask.bit_count(), sub
 
 
-@lru_cache(maxsize=None)
-def _two_edge_connected_table(n):
-    """The two-edge-connected plane on [n] as bytes: bit x is byte x >> 3, bit x & 7."""
-    from connposet.graphs import _planes
-
-    return _planes(n).two_edge_connected.to_bytes(((1 << comb(n, 2)) + 7) // 8, "little")
-
-
-def _skeleton_parts(n, bits, labels):
-    """Bridge slots of a connected graph, from its cut labels, and the vertex
-    masks of the parts left after deleting them."""
-    from connposet.connectivity import _bridges_of, _components_without
-
-    bridge_slots = _bridges_of(bits, labels)
-    return bridge_slots, _components_without(n, bits, bridge_slots)
-
-
 def skeleton_findings_by_walk(n):
-    """connectivity.skeleton_findings from the labelled walk: each graph's
-    bridges and parts from its cut labels, each part relabelled and looked
-    up in the two-edge-connected plane of its own vertex count."""
+    """connectivity.skeleton_findings from the skeleton walk: each part
+    relabelled alone and tested with uf_two_edge_connected."""
     findings = []
-    checked = 0
-    for bits, labels in _labelled_graphs(n):
-        checked += 1
-        bridge_slots, parts = _skeleton_parts(n, bits, labels)
-        if len(bridge_slots) != len(parts) - 1:
+    two_edge_connected = {}  # relabelled part: its verdict
+    walk = skeleton_walk(n)
+    for bits, bridges, parts in walk:
+        if bridges.bit_count() != len(parts) - 1:
             findings.append(
                 {"graph": f"{n}:{bits:x}", "problem": "bridge count != t-1",
-                 "bridges": len(bridge_slots), "t": len(parts)}
+                 "bridges": bridges.bit_count(), "t": len(parts)}
             )
         for mask in parts:
-            n_sub, sub = _induced_bits(n, bits, mask)
-            if not _two_edge_connected_table(n_sub)[sub >> 3] >> (sub & 7) & 1:
+            part = _induced_bits(n, bits, mask)
+            if part not in two_edge_connected:
+                two_edge_connected[part] = uf_two_edge_connected(part[0], bits_edges(*part))
+            if not two_edge_connected[part]:
                 findings.append(
                     {"graph": f"{n}:{bits:x}", "problem": "part not 2-edge-connected",
                      "part": [v for v in range(1, n + 1) if mask >> v & 1]}
                 )
-    return checked, findings
+    return len(walk), findings
+
+
+def condensation_of(n, r, parts):
+    """The multigraph that the R edges (a slot mask) induce on the parts."""
+    from connposet.connectivity import MultiGraph
+
+    part_of = {v: p for p, mask in enumerate(parts, start=1)
+               for v in range(1, n + 1) if mask >> v & 1}
+    return MultiGraph.from_pairs(
+        len(parts), [(part_of[i], part_of[j]) for i, j in bits_edges(n, r)]
+    )
 
 
 def removability_findings_by_walk(n):
-    """connectivity.removability_findings from the labelled walk over the
-    bridgeless graphs: each graph condensed from its cut labels."""
-    from connposet.connectivity import _condense, is_chorded_cycle_free
+    """connectivity.removability_findings from the removal walk: each
+    condensation judged by the package's is_chorded_cycle_free."""
+    from connposet.connectivity import is_chorded_cycle_free
 
     findings = []
-    checked = 0
     chorded_free = {}
-    for bits, labels in _labelled_graphs(n, bridgeless=True):
-        checked += 1
-        report, condensed = _condense(n, bits, labels)
-        if report.r > report.bound:
+    walk = removal_walk(n)
+    for bits, r_bits, parts in walk:
+        r, q = r_bits.bit_count(), len(parts)
+        if r > 2 * q - 2:
             findings.append(
                 {"graph": f"{n}:{bits:x}", "problem": "removable set exceeds 2q-2",
-                 "r": report.r, "q": report.q}
+                 "r": r, "q": q}
             )
-        if report.r == 1:
+        if r == 1:
             findings.append({"graph": f"{n}:{bits:x}", "problem": "removable set of size 1"})
+        condensed = condensation_of(n, r_bits, parts)
         free = chorded_free.get(condensed)
         if free is None:
             free = chorded_free[condensed] = is_chorded_cycle_free(condensed)
@@ -490,22 +515,21 @@ def removability_findings_by_walk(n):
                 {"graph": f"{n}:{bits:x}", "problem": "condensation has a chorded cycle",
                  "condensation": condensed.to_json()}
             )
-    return checked, findings
+    return len(walk), findings
 
 
 def tech_sweep_by_walk(n):
-    """bounds.tech_inequality_sweep from the labelled walk: each connected
-    graph with a bridge and at least M edges split into its skeleton parts
-    from its cut labels, each part's |R| from removable_by_retest on the part
-    relabelled alone, and the minimum taken over (lhs, k, bits)."""
+    """bounds.tech_inequality_sweep from the skeleton walk: each connected
+    graph with a bridge and at least M edges split into its parts, each
+    part's |R| from removable_by_retest on the part relabelled alone, and the
+    minimum taken over (lhs, k, bits)."""
     from connposet import EdgeSet
 
     M = (comb(n, 2) + 1) // 2
     checked = excluded = holding = 0
     best = None
-    for bits, labels in _labelled_graphs(n):
-        bridge_slots, masks = _skeleton_parts(n, bits, labels)
-        if not bridge_slots or bits.bit_count() < M:
+    for bits, bridges, masks in skeleton_walk(n):
+        if not bridges or bits.bit_count() < M:
             continue
         parts = [mask.bit_count() for mask in masks]
         if len(parts) == 2 and min(parts) == 1:

@@ -28,17 +28,17 @@ from connposet.bounds import (
     squares_sweep,
     tech_inequality_sweep,
 )
-from connposet.connectivity import _bits_at, _removable_of, _split_planes
+from connposet.connectivity import _bits_at, _split_planes
 from connposet.graphs import _level_bits, _planes, level_census, slot_count
 
 from conftest import (
     _induced_bits,
-    _labelled_graphs,
     irk_table_by_retest,
     pairs_on,
     removable_by_retest,
+    removal_walk,
+    skeleton_walk,
     tech_sweep_by_walk,
-    uf_connected_bits,
 )
 
 
@@ -303,10 +303,7 @@ def test_i_r_census_matches_retest(n):
 
 
 def test_i_r_census_matches_labelled_walk_n6():
-    walk = Counter(
-        (bits.bit_count(), len(_removable_of(bits, labels)))
-        for bits, labels in _labelled_graphs(6, bridgeless=True)
-    )
+    walk = Counter((bits.bit_count(), r.bit_count()) for bits, r, _ in removal_walk(6))
     table = i_r_census(6).table
     assert table == dict(walk)
     assert list(table) == sorted(table)
@@ -337,13 +334,11 @@ def test_tech_eval_two_triangles():
 
 
 def test_tech_eval_two_triangles_realized_by_a_graph():
-    from connposet import removable_edges, skeleton
-
     g = EdgeSet.from_edges(6, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
-    sk = skeleton(g)
-    parts = [len(p) for p in sk.parts]
-    assert sorted(parts) == [3, 3]
-    r_values = [removable_edges(EdgeSet.complete(3)).r] * 2
+    (masks,) = [parts for bits, _, parts in skeleton_walk(6) if bits == g.bits]
+    parts = [mask.bit_count() for mask in masks]
+    assert parts == [3, 3]
+    r_values = [len(removable_by_retest(EdgeSet.complete(3)))] * 2
     assert tech_inequality_eval(parts, r_values, 6).lhs == 1
 
 
@@ -381,22 +376,10 @@ def test_tech_sweep_matches_walk(n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_tech_sweep_labels_no_graph(n, monkeypatch):
-    # every term comes from the planes: no graph gets its cut labels, and
-    # the sweep covers each connected graph with a bridge and at least M
-    # edges (5,040 at n = 6, of the 26,704 connected graphs)
-    import connposet.connectivity as connectivity_mod
-
-    labelled = []
-    real = connectivity_mod._cut_labels
-
-    def spy(n, bits):
-        labelled.append(bits)
-        return real(n, bits)
-
-    monkeypatch.setattr(connectivity_mod, "_cut_labels", spy)
+def test_tech_sweep_covers_every_candidate(n):
+    # each connected graph with a bridge and at least M edges is checked or
+    # excluded (5,040 at n = 6, of the 26,704 connected graphs)
     summary = tech_inequality_sweep(n)
-    assert labelled == []
     M = (slot_count(n) + 1) // 2
     connected = level_census(n, "connected").counts
     bridgeless = level_census(n, "two_edge_connected").counts
@@ -410,18 +393,16 @@ def test_tech_sweep_labels_no_graph(n, monkeypatch):
 def test_part_r_values_match_relabelled_parts(n):
     # the plane R of each skeleton part, slot by slot, against the part
     # relabelled and retested alone; its popcount is the graph's sum of r_i
-    from connposet import skeleton
-
     sk = _split_planes(n, _planes(n).connected)
     removable = _part_removable_planes(sk.leaving, sk.kept)
     slot = {pair: s for s, pair in enumerate(pairs_on(n))}
+    walked = {bits: parts for bits, _, parts in skeleton_walk(n)}
     for bits in range(1 << slot_count(n)):
         expected = 0
-        if uf_connected_bits(n, bits):
-            for part in skeleton(EdgeSet(n, bits)).parts:
-                mask = sum(1 << v for v in part)
-                for a, b in removable_by_retest(EdgeSet(*_induced_bits(n, bits, mask))):
-                    expected |= 1 << slot[part[a - 1], part[b - 1]]
+        for mask in walked.get(bits, ()):
+            part = [v for v in range(1, n + 1) if mask >> v & 1]
+            for a, b in removable_by_retest(EdgeSet(*_induced_bits(n, bits, mask))):
+                expected |= 1 << slot[part[a - 1], part[b - 1]]
         assert _bits_at(removable, bits) == expected, f"{n}:{bits:x}"
 
 

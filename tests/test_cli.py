@@ -584,6 +584,20 @@ def test_out_path_that_cannot_be_opened_exits_2(path, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("path", [".", "missing/x.json"])
+def test_unwritable_out_fails_before_the_sweep(path, tmp_path, monkeypatch, capsys):
+    from connposet import bounds, cli
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(bounds, "lovasz_sweep", no_sweep)
+    target = tmp_path / path
+    assert cli.main(["lemma", "lovasz", "--n", "6", "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write --out {target}: ")
+    assert list(tmp_path.iterdir()) == []  # no file made
+
+
 def test_workers_do_not_change_output(tmp_path):
     one = tmp_path / "w1.json"
     two = tmp_path / "w2.json"

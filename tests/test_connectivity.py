@@ -5,29 +5,12 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 from hypothesis import given, strategies as st
 
-from connposet import (
-    EdgeSet,
-    MultiGraph,
-    bridges,
-    contract_set,
-    is_cactus,
-    is_chorded_cycle_free,
-    is_two_edge_connected,
-    removable_edges,
-    removal_condensation,
-    skeleton,
-)
+from connposet import EdgeSet, MultiGraph, is_cactus, is_chorded_cycle_free
 from connposet.connectivity import (
     _bits_at,
-    _bridge_slots,
-    _bridgeless_labels,
-    _components_without,
-    _cut_labels,
     _exact_theta,
     _part_codes,
-    _removable_of,
     _split_planes,
-    _two_edge_connected_bits,
     chorded_cycle_sweep,
     doubled_star,
     removability_findings,
@@ -35,148 +18,40 @@ from connposet.connectivity import (
 )
 from connposet.graphs import _component_masks, _plane_members, _planes, enumerate_level, slot_count
 from connposet.limits import CHORDED_MAX_Q, BudgetExceededError
+from connposet.quotient import is_two_edge_connected
 
 from conftest import (
     _induced_bits,
-    _skeleton_parts,
     bits_edges,
     bridges_by_deletion,
     chorded_sweep_all_patterns,
+    condensation_of,
     cycle_chord_free,
     cycles_edge_disjoint,
     pairs_on,
     pattern_verdicts,
     removability_findings_by_walk,
-    removable_by_retest,
+    removal_walk,
     skeleton_findings_by_walk,
-    uf_connected,
+    skeleton_walk,
     uf_connected_bits,
     uf_two_edge_connected,
 )
 
 
-def path(n, *verts):
-    return EdgeSet.from_edges(n, list(zip(verts, verts[1:])))
-
-
-def test_bridges_examples():
-    assert bridges(path(3, 1, 2, 3)) == [(1, 2), (2, 3)]
-    assert bridges(EdgeSet.complete(3)) == []
-    pendant = EdgeSet.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
-    assert bridges(pendant) == [(3, 4)]
-
-
-def test_bridges_rejects_disconnected():
-    with pytest.raises(ValueError):
-        bridges(EdgeSet.from_edges(4, [(1, 2), (3, 4)]))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_bridges_against_deletion_oracle(n):
-    for bits in range(1 << slot_count(n)):
-        g = EdgeSet(n, bits)
-        try:
-            fast = bridges(g)
-        except ValueError:
-            continue
-        assert fast == bridges_by_deletion(g)
-
-
-def assert_labels_match_oracles(n, bits):
-    """The three cut-label wrappers against the union-find oracles on one mask."""
-    g = EdgeSet(n, bits)
-    edges = bits_edges(n, bits)
-    pairs = pairs_on(n)
-    two_ec = uf_two_edge_connected(n, edges)
-    assert _two_edge_connected_bits(n, bits) == two_ec
-    if uf_connected(n, edges):
-        slots = _bridge_slots(n, bits)
-        assert slots == sorted(slots)
-        assert sorted(pairs[s] for s in slots) == bridges_by_deletion(g)
-    else:
-        with pytest.raises(ValueError):
-            _bridge_slots(n, bits)
-    if two_ec:
-        slots = _removable_of(bits, _bridgeless_labels(n, bits))
-        assert slots == sorted(slots)
-        assert sorted(pairs[s] for s in slots) == removable_by_retest(g)
-    else:
-        with pytest.raises(ValueError):
-            _bridgeless_labels(n, bits)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_cut_labels_against_oracles_exhaustive(n):
-    for bits in range(1 << slot_count(n)):
-        assert_labels_match_oracles(n, bits)
-
-
-def masks(n):
-    """Random masks and their complements, so dense 2-edge-connected graphs
-    turn up as often as sparse ones."""
-    full = (1 << slot_count(n)) - 1
-    return st.integers(0, full) | st.integers(0, full).map(lambda bits: full ^ bits)
-
-
-@given(masks(6))
-def test_cut_labels_against_oracles_n6(bits):
-    assert_labels_match_oracles(6, bits)
-
-
-@given(masks(7))
-def test_cut_labels_against_oracles_n7(bits):
-    assert_labels_match_oracles(7, bits)
-
-
-def test_skeleton_examples():
-    sk = skeleton(path(3, 1, 2, 3))
-    assert sk.bridges == ((1, 2), (2, 3))
-    assert sk.parts == ((1,), (2,), (3,))
-    assert sk.t == 3
-
-    sk = skeleton(EdgeSet.complete(3))
-    assert sk.bridges == ()
-    assert sk.parts == ((1, 2, 3),)
-
-    two_triangles = EdgeSet.from_edges(
-        6, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)]
-    )
-    sk = skeleton(two_triangles)
-    assert sk.bridges == ((3, 4),)
-    assert sk.parts == ((1, 2, 3), (4, 5, 6))
-    assert sk.t == 2
-
-
 def test_two_edge_connected_conventions():
-    assert is_two_edge_connected(EdgeSet.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
-    assert not is_two_edge_connected(path(3, 1, 2, 3))
-    assert is_two_edge_connected(EdgeSet.empty(1))
-    assert not is_two_edge_connected(EdgeSet.complete(2))
-    assert not is_two_edge_connected(EdgeSet.from_edges(4, [(1, 2), (3, 4)]))
-
-
-def test_removable_edges_examples():
-    k4 = removable_edges(EdgeSet.complete(4))
-    assert (k4.r, k4.removable, k4.q, k4.bound) == (0, (), 1, 0)
-
-    c4 = removable_edges(EdgeSet.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
-    assert c4.r == 4 and c4.q == 4 and c4.bound == 6
-
-    k3 = removable_edges(EdgeSet.complete(3))
-    assert k3.r == 3 and k3.q == 3 and k3.bound == 4
-
-
-def test_removable_edges_rejects_bridged_input():
-    with pytest.raises(ValueError):
-        removable_edges(path(3, 1, 2, 3))
-
-
-def test_removal_condensation_cycle():
-    c6 = EdgeSet.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
-    report, condensed = removal_condensation(c6)
-    assert report.r == 6 and report.q == 6
-    assert condensed.q == 6 and condensed.edge_total == 6
-    assert is_chorded_cycle_free(condensed)
+    # the property predicate and the plane the sweeps read: one vertex
+    # qualifies, one edge not
+    examples = [
+        (EdgeSet.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), True),
+        (EdgeSet.from_edges(3, [(1, 2), (2, 3)]), False),
+        (EdgeSet.empty(1), True),
+        (EdgeSet.complete(2), False),
+        (EdgeSet.from_edges(4, [(1, 2), (3, 4)]), False),
+    ]
+    for g, expected in examples:
+        assert is_two_edge_connected(g) == expected, g
+        assert _planes(g.n).two_edge_connected >> g.bits & 1 == expected, g
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -216,9 +91,8 @@ def test_chorded_memo_reports_every_graph(monkeypatch):
         connectivity, "is_chorded_cycle_free", lambda h: h != target and real(h)
     )
     expected = [
-        EdgeSet(5, b).text() for b in range(1 << 10)
-        if uf_two_edge_connected(5, bits_edges(5, b))
-        and removal_condensation(EdgeSet(5, b))[1] == target
+        f"5:{bits:x}" for bits, r, parts in removal_walk(5)
+        if condensation_of(5, r, parts) == target
     ]
     _, findings = removability_findings(5)
     assert len(expected) > 1
@@ -273,17 +147,17 @@ def _leader_bits(parts):
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_sweep_planes_match_cut_labels(n):
+def test_split_planes_match_the_walks(n):
     # per graph: the bridges B, the leaders of G - B (so t), the pairs that
     # reach each other in G - B, and the same three of R and G - R (so q),
-    # against the cut labels
-    from connposet.graphs import _planes
-
+    # against the union-find walks
     sk = _split_planes(n, _planes(n).connected)
     rp = _split_planes(n, _planes(n).two_edge_connected)
     pairs = pairs_on(n)
     inside = [sk.reach[i][j] for i, j in pairs]
     joined = [rp.reach[i][j] for i, j in pairs]
+    skeletons = {bits: (b, parts) for bits, b, parts in skeleton_walk(n)}
+    removals = {bits: (r, parts) for bits, r, parts in removal_walk(n)}
 
     def joined_slots(parts):
         return sum(
@@ -294,25 +168,19 @@ def test_sweep_planes_match_cut_labels(n):
     for x in range(1 << slot_count(n)):
         bridges, leaders = _bits_at(sk.leaving, x), _bits_at(sk.leaders, x)
         removable, parts = _bits_at(rp.leaving, x), _bits_at(rp.leaders, x)
-        labels = _cut_labels(n, x)
-        if labels is None:
+        if x not in skeletons:
             assert bridges == leaders == removable == parts == _bits_at(inside, x) == 0
             continue
-        bridge_slots, skeleton_parts = _skeleton_parts(n, x, labels)
-        assert bridges == sum(1 << s for s in bridge_slots)
-        assert bridges.bit_count() == len(bridge_slots)
+        walked_bridges, skeleton_parts = skeletons[x]
+        assert bridges == walked_bridges
         assert leaders == _leader_bits(skeleton_parts)
-        assert leaders.bit_count() == len(skeleton_parts)
         assert _bits_at(inside, x) == joined_slots(skeleton_parts)
-        if bridge_slots:
+        if x not in removals:
             assert removable == parts == _bits_at(joined, x) == 0
             continue
-        r_slots = _removable_of(x, labels)
-        removal_parts = _components_without(n, x, r_slots)
-        assert removable == sum(1 << s for s in r_slots)
-        assert removable.bit_count() == len(r_slots)
+        walked_r, removal_parts = removals[x]
+        assert removable == walked_r
         assert parts == _leader_bits(removal_parts)
-        assert parts.bit_count() == len(removal_parts)
         # every R edge joins two parts: no slot of R is joined
         assert _bits_at(joined, x) == joined_slots(removal_parts)
         assert removable & _bits_at(joined, x) == 0
@@ -604,35 +472,3 @@ def test_doubled_star_is_tight():
         assert star.edge_total == 2 * q - 2
         assert is_chorded_cycle_free(star)
         assert is_cactus(star)
-
-
-def test_contract_examples():
-    triangle = MultiGraph.from_pairs(3, [(1, 2), (2, 3), (1, 3)])
-    collapsed = contract_set(triangle, [1, 2, 3])
-    assert collapsed.q == 1 and collapsed.edge_total == 0
-
-    c4 = MultiGraph.from_pairs(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    contracted = contract_set(c4, [1, 2])
-    assert contracted.q == 3 and contracted.edge_total == 3
-    assert is_chorded_cycle_free(contracted)
-
-    p3 = MultiGraph.from_pairs(3, [(1, 2), (2, 3)])
-    assert contract_set(p3, [1, 2]) == MultiGraph(2, ((1, 2, 1),))
-
-
-def test_contract_validation():
-    h = MultiGraph.from_pairs(3, [(1, 2)])
-    with pytest.raises(ValueError):
-        contract_set(h, [])
-    with pytest.raises(ValueError):
-        contract_set(h, [4])
-
-
-def test_contracting_a_cycle_keeps_the_count():
-    # collapsing the vertex set of a cycle whose span carries no extra edge
-    # removes exactly |cycle| edges and |cycle|-1 vertices
-    k23 = MultiGraph.from_pairs(5, [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)])
-    contracted = contract_set(k23, [1, 3, 2, 4])
-    assert contracted.q == 5 - 4 + 1
-    assert contracted.edge_total == k23.edge_total - 4
-    assert is_chorded_cycle_free(contracted)

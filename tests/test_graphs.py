@@ -19,7 +19,6 @@ from connposet import (
     upper_shadow,
 )
 
-from connposet.connectivity import _two_edge_connected_bits
 from connposet.graphs import (
     FAMILIES,
     _census_counts,
@@ -29,7 +28,13 @@ from connposet.graphs import (
     _planes,
 )
 
-from conftest import bits_edges, connected_census, uf_connected_bits, uf_two_edge_connected
+from conftest import (
+    bits_edges,
+    connected_census,
+    skeleton_walk,
+    uf_connected_bits,
+    uf_two_edge_connected,
+)
 
 
 def test_edge_slot_examples():
@@ -207,9 +212,10 @@ def test_planes_match_union_find(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_planes_match_per_mask_predicates(n):
     planes = _planes(n)
+    bridgeless = {bits for bits, bridges, _ in skeleton_walk(n) if not bridges}
     for bits in range(1 << slot_count(n)):
         assert planes.connected >> bits & 1 == _connected_bits(n, bits)
-        assert planes.two_edge_connected >> bits & 1 == _two_edge_connected_bits(n, bits)
+        assert planes.two_edge_connected >> bits & 1 == (bits in bridgeless)
 
 
 @pytest.mark.parametrize(

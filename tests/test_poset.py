@@ -34,6 +34,7 @@ from connposet.poset import (
 from conftest import (
     augmenting_path_matching,
     bracket_step,
+    bridges_by_deletion,
     brute_width,
     level_pair_rows,
 )
@@ -762,12 +763,10 @@ def test_upper_degree_identity_n4():
 def test_lower_degree_bound_via_bridges(n):
     # non-bridge deletions keep connectivity, and bridges number < n, so a
     # connected graph with j edges has at least j+1-n connected deletions
-    from connposet import bridges
-
     m = slot_count(n)
     for k in range(n - 1, m + 1):
         for g in enumerate_level(n, k, "connected"):
-            bridge_count = len(bridges(g))
+            bridge_count = len(bridges_by_deletion(g))
             assert bridge_count <= n - 1
             assert k - bridge_count >= k + 1 - n
 

@@ -35,16 +35,19 @@ from connposet.quotient import (
     _orbit,
     _property_plane,
     contains_triangle,
+    is_two_edge_connected,
     relabel,
 )
 
 from conftest import (
+    bits_edges,
     closure_and_minimal_levels,
     covers_one_level,
     iso_classes_by_relabel,
     pairs_on,
     slot_sum_orbit,
     uf_connected_bits,
+    uf_two_edge_connected,
 )
 
 
@@ -449,6 +452,13 @@ def test_hamiltonian_predicate():
     assert not is_hamiltonian(EdgeSet.from_edges(3, [(1, 2), (2, 3)]))
     assert not is_hamiltonian(EdgeSet.complete(2))
     assert not is_hamiltonian(EdgeSet.from_edges(5, [(1, 2), (2, 3), (3, 1), (4, 5)]))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_two_edge_connected_predicate_matches_union_find(n):
+    for bits in range(1 << slot_count(n)):
+        expected = uf_two_edge_connected(n, bits_edges(n, bits))
+        assert is_two_edge_connected(EdgeSet(n, bits)) == expected, f"{n}:{bits:x}"
 
 
 def test_contains_triangle_predicate():
