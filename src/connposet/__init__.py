@@ -11,7 +11,7 @@ from importlib import import_module as _import_module
 # themselves are public too; __getattr__, __dir__ and __all__ read this table.
 _EXPORTS = {
     "graphs": ("EdgeSet", "LevelCensus", "edge_slot", "enumerate_level", "is_connected",
-               "level_census", "shadow", "slot_count", "slot_edge", "upper_shadow"),
+               "level_census", "slot_count", "slot_edge"),
     "connectivity": ("MultiGraph", "is_cactus", "is_chorded_cycle_free"),
     "poset": ("ChainPartition", "MatchingResult", "SpernerReport", "WidthResult",
               "adjacent_level_matching", "chain_partition", "sperner_verdict", "width_dilworth"),

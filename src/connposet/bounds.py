@@ -360,52 +360,74 @@ def lovasz_check(X: Iterable[EdgeSet]) -> BoundReport:
 
     With |X| = binom(x, k), the shadow satisfies |shadow(X)| >= binom(x, k-1),
     equivalently |shadow(X)|/|X| >= k/(x-k+1).  This holds for every family,
-    with equality for full levels.
+    with equality for full levels.  The shadow is counted on the universe
+    planes, so n above the override limit is refused.
     """
-    from .graphs import _shadow_bits, _validate_uniform
-    n, k, members = _validate_uniform(X, min_level=1)
-    actual = len(_shadow_bits(g.bits for g in members))
-    x = binom_inverse(len(members), k)
+    from .graphs import _members_plane, _planes, _shadow_plane, slot_count
+    members = list(X)
+    if not members:
+        raise ValueError("empty family")
+    n, k = members[0].n, members[0].edge_count
+    for g in members:
+        if g.n != n:
+            raise ValueError("mixed vertex counts in family")
+        if g.edge_count != k:
+            raise ValueError("mixed-level family: members must share one edge count")
+    if k < 1:
+        raise ValueError(f"level must be at least 1, got {k}")
+    check_scan_budget(n, override=True)
+    plane = _members_plane((g.bits for g in members), 1 << slot_count(n))
+    return _lovasz_report(n, k, len(members), _shadow_plane(_planes(n).slots, plane).bit_count())
+
+
+def _lovasz_report(n: int, k: int, size: int, shadow_size: int) -> BoundReport:
+    """The bound for a family of `size` graphs with k edges whose shadow has
+    `shadow_size` graphs."""
+    x = binom_inverse(size, k)
     return BoundReport(
         name="lovasz",
         params={
             "n": n,
             "k": k,
-            "family_size": len(members),
+            "family_size": size,
             "x": x,
-            "shadow_size": actual,
+            "shadow_size": shadow_size,
             "ratio_bound": k / (x - k + 1),
         },
         lhs=ext_binom(x, k - 1),
-        rhs=LogValue.from_int(actual),
+        rhs=LogValue.from_int(shadow_size),
     )
 
 
 def lovasz_sweep(n: int, seed: int, trials: int,
                  budget_override: bool = False) -> tuple[list[dict], list[dict]]:
-    """lovasz_check on each full level 1..m of the n-vertex universe and on
-    `trials` seeded random subfamilies of it.
+    """The Lovasz bound on each full level 1..m of the n-vertex universe and
+    on `trials` seeded random subfamilies of it, each family a plane whose
+    shadow plane is counted.
 
     Returns the rows (per level, the full level and then its sampled family
     of smallest margin) and the row of every family the bound fails on.
     """
     import random
-    from .graphs import EdgeSet, _level_bits, slot_count
+    from .graphs import _level_bits, _members_plane, _planes, _shadow_plane, slot_count
     rng = random.Random(seed)
     m = slot_count(n)
     check_scan_budget(n, budget_override)
+    planes = _planes(n)
     rows: list[dict] = []
     violations: list[dict] = []
     for k in range(1, m + 1):
-        level = [EdgeSet(n, b) for b in _level_bits(n, "all")[k]]
-        full_report = lovasz_check(level)
+        level = _level_bits(n, "all")[k]
+        full_shadow = _shadow_plane(planes.slots, planes.levels[k]).bit_count()
+        full_report = _lovasz_report(n, k, len(level), full_shadow)
         rows.append(full_report.as_row())
         if not full_report.holds:
             violations.append(full_report.as_row())
         worst = None
         for _ in range(trials):
             size = rng.randint(1, len(level))
-            report = lovasz_check(rng.sample(level, size))
+            family = _members_plane(rng.sample(level, size), 1 << m)
+            report = _lovasz_report(n, k, size, _shadow_plane(planes.slots, family).bit_count())
             if not report.holds:
                 violations.append(report.as_row())
             if worst is None or report.margin_log2 < worst["margin_log2"]:
@@ -707,20 +729,11 @@ def _pick_r_smallest(n: int, x: float, epsilon: float) -> int | None:
     return None
 
 
-def _shadow_plane(slots: Sequence[int], plane: int) -> int:
-    """The graphs one edge below a member of the plane: OR_s (P & E_s) >> 2^s,
-    as bit x of the shift is bit x + 2^s of P & E_s."""
-    out = 0
-    for s, slot in enumerate(slots):
-        out |= (plane & slot) >> (1 << s)
-    return out
-
-
 def _shadow_counts(n: int, k: int) -> tuple[int, int, int, int, int, int]:
     """The sizes of level k's connected graphs X, their 2-edge-connected side
     Y and the rest Z, of shadow(X) and shadow(Z) in the connected universe,
     and of the 2-edge-connected graphs in shadow(Y), on the universe planes."""
-    from .graphs import _planes
+    from .graphs import _planes, _shadow_plane
     planes = _planes(n)
     level = planes.connected & planes.levels[k]
     y = planes.two_edge_connected & level

@@ -370,6 +370,24 @@ def _plane_members(plane: int) -> Iterator[int]:
         x = bits.find("1", x + 1)
 
 
+def _members_plane(members: Iterable[int], width: int) -> int:
+    """The plane of `width` graphs whose set bits are the members: the inverse
+    of _plane_members."""
+    digits = bytearray(b"0") * width  # digit x is bit x
+    for x in members:
+        digits[x] = 49  # ord("1")
+    return int(digits[::-1], 2)
+
+
+def _shadow_plane(slots: Sequence[int], plane: int) -> int:
+    """The graphs one edge below a member of the plane: OR_s (P & E_s) >> 2^s,
+    as bit x of the shift is bit x + 2^s of P & E_s."""
+    out = 0
+    for s, slot in enumerate(slots):
+        out |= (plane & slot) >> (1 << s)
+    return out
+
+
 def _census_counts(n: int, family: str, split: int = _CHUNK_N) -> list[int]:
     """Per-level counts of a family, one chunk at a time: each chunk is one
     plane of the universe on min(n, split) vertices, with the slots above it
@@ -439,65 +457,3 @@ def _level_bits(n: int, family: str) -> tuple[tuple[int, ...], ...]:
     plane = _family_plane(n, family)
     return tuple(tuple(_plane_members(plane & level)) for level in _planes(n).levels)
 
-
-def _shadow_bits(bits_set: Iterable[int]) -> set[int]:
-    out: set[int] = set()
-    for bits in bits_set:
-        for s in _iter_bits(bits):
-            out.add(bits ^ (1 << s))
-    return out
-
-
-def _validate_uniform(X: Iterable[EdgeSet], min_level: int = 0) -> tuple[int, int, list[EdgeSet]]:
-    members = list(X)
-    if not members:
-        raise ValueError("empty family")
-    n = members[0].n
-    k = members[0].edge_count
-    for g in members:
-        if g.n != n:
-            raise ValueError("mixed vertex counts in family")
-        if g.edge_count != k:
-            raise ValueError("mixed-level family: members must share one edge count")
-    if k < min_level:
-        raise ValueError(f"level must be at least {min_level}, got {k}")
-    return n, k, members
-
-
-def shadow(X: Iterable[EdgeSet], universe: str = "connected") -> set[EdgeSet]:
-    """One-edge-deletion neighbors of a uniform-level family.
-
-    With universe="connected" only connected neighbors are kept (and all
-    members must be connected); with universe="all" every deletion counts.
-    """
-    n, _, members = _validate_uniform(X, min_level=1)
-    if universe not in ("connected", "all"):
-        raise ValueError(f"universe must be 'connected' or 'all', got {universe!r}")
-    if universe == "connected":
-        for g in members:
-            if not is_connected(g):
-                raise ValueError(f"member {g.text()} is not in the connected universe")
-    down = _shadow_bits(g.bits for g in members)
-    if universe == "connected":
-        down = {b for b in down if _connected_bits(n, b)}
-    return {EdgeSet(n, b) for b in down}
-
-
-def upper_shadow(X: Iterable[EdgeSet]) -> set[EdgeSet]:
-    """One-edge-extension neighbors of a uniform-level connected family.
-
-    Supergraphs of connected graphs are connected, so no filtering is needed.
-    """
-    n, k, members = _validate_uniform(X)
-    m = slot_count(n)
-    if k >= m:
-        raise ValueError("cannot extend the complete graph")
-    for g in members:
-        if not is_connected(g):
-            raise ValueError(f"member {g.text()} is not connected")
-    full = (1 << m) - 1
-    out: set[int] = set()
-    for g in members:
-        for s in _iter_bits(full ^ g.bits):
-            out.add(g.bits | 1 << s)
-    return {EdgeSet(n, b) for b in out}

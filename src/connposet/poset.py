@@ -574,54 +574,50 @@ def _matched_pairs(
     return zip(level, partners) if up else zip(partners, level)
 
 
-def check_chain_certificate(
-    universe: Iterable[int], chains: Sequence[Sequence[int]], step: Callable | None = None
-) -> None:
+def check_chain_certificate(universe: Iterable[int], chains: Sequence[Sequence[int]]) -> None:
     """Re-verify that chains of bitmasks prove width = largest level.
 
     Every element of the universe must appear exactly once, each consecutive
-    pair (lower, upper) of a chain must be a cover of the order (step, or by
-    default: upper adds exactly one edge to lower), and there must be as many
-    chains as the largest level (by bit count) has elements.  A partition
-    into that many chains admits no larger antichain, and the largest level
-    is itself an antichain.  A chain's members are checked before its steps.
-    Raises AssertionError otherwise.
+    pair (lower, upper) of a chain must be a cover of the order (upper adds
+    exactly one edge to lower), and there must be as many chains as the
+    largest level (by bit count) has elements.  A partition into that many
+    chains admits no larger antichain, and the largest level is itself an
+    antichain.  A chain's members are checked before its steps.  Membership
+    takes one byte per mask of the 2^m cube, m the bit length of the largest
+    element.  Raises AssertionError otherwise.
     """
-    order = sorted(universe)  # flags by rank: memory follows the member count
-    size = len(order)
-    largest = max(Counter(map(int.bit_count, order)).values(), default=0)
+    left = bytearray()  # per mask: its copies in the universe that no chain holds yet
+    for b in universe:
+        if b >= len(left):
+            left += bytes((1 << b.bit_length()) - len(left))
+        left[b] += 1
+    cube = len(left)
+    largest = max(Counter(map(int.bit_count, itertools.compress(itertools.count(), left))).values(),
+                  default=0)
     if len(chains) != largest:
         raise AssertionError(
             f"{len(chains)} chains, but the largest level has {largest} elements"
         )
-    seen = bytearray(size)
     covered = 0
     for chain in chains:
         for b in chain:
-            i = bisect_left(order, b)
-            if i == size or order[i] != b or seen[i]:
+            if not (0 <= b < cube and left[b]):
                 raise AssertionError(
                     f"chain member {b:#x} is repeated or outside the universe"
                 )
-            seen[i] = 1
+            left[b] -= 1
         covered += len(chain)
-        if step is None:  # inline: no call per step
-            steps = iter(chain)
-            lower = next(steps, 0)
-            for upper in steps:
-                if upper & lower != lower or (upper ^ lower).bit_count() != 1:
-                    raise AssertionError(f"chain step {lower:#x} -> {upper:#x} "
-                                         "does not add exactly one edge")
-                lower = upper
-        else:
-            for lower, upper in zip(chain, chain[1:]):
-                if not step(lower, upper):
-                    raise AssertionError(f"chain step {lower:#x} -> {upper:#x} "
-                                         "is not a cover of the order")
-    if covered != size:
+        steps = iter(chain)
+        lower = next(steps, 0)
+        for upper in steps:
+            if upper & lower != lower or (upper ^ lower).bit_count() != 1:
+                raise AssertionError(f"chain step {lower:#x} -> {upper:#x} "
+                                     "does not add exactly one edge")
+            lower = upper
+    if left.count(0) != cube:
+        missing = cube - len(left.lstrip(b"\0"))  # the first mask with a copy left
         raise AssertionError(
-            f"chains cover {covered} of {size} elements; "
-            f"{order[seen.find(0)]:#x} is missing"
+            f"chains cover {covered} of {covered + sum(left)} elements; {missing:#x} is missing"
         )
 
 

@@ -31,6 +31,7 @@ from .graphs import (
     _connected_bits,
     _family_plane,
     _iter_bits,
+    _members_plane,
     _plane_members,
     _planes,
     _slot_pairs,
@@ -385,10 +386,7 @@ def property_poset_report(
     if callable(prop):
         name = getattr(prop, "__name__", "custom")
         _, levels = _universe_levels(n, prop, budget_override)
-        digits = bytearray(b"0") * (1 << slot_count(n))  # digit x is bit x of F
-        for bits in (b for level in levels for b in level):
-            digits[bits] = ord("1")
-        family = int(digits[::-1], 2)
+        family = _members_plane((b for level in levels for b in level), 1 << slot_count(n))
     elif prop in PROPERTY_BUILTINS:
         name = prop
         check_scan_budget(n, budget_override)

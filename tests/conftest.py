@@ -8,7 +8,8 @@ test and the spanning-forest cactus test, a counting recurrence instead of
 bit planes, a hash index instead of a dense rank, per-mask retests instead
 of bit planes, per-graph canonical forms instead of one orbit expansion per
 class, a sum of image slots per permutation instead of lane-packed columns,
-a bracket stack walk instead of a chunk table) so the two sides of every
+a bracket stack walk instead of a chunk table, one deletion at a time
+instead of shifted planes for the shadow) so the two sides of every
 check share no code path.  The exceptions are `pattern_verdicts` and
 `chorded_sweep_all_patterns`, which call the package's multigraph
 predicates on every pattern, because what they check is which patterns the
@@ -144,6 +145,12 @@ def slot_sum_orbit(n, bits):
     permutation, the sum of its slots' image bits."""
     slots = [s for s in range(comb(n, 2)) if bits >> s & 1]
     return [sum(image[s] for s in slots) for image in perm_slot_images(n)]
+
+
+def deletion_shadow(members):
+    """The graphs one edge below a member, one edge deleted at a time."""
+    return {bits & ~(1 << s) for bits in members for s in range(bits.bit_length())
+            if bits >> s & 1}
 
 
 def bridges_by_deletion(g):

@@ -45,7 +45,12 @@ from connposet.connectivity import (
     skeleton_findings,
 )
 from connposet.graphs import _level_bits, level_census, slot_count
-from conftest import augmenting_path_matching, cycle_chord_free, uf_connected_bits
+from conftest import (
+    augmenting_path_matching,
+    cycle_chord_free,
+    deletion_shadow,
+    uf_connected_bits,
+)
 
 
 @contextmanager
@@ -267,17 +272,17 @@ def test_criterion_10_asymptotic_reports():
         # split identity and the two-way shadow computation at n = 5
         m = slot_count(5)
         M = (m + 1) // 2
-        from connposet.graphs import is_connected, shadow
+        from connposet.graphs import _members_plane, _planes, _plane_members, _shadow_plane
 
         for k in range(M + 1, min(M + 5, m + 1)):
             conn = set(_level_bits(5, "connected")[k])
             twoec = set(_level_bits(5, "two_edge_connected")[k])
             assert len(twoec) + len(conn - twoec) == len(conn)
-            y = [EdgeSet(5, b) for b in sorted(twoec)]
-            if y:
-                via_connected = shadow(y, "connected")
-                via_filter = {g for g in shadow(y, "all") if is_connected(g)}
-                assert via_connected == via_filter
+            if twoec:
+                plane = _shadow_plane(_planes(5).slots, _members_plane(twoec, 1 << m))
+                via_planes = set(_plane_members(plane & _planes(5).connected))
+                via_oracle = {b for b in deletion_shadow(twoec) if uf_connected_bits(5, b)}
+                assert via_planes == via_oracle
 
 
 def test_criterion_11_explorers():

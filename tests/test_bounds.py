@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from connposet import (
+    BudgetExceededError,
     EdgeSet,
     appendix_property_check,
     binom_inverse,
@@ -33,6 +34,7 @@ from connposet.graphs import _level_bits, _planes, level_census, slot_count
 
 from conftest import (
     _induced_bits,
+    deletion_shadow,
     irk_table_by_retest,
     pairs_on,
     removable_by_retest,
@@ -256,6 +258,31 @@ def test_lovasz_single_graph():
     assert report.holds and abs(report.margin_log2) < 1e-9
 
 
+def test_lovasz_check_validation():
+    k3 = EdgeSet.complete(3)
+    path = EdgeSet.from_edges(3, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="empty family"):
+        lovasz_check([])
+    with pytest.raises(ValueError, match="mixed-level"):
+        lovasz_check([k3, path])
+    with pytest.raises(ValueError, match="at least 1"):
+        lovasz_check([EdgeSet.empty(3)])
+    with pytest.raises(ValueError, match="mixed vertex counts"):
+        lovasz_check([path, EdgeSet.from_edges(4, [(1, 2), (3, 4)])])
+
+
+def test_lovasz_check_refuses_n8_before_any_plane(monkeypatch):
+    from connposet import graphs
+
+    def no_plane(*args):
+        raise AssertionError("a plane was built")
+
+    monkeypatch.setattr(graphs, "_planes", no_plane)
+    monkeypatch.setattr(graphs, "_members_plane", no_plane)
+    with pytest.raises(BudgetExceededError, match="n=8"):
+        lovasz_check([EdgeSet.from_edges(8, [(1, 2)])])
+
+
 def test_lovasz_random_families_n4():
     rng = random.Random(4040)
     for _ in range(200):
@@ -441,10 +468,6 @@ def test_shadow_ratio_report_generates(n, epsilon):
         assert math.isfinite(row.margin_log2)
 
 
-def _set_shadow(members, m):
-    return {bits ^ 1 << s for bits in members for s in range(m) if bits >> s & 1}
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_shadow_counts_match_sets(n):
     # the plane shadow algebra against the per-level member sets and their
@@ -455,8 +478,8 @@ def test_shadow_counts_match_sets(n):
     for k in range(1, m + 1):
         x, y = set(connected[k]), set(two[k])
         down = set(connected[k - 1])
-        shadow_y = _set_shadow(y, m) & down
-        shadow_z = _set_shadow(x - y, m) & down
+        shadow_y = deletion_shadow(y) & down
+        shadow_z = deletion_shadow(x - y) & down
         assert _shadow_counts(n, k) == (
             len(x), len(y), len(x - y), len(shadow_y | shadow_z), len(shadow_z),
             len(shadow_y & set(two[k - 1])),

@@ -354,15 +354,15 @@ def test_lemma_lovasz_fails(monkeypatch, capsys):
     from connposet import bounds
     from connposet.graphs import EdgeSet
 
-    real = bounds.lovasz_check
+    real = bounds._lovasz_report
 
-    def broken(X):
-        return real(X)._replace(lhs=bounds.LogValue.from_int(5))
+    def broken(*args):
+        return real(*args)._replace(lhs=bounds.LogValue.from_int(5))
 
+    monkeypatch.setattr(bounds, "_lovasz_report", broken)
     # n = 2 has one level of one graph, so the one trial samples that level
-    row = broken([EdgeSet(2, 1)]).as_row()
+    row = bounds.lovasz_check([EdgeSet(2, 1)]).as_row()
     assert not row["holds"]
-    monkeypatch.setattr(bounds, "lovasz_check", broken)
     doc, err = _failed_lemma(capsys, "lovasz", "--n", "2", "--trials", "1")
     assert doc == _json({"lemma": "lovasz", "n": 2, "trials": 1, "seed": 0, "rows": [
         row, {**row, "note": "smallest margin among sampled families"}]})

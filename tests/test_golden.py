@@ -4,11 +4,11 @@
 sha256 of the stdout it produced when the file was recorded.  The commands
 cover every subcommand at n <= 5 in json, ndjson and csv, the n = 6
 commands of the benchmark workloads, the other n = 6 formats of `matchings`
-and `chains`, `lemma tech` and `lemma shadow-ratio` at n = 6, and the census,
-`sperner` (connected and two-edge-connected), `lemma disc`, `lemma irk`,
-`lemma skeleton`, `lemma removable`, `lemma tech`, `lemma shadow-ratio`,
-`explore quotient` and `explore hamiltonian` at n = 7, and `lemma chorded`
-at q = 6.  Stderr is not compared.
+and `chains`, `lemma tech`, `lemma shadow-ratio` and `lemma lovasz` at n = 6,
+and the census, `sperner` (connected and two-edge-connected), `lemma disc`,
+`lemma irk`, `lemma skeleton`, `lemma removable`, `lemma tech`,
+`lemma shadow-ratio`, `explore quotient` and `explore hamiltonian` at n = 7,
+and `lemma chorded` at q = 6.  Stderr is not compared.
 
 Re-record (only after a deliberate output change) with
 
@@ -84,6 +84,11 @@ WRITER_COMMANDS = [
 TECH_COMMANDS = [("lemma", "tech", "--n", "6"), ("lemma", "shadow-ratio", "--n", "6")]
 
 
+# the Lovasz sweep at n = 6, recorded from families of EdgeSets and their
+# shadows as Python sets
+LOVASZ_COMMANDS = [("lemma", "lovasz", "--n", "6")]
+
+
 # census and disc at n = 7, recorded from the per-mask predicate scans, irk
 # at n = 7, recorded from the labelled walk over the bridgeless graphs, the
 # quotient at n = 7, recorded from the per-bit relabelling and the
@@ -151,6 +156,10 @@ def test_tech_n6_output_matches_golden():
     assert _mismatches(TECH_COMMANDS) == []
 
 
+def test_lovasz_n6_output_matches_golden():
+    assert _mismatches(LOVASZ_COMMANDS) == []
+
+
 def test_n7_outputs_match_golden():
     assert _mismatches(N7_COMMANDS) == []
 
@@ -161,7 +170,7 @@ def test_chorded_q6_output_matches_golden():
 
 if __name__ == "__main__":
     commands = (small_commands() + BENCH_COMMANDS + WRITER_COMMANDS + TECH_COMMANDS
-                + N7_COMMANDS + CHORDED_COMMANDS)
+                + LOVASZ_COMMANDS + N7_COMMANDS + CHORDED_COMMANDS)
     record = {" ".join(argv): run(argv) for argv in commands}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(record)} commands to {GOLDEN}", file=sys.stderr)

@@ -13,10 +13,8 @@ from connposet import (
     enumerate_level,
     is_connected,
     level_census,
-    shadow,
     slot_count,
     slot_edge,
-    upper_shadow,
 )
 
 from connposet.graphs import (
@@ -25,12 +23,16 @@ from connposet.graphs import (
     _connected_bits,
     _family_plane,
     _level_bits,
+    _members_plane,
+    _plane_members,
     _planes,
+    _shadow_plane,
 )
 
 from conftest import (
     bits_edges,
     connected_census,
+    deletion_shadow,
     skeleton_walk,
     uf_connected_bits,
     uf_two_edge_connected,
@@ -249,47 +251,49 @@ def test_census_matches_union_find_oracle():
     assert tuple(per_level) == level_census(4).counts
 
 
+def _shadow_members(n, members):
+    """The plane shadow of a family given by its members, as a set."""
+    plane = _members_plane(members, 1 << slot_count(n))
+    return set(_plane_members(_shadow_plane(_planes(n).slots, plane)))
+
+
 def test_shadow_examples():
-    k3 = EdgeSet.complete(3)
-    down = shadow([k3])
-    assert {g.bits for g in down} == {3, 5, 6}
-
-    path = EdgeSet.from_edges(3, [(1, 2), (2, 3)])
-    assert shadow([path]) == set()
-    assert {g.bits for g in shadow([path], universe="all")} == {1, 4}
-
-
-def test_shadow_validation():
-    k3 = EdgeSet.complete(3)
-    path = EdgeSet.from_edges(3, [(1, 2), (2, 3)])
-    with pytest.raises(ValueError):
-        shadow([])
-    with pytest.raises(ValueError):
-        shadow([k3, path])
-    with pytest.raises(ValueError):
-        shadow([EdgeSet.empty(3)])
-    with pytest.raises(ValueError):
-        shadow([EdgeSet.from_edges(4, [(1, 2), (3, 4)])])
-    with pytest.raises(ValueError):
-        shadow([k3], universe="sometimes")
+    assert _shadow_members(3, [7]) == {3, 5, 6}  # K3 loses any one of its edges
+    path = EdgeSet.from_edges(3, [(1, 2), (2, 3)]).bits
+    assert _shadow_members(3, [path]) == {1, 4}
+    # neither one-edge graph below the path is connected
+    assert not _shadow_plane(_planes(3).slots, 1 << path) & _planes(3).connected
+    assert _shadow_members(3, [0]) == set()  # the empty graph has nothing below it
 
 
-def test_upper_shadow_examples():
-    diamond = EdgeSet(4, 63 ^ (1 << 5))
-    assert {g.bits for g in upper_shadow([diamond])} == {63}
-
-    path = EdgeSet.from_edges(3, [(1, 2), (2, 3)])
-    assert upper_shadow([path]) == {EdgeSet.complete(3)}
-
-    level3 = list(enumerate_level(4, 3, "connected"))
-    level4 = set(enumerate_level(4, 4, "connected"))
-    assert upper_shadow(level3) == level4
-    assert len(level4) == 15
+@pytest.mark.parametrize("n", range(1, 6))
+def test_shadow_plane_matches_deletion_oracle(n):
+    # every level of every built-in family, against the oracle's sets
+    for family in FAMILIES:
+        plane = _family_plane(n, family)
+        for k, level in enumerate(_planes(n).levels):
+            members = list(_plane_members(plane & level))
+            assert _shadow_members(n, members) == deletion_shadow(members), (family, k)
 
 
-def test_upper_shadow_rejects_top_level():
-    with pytest.raises(ValueError):
-        upper_shadow([EdgeSet.complete(4)])
+def test_shadow_plane_matches_deletion_oracle_n6():
+    rng = random.Random(2026)
+    levels = {family: _level_bits(6, family) for family in FAMILIES}
+    for _ in range(60):
+        family = rng.choice(FAMILIES)
+        level = rng.choice([lv for lv in levels[family] if lv])
+        members = rng.sample(level, rng.randint(1, len(level)))
+        assert _shadow_members(6, members) == deletion_shadow(members)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_members_plane_inverts_plane_members(n):
+    width = 1 << slot_count(n)
+    rng = random.Random(n)
+    for plane in (0, (1 << width) - 1, _family_plane(n, "connected"), rng.getrandbits(width)):
+        assert _members_plane(_plane_members(plane), width) == plane
+    members = sorted(rng.sample(range(width), width // 3))
+    assert list(_plane_members(_members_plane(members, width))) == members
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -302,24 +306,22 @@ def test_connectivity_upward_closed(n):
 
 
 def test_shadow_restriction_matches_connected_universe():
-    # 200 random uniform-level families at n=5: the full-universe shadow
-    # restricted to connected graphs equals the connected-universe shadow
+    # 200 random uniform-level families at n=5: the plane shadow restricted
+    # to the connected plane is the oracle's shadow of connected graphs
     rng = random.Random(20250808)
-    levels = {
-        k: list(enumerate_level(5, k, "connected")) for k in range(4, 11)
-    }
+    levels = {k: _level_bits(5, "connected")[k] for k in range(4, 11)}
     for _ in range(200):
         k = rng.choice(list(levels))
         family = rng.sample(levels[k], rng.randint(1, min(30, len(levels[k]))))
-        restricted = {g for g in shadow(family, "all") if is_connected(g)}
-        assert restricted == shadow(family, "connected")
+        plane = _shadow_plane(_planes(5).slots, _members_plane(family, 1 << 10))
+        restricted = {b for b in deletion_shadow(family) if uf_connected_bits(5, b)}
+        assert set(_plane_members(plane & _planes(5).connected)) == restricted
 
 
 def test_shadow_monotone_in_family():
     rng = random.Random(7)
-    level = list(enumerate_level(5, 6, "connected"))
+    level = _level_bits(5, "connected")[6]
     for _ in range(50):
         big = rng.sample(level, rng.randint(2, 40))
         small = rng.sample(big, rng.randint(1, len(big)))
-        assert shadow(small, "all") <= shadow(big, "all")
-        assert shadow(small) <= shadow(big)
+        assert _shadow_members(5, small) <= _shadow_members(5, big)

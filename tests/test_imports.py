@@ -13,7 +13,7 @@ import connposet
 # The public names, by the module that defines them.
 REEXPORTS = {
     "graphs": ["EdgeSet", "LevelCensus", "edge_slot", "enumerate_level", "is_connected",
-               "level_census", "shadow", "slot_count", "slot_edge", "upper_shadow"],
+               "level_census", "slot_count", "slot_edge"],
     "connectivity": ["MultiGraph", "is_cactus", "is_chorded_cycle_free"],
     "poset": ["ChainPartition", "ChainPartitionError", "MatchingResult", "SpernerReport",
               "WidthResult", "adjacent_level_matching", "chain_partition",
@@ -38,7 +38,7 @@ def _fresh(code: str):
 
 
 def test_reexports_are_their_modules_attributes():
-    assert len(PUBLIC) == 50
+    assert len(PUBLIC) == 48
     for module, names in REEXPORTS.items():
         defining = import_module(f"connposet.{module}")
         assert getattr(connposet, module) is defining
