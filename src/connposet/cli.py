@@ -111,7 +111,7 @@ def _check_out(out: str) -> None:
     parent = os.path.dirname(out) or "."
     if os.path.isdir(out):
         code = errno.EISDIR
-    elif not os.path.isdir(parent):
+    elif not out or not os.path.isdir(parent):
         code = errno.ENOENT
     elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
         code = errno.EACCES
@@ -125,11 +125,10 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         try:
-            fh = open(out, "w", encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         except OSError as exc:  # a path that cannot be written is a usage error
             raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
-        with fh:
-            fh.write(text)
 
 
 def _emit(doc, records, fmt: str, out: str | None, columns: list[str] | None = None) -> None:
@@ -206,7 +205,7 @@ def _sperner_doc(report) -> dict:
         "sperner": report.sperner,
         "strict": report.strict,
         "antichain": [g.text() for g in report.antichain],
-        "method": report.method,
+        "method": "chains",  # the glued level matchings, the only width route
     }
 
 

@@ -15,7 +15,9 @@ SCAN_OVERRIDE_MAX_N = 7
 # The level census lists no members, so with override it goes one vertex further.
 CENSUS_OVERRIDE_MAX_N = 8
 
-# Element budget for exact width computations (covers n=6 connected: 26704).
+# Element budget of the explorers' width verdicts (cprime_sperner and
+# property_poset_report), which list every member of a host's or a property's
+# family; it admits the 26,704 connected graphs on [6].
 WIDTH_DEFAULT_MAX_ELEMENTS = 30_000
 
 # Exact canonical labeling enumerates all n! relabelings.

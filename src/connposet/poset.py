@@ -9,35 +9,29 @@ is extracted from the final alternating-reachability cut.
 
 Complete matchings from every level into its neighbor toward the largest
 level K glue into |level K| chains of one-edge steps; such a partition
-proves width = |level K|, the paper's route to the Sperner property.  The
-width verdicts check the matchings themselves, pair by pair, and list no
-chain; `chains` lists the chains it prints and checks them.  For a
-family of edge bitmasks the symmetric-chain bracket map proposes each
-partner: on an up-set it is a complete matching from every level below
-m/2, so those pairs need no adjacency and no search, and Hopcroft-Karp,
-started from the proposals, repairs only the pairs where some image leaves
-the family.  `chains` and `matchings` print their matchings, so they keep
-the search over every adjacency row.  Where
-gluing fails, exact width uses the classical reduction: split every element
-into a left and right copy, connect the copies of every strictly comparable
-pair, and take a maximum matching.  |P| minus the matching size is both the
-minimum number of chains covering P and, via the matching's vertex cover,
-the size of a maximum antichain, so the two certificates confirm each other.
+proves width = |level K|, the paper's route to the Sperner property, and it
+is the only width route: a level pair that cannot be glued raises
+ChainPartitionError.  The width verdicts check the matchings themselves,
+pair by pair, and list no chain; `chains` lists the chains it prints and
+checks them.  For a family of edge bitmasks the symmetric-chain bracket map
+proposes each partner: on an up-set it is a complete matching from every
+level below m/2, so those pairs need no adjacency and no search, and
+Hopcroft-Karp, started from the proposals, repairs only the pairs where
+some image leaves the family.  `chains` and `matchings` print their
+matchings, so they keep the search over every adjacency row.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import random
 from array import array
-from bisect import bisect_left
 from collections import Counter, deque
 from functools import lru_cache
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graphs import EdgeSet, _check_family, _level_bits, slot_count
-from .limits import ChainPartitionError, check_scan_budget, check_width_budget
+from .limits import ChainPartitionError, check_scan_budget
 
 _BIG = 1 << 60
 
@@ -639,111 +633,6 @@ def chain_partition(
 
 
 # ---------------------------------------------------------------------------
-# exact width via minimum chain cover
-
-
-class WidthResult(NamedTuple):
-    """Exact poset width (= minimum chain-cover size) with an antichain certificate."""
-
-    element_count: int
-    width: int
-    antichain: tuple
-
-
-def _spot_check_adjacency(adj: list[Sequence[int]]) -> None:
-    rng = random.Random(0x5EED)
-    n = len(adj)
-    for _ in range(300):
-        u = rng.randrange(n)
-        if not adj[u]:
-            continue
-        row = adj[u]
-        v = row[rng.randrange(len(row))]
-        row_v = adj[v]
-        if row_v:
-            w = row_v[rng.randrange(len(row_v))]
-            pos = bisect_left(row, w)
-            if pos == len(row) or row[pos] != w:
-                raise ValueError(f"successor relation not transitive at ({u},{v},{w})")
-
-
-def _supermask_successors(
-    members: Iterable[int], full: int
-) -> Callable[[int], list[int]]:
-    """successors= for width_dilworth under strict edge-set inclusion.
-
-    successors(bits) lists the members strictly above bits, found by walking
-    the nonempty submasks t of full & ~bits and keeping each bits | t that is
-    a member.  full is the edge set every member lies within.
-    """
-    member_set = set(members)
-
-    def successors(bits: int) -> list[int]:
-        free = full & ~bits
-        out = []
-        t = free
-        while t:
-            if (bits | t) in member_set:
-                out.append(bits | t)
-            t = (t - 1) & free
-        return out
-
-    return successors
-
-
-def width_dilworth(
-    elements: Sequence,
-    successors: Callable,
-    budget_override: bool = False,
-) -> WidthResult:
-    """Exact width and a maximum antichain of a finite strict partial order.
-
-    successors(a) lists every element strictly above a.  The relation must
-    be a strict order: irreflexivity is checked on every row, transitivity
-    is spot-checked on samples, and the antichain is checked pairwise.
-    """
-    n = len(elements)
-    check_width_budget(n, budget_override)
-    index = {e: i for i, e in enumerate(elements)}
-    if len(index) != n:
-        raise ValueError("elements must be distinct")
-    adj = [array("i", sorted(index[s] for s in successors(e))) for e in elements]
-    for i, row in enumerate(adj):
-        pos = bisect_left(row, i)
-        if pos != len(row) and row[pos] == i:
-            raise ValueError(f"successors({elements[i]!r}) contains the element itself")
-    _spot_check_adjacency(adj)
-
-    size, match_l, match_r = hopcroft_karp(n, n, adj.__getitem__)
-    seen_l, seen_r = _alternating_reachable(n, n, adj.__getitem__, match_l, match_r)
-    # minimum vertex cover = (L not reached) + (R reached); the elements with
-    # neither copy in the cover form a maximum antichain
-    antichain_idx = [i for i in range(n) if seen_l[i] and not seen_r[i]]
-    cover = n - size
-    if len(antichain_idx) != cover:
-        raise AssertionError(
-            f"antichain certificate has size {len(antichain_idx)}, expected {cover}"
-        )
-    # one flag per element rather than a set of the antichain, which would
-    # raise the peak memory of large instances
-    member = bytearray(n)
-    for i in antichain_idx:
-        member[i] = 1
-    for i in antichain_idx:
-        if any(map(member.__getitem__, adj[i])):
-            j = next(j for j in adj[i] if member[j])
-            raise AssertionError(
-                f"antichain certificate holds comparable {elements[i]!r} < {elements[j]!r}"
-            )
-
-    return WidthResult(
-        element_count=n,
-        width=cover,
-        antichain=tuple(elements[i] for i in sorted(antichain_idx)),
-    )
-
-
-# ---------------------------------------------------------------------------
 # the largest-antichain verdict
 
 
@@ -758,7 +647,6 @@ class SpernerReport(NamedTuple):
     max_level_size: int
     width: int
     antichain: tuple[EdgeSet, ...]
-    method: str  # "chains" (glued level matchings) or "dilworth"
 
     @property
     def sperner(self) -> bool:
@@ -773,75 +661,39 @@ class SpernerReport(NamedTuple):
         return len(self.antichain) == self.level_sizes.get(next(iter(ks)), -1)
 
 
-def _check_antichain(bits_list: Sequence[int]) -> None:
-    """Plain subset test: no emitted element lies strictly below another."""
-    if len(set(bits_list)) != len(bits_list):
-        raise AssertionError("antichain certificate repeats an element")
-    by_level: dict[int, list[int]] = {}
-    for b in bits_list:
-        by_level.setdefault(b.bit_count(), []).append(b)
-    ks = sorted(by_level)
-    # distinct sets of one size are never comparable
-    for i, k in enumerate(ks):
-        for a in by_level[k]:
-            for k_up in ks[i + 1:]:
-                for b in by_level[k_up]:
-                    if a & b == a:
-                        raise AssertionError(
-                            f"antichain certificate holds comparable {a:#x} < {b:#x}"
-                        )
-
-
 class FamilyWidth(NamedTuple):
-    """_family_width's verdict: the level data and the exact width."""
+    """_family_width's verdict: the level data; the width is max_level_size."""
 
     element_count: int
     level_sizes: dict[int, int]
     max_level_k: int
     max_level_size: int
-    width: int
-    antichain: Sequence[int]
-    method: str  # "chains" (glued level matchings) or "dilworth"
 
 
-def _family_width(
-    levels: Sequence[Sequence[int]], full: int, budget_override: bool
-) -> FamilyWidth:
+def _family_width(levels: Sequence[Sequence[int]], full: int) -> FamilyWidth:
     """Exact width of a family of edge bitmasks graded by edge count.
 
     levels[k] holds the members with k edges, all within the edge set full.
-    The paper's route comes first: level matchings glued through the largest
-    level, re-verified pair by pair by check_matching_certificate (method
-    "chains"), whose antichain is that level.  When gluing fails (an
-    incomplete matching, or a gap between nonempty levels), width_dilworth
-    matches the full comparability relation, and its antichain is re-checked
-    pairwise (method "dilworth").
+    The level matchings, glued through the largest level K by the bracket
+    route, are re-verified pair by pair by check_matching_certificate, so the
+    width is |levels[K]| and levels[K] is a largest antichain.  A level pair
+    that cannot be glued (an incomplete matching, or a gap between nonempty
+    levels) raises ChainPartitionError.
     """
-    sizes = _level_sizes(levels)
-    K = _largest_level(sizes)
-    level_data = (sum(sizes.values()), sizes, K, sizes[K])
-    try:
-        _, partner = _glued_partners(_bracket_matching(full), levels)
-    except ChainPartitionError:
-        members = [b for level in levels for b in level]
-        result = width_dilworth(
-            members,
-            successors=_supermask_successors(members, full),
-            budget_override=budget_override,
-        )
-        _check_antichain(result.antichain)
-        return FamilyWidth(*level_data, result.width, result.antichain, "dilworth")
+    K, partner = _glued_partners(_bracket_matching(full), levels)
     check_matching_certificate(levels, K, partner)
-    return FamilyWidth(*level_data, len(levels[K]), levels[K], "chains")
+    sizes = _level_sizes(levels)
+    return FamilyWidth(sum(sizes.values()), sizes, K, sizes[K])
 
 
 def sperner_verdict(
     n: int, universe="connected", budget_override: bool = False
 ) -> SpernerReport:
     """Exact width of the whole universe versus its largest level, by
-    _family_width (the chain route, or the Dilworth matching as fallback)."""
+    _family_width; a level pair that cannot be glued raises
+    ChainPartitionError."""
     name, levels = _universe_levels(n, universe, budget_override)
-    verdict = _family_width(levels, (1 << slot_count(n)) - 1, budget_override)
+    verdict = _family_width(levels, (1 << slot_count(n)) - 1)
     return SpernerReport(
         n=n,
         universe=name,
@@ -849,7 +701,6 @@ def sperner_verdict(
         level_sizes=verdict.level_sizes,
         max_level_k=verdict.max_level_k,
         max_level_size=verdict.max_level_size,
-        width=verdict.width,
-        antichain=tuple(EdgeSet(n, b) for b in sorted(verdict.antichain)),
-        method=verdict.method,
+        width=verdict.max_level_size,
+        antichain=tuple(EdgeSet(n, b) for b in levels[verdict.max_level_k]),
     )

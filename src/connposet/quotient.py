@@ -9,11 +9,12 @@ Three exploration surfaces:
   as one plane, with the grading itself verified instead of assumed.
 
 The last two are families of edge bitmasks graded by edge count and share
-sperner_verdict's width core: glued level matchings first, the Dilworth
-matching only when gluing fails.  The quotient glues its levels along the
-one-edge extension steps between classes, which generate the
-representative-based order: every labeled comparability factors through
-one-edge steps, and supergraphs of connected graphs stay connected.
+sperner_verdict's width core, the level matchings glued through the largest
+level; a level pair that cannot be glued raises ChainPartitionError.  The
+quotient glues its levels along the one-edge extension steps between
+classes, which generate the representative-based order: every labeled
+comparability factors through one-edge steps, and supergraphs of connected
+graphs stay connected.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def cprime_sperner(g: EdgeSet, budget_override: bool = False) -> ExplorerReport:
     levels = [tuple(_plane_members(connected & level)) for level in level_planes]
     del level_planes  # the width core reads the members only
     check_width_budget(sum(map(len, levels)), budget_override)
-    verdict = _family_width(levels, full, budget_override)
+    verdict = _family_width(levels, full)
     return ExplorerReport(
         universe=f"spanning_connected({g.text()})",
         n=g.n,
@@ -261,7 +262,7 @@ def cprime_sperner(g: EdgeSet, budget_override: bool = False) -> ExplorerReport:
         level_sizes=verdict.level_sizes,
         max_level_k=verdict.max_level_k,
         max_level_size=verdict.max_level_size,
-        width=verdict.width,
+        width=verdict.max_level_size,
     )
 
 
@@ -376,6 +377,34 @@ def property_poset_report(
 ) -> PropertyPosetReport:
     """Explore the poset of all graphs on [n] satisfying a predicate.
 
+    _property_closure lists the family by level and verifies its grading;
+    the width is _family_width's, so a level pair that cannot be glued
+    raises ChainPartitionError.
+    """
+    name, levels, upward_closed, covers_one_step, minimal_levels = _property_closure(
+        n, prop, budget_override
+    )
+    verdict = _family_width(levels, (1 << slot_count(n)) - 1)
+    return PropertyPosetReport(
+        n=n,
+        property_name=name,
+        element_count=verdict.element_count,
+        level_sizes=verdict.level_sizes,
+        upward_closed=upward_closed,
+        covers_one_step=covers_one_step,
+        minimal_levels=minimal_levels,
+        width=verdict.max_level_size,
+        max_level_k=verdict.max_level_k,
+        max_level_size=verdict.max_level_size,
+    )
+
+
+def _property_closure(
+    n: int, prop, budget_override: bool
+) -> tuple[str, list[tuple[int, ...]], bool, bool, tuple[int, ...]]:
+    """The property's name and its family's levels, with the family's
+    upward_closed, covers_one_step and minimal_levels.
+
     Gradedness by edge count is verified, not assumed: the poset is graded
     iff every cover relation is a one-edge step and all minimal elements
     share one edge count.  The family is one plane F: a built-in property's
@@ -410,19 +439,8 @@ def property_poset_report(
     if not upward_closed:
         members = [b for level in levels for b in level]
         covers_one_step = _covers_saturated(members, set(members))
-    verdict = _family_width(levels, (1 << slot_count(n)) - 1, budget_override)
-    return PropertyPosetReport(
-        n=n,
-        property_name=name,
-        element_count=verdict.element_count,
-        level_sizes=verdict.level_sizes,
-        upward_closed=upward_closed,
-        covers_one_step=covers_one_step,
-        minimal_levels=tuple(k for k, level in enumerate(planes.levels) if minimal & level),
-        width=verdict.width,
-        max_level_k=verdict.max_level_k,
-        max_level_size=verdict.max_level_size,
-    )
+    minimal_levels = tuple(k for k, level in enumerate(planes.levels) if minimal & level)
+    return name, levels, upward_closed, covers_one_step, minimal_levels
 
 
 def _covers_saturated(members: list[int], member_set: set[int]) -> bool:

@@ -14,7 +14,11 @@ check share no code path.  The exceptions are `pattern_verdicts` and
 `chorded_sweep_all_patterns`, which call the package's multigraph
 predicates on every pattern, because what they check is which patterns the
 sweep skips and how it decides the rest, `iso_classes_by_relabel`, which
-relabels through the package's `quotient.relabel`, and
+relabels through the package's `quotient.relabel`, `dilworth_width`, which
+matches the full comparability relation with the package's
+`hopcroft_karp` (checked against `augmenting_path_matching`; one augmenting
+path at a time does not finish the connected relation on [6] in the test
+budget), because what it checks is the glued level matchings, and
 `removability_findings_by_walk`, which judges each condensation with the
 package's `MultiGraph` and `is_chorded_cycle_free`, because what it checks
 is how the plane sweep finds R, the parts and the condensation of each
@@ -336,6 +340,42 @@ def brute_width(elements, lt):
         ):
             best = max(best, len(chosen))
     return best
+
+
+def dilworth_width(elements, successors):
+    """Width of a finite strict order by Dilworth's theorem: |P| minus a
+    maximum matching between a left and a right copy of P, with u -> v for
+    every v strictly above u (Fulkerson 1956).  successors(a) lists the
+    elements strictly above a; brute_width cross-checks the reduction."""
+    from array import array
+
+    from connposet.poset import hopcroft_karp
+
+    index = {e: i for i, e in enumerate(elements)}
+    assert len(index) == len(elements), "elements must be distinct"
+    rows = [array("i", (index[s] for s in successors(e))) for e in elements]
+    return len(rows) - hopcroft_karp(len(rows), len(rows), rows.__getitem__)[0]
+
+
+def family_dilworth_width(levels):
+    """dilworth_width of a family of bitmasks, listed by level, under strict
+    inclusion: the members above bits are the members bits | t, t a nonempty
+    submask of the family's union outside bits."""
+    members = [b for level in levels for b in level]
+    member_set = set(members)
+    full = 0
+    for b in members:
+        full |= b
+
+    def successors(bits):
+        free = full & ~bits
+        t = free
+        while t:
+            if bits | t in member_set:
+                yield bits | t
+            t = (t - 1) & free
+
+    return dilworth_width(members, successors)
 
 
 def _simple_cycles(q, ends):

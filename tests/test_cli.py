@@ -584,7 +584,7 @@ def test_out_path_that_cannot_be_opened_exits_2(path, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("path", [".", "missing/x.json"])
+@pytest.mark.parametrize("path", [".", "missing/x.json", ""])
 def test_unwritable_out_fails_before_the_sweep(path, tmp_path, monkeypatch, capsys):
     from connposet import bounds, cli
 
@@ -592,10 +592,31 @@ def test_unwritable_out_fails_before_the_sweep(path, tmp_path, monkeypatch, caps
         raise AssertionError("the sweep ran")
 
     monkeypatch.setattr(bounds, "lovasz_sweep", no_sweep)
-    target = tmp_path / path
+    monkeypatch.chdir(tmp_path)  # where a file named by a relative path would go
+    target = tmp_path / path if path else ""
     assert cli.main(["lemma", "lovasz", "--n", "6", "--out", str(target)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write --out {target}: ")
     assert list(tmp_path.iterdir()) == []  # no file made
+
+
+def test_failed_write_exits_2_without_traceback(tmp_path, monkeypatch, capsys):
+    # the path opens, but the write fails, as on a full disk
+    import errno
+    import io
+    import os
+
+    from connposet import cli
+
+    class FullFile(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullFile(), raising=False)
+    target = tmp_path / "census.json"
+    assert cli.main(["census", "--n", "3", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write --out {target}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_workers_do_not_change_output(tmp_path):

@@ -16,8 +16,7 @@ REEXPORTS = {
                "level_census", "slot_count", "slot_edge"],
     "connectivity": ["MultiGraph", "is_cactus", "is_chorded_cycle_free"],
     "poset": ["ChainPartition", "ChainPartitionError", "MatchingResult", "SpernerReport",
-              "WidthResult", "adjacent_level_matching", "chain_partition",
-              "sperner_verdict", "width_dilworth"],
+              "adjacent_level_matching", "chain_partition", "sperner_verdict"],
     "bounds": ["BoundReport", "LogValue", "appendix_property_check", "binom_inverse",
                "disconnected_report", "ext_binom", "i_r_census", "lovasz_check",
                "shadow_ratio_report", "squares_check", "tech_inequality_eval",
@@ -38,7 +37,7 @@ def _fresh(code: str):
 
 
 def test_reexports_are_their_modules_attributes():
-    assert len(PUBLIC) == 48
+    assert len(PUBLIC) == 46
     for module, names in REEXPORTS.items():
         defining = import_module(f"connposet.{module}")
         assert getattr(connposet, module) is defining

@@ -12,7 +12,6 @@ from connposet import (
     chain_partition,
     is_connected,
     sperner_verdict,
-    width_dilworth,
 )
 from connposet.graphs import FAMILIES, _level_bits, enumerate_level, slot_count
 from connposet.poset import (
@@ -24,6 +23,7 @@ from connposet.poset import (
     _glued_partners,
     _level_pair_adjacency,
     _level_rank,
+    _level_sizes,
     _searched,
     _universe_levels,
     check_chain_certificate,
@@ -36,6 +36,8 @@ from conftest import (
     bracket_step,
     bridges_by_deletion,
     brute_width,
+    dilworth_width,
+    family_dilworth_width,
     level_pair_rows,
 )
 
@@ -152,14 +154,14 @@ def _adjacency_route(full):
 
 def _assert_routes_agree(monkeypatch, levels, full):
     """_family_width's bracket route and the adjacency route (_glued_chains
-    over _level_pair_adjacency) give the same width, level data, antichain
-    and method."""
+    over _level_pair_adjacency) give the same level data, and with it the
+    same width."""
     import connposet.poset as poset_mod
 
-    bracket = _family_width(levels, full, True)
+    bracket = _family_width(levels, full)
     with monkeypatch.context() as patch:
         patch.setattr(poset_mod, "_bracket_matching", _adjacency_route)
-        adjacency = _family_width(levels, full, True)
+        adjacency = _family_width(levels, full)
     assert bracket == adjacency
 
 
@@ -207,7 +209,6 @@ def test_bracket_route_repairs_misses_below_largest_level(monkeypatch):
         misses += sum(rank[t] < 0 for t in _bracket_images(full, levels[k], "up"))
     assert misses > 0 and all(levels[: K + 1])
     _assert_routes_agree(monkeypatch, levels, full)
-    assert _family_width(levels, full, False).method == "chains"
 
 
 def test_wrong_bracket_seed_fails_the_chain_certificate(monkeypatch):
@@ -313,19 +314,8 @@ def test_chains_are_saturated_chains():
 
 
 def test_width_trivial_shapes():
-    chain = width_dilworth(list(range(5)), successors=lambda a: range(a + 1, 5))
-    assert chain.width == 1
-    anti = width_dilworth(list(range(7)), successors=lambda a: [])
-    assert anti.width == 7
-    assert sorted(anti.antichain) == list(range(7))
-
-
-def test_width_requires_exactly_one_relation():
-    # successors= is the only relation; the all-pairs order= route is gone
-    with pytest.raises(TypeError):
-        width_dilworth([1, 2, 3])
-    with pytest.raises(TypeError):
-        width_dilworth([1, 2], order=lambda a, b: a < b, successors=lambda x: [])
+    assert dilworth_width(list(range(5)), successors=lambda a: range(a + 1, 5)) == 1
+    assert dilworth_width(list(range(7)), successors=lambda a: []) == 7
 
 
 def test_width_two_levels_n3():
@@ -333,11 +323,9 @@ def test_width_two_levels_n3():
         list(enumerate_level(3, 2, "connected")) + list(enumerate_level(3, 3, "connected"))
     )
     lt = lambda a, b: a.bits & b.bits == a.bits and a != b
-    res = width_dilworth(elements, successors=lambda a: [b for b in elements if lt(a, b)])
-    assert res.width == 3
-    assert {g.bits for g in res.antichain} == {3, 5, 6}
-    oracle = brute_width(elements, lt)
-    assert res.width == oracle
+    width = dilworth_width(elements, successors=lambda a: [b for b in elements if lt(a, b)])
+    assert width == 3 == brute_width(elements, lt)
+    assert family_dilworth_width([[g.bits for g in elements]]) == 3
 
 
 def test_width_matches_brute_force_on_random_posets():
@@ -355,37 +343,8 @@ def test_width_matches_brute_force_on_random_posets():
             for j in list(above[i]):
                 above[i] |= above[j]
         lt = lambda a, b: b in above[a]
-        res = width_dilworth(list(range(n)), successors=lambda a: sorted(above[a]))
-        assert res.width == brute_width(list(range(n)), lt)
-        # certificate is a genuine antichain
-        for a in res.antichain:
-            for b in res.antichain:
-                assert a == b or (not lt(a, b) and not lt(b, a))
-
-
-def test_width_detects_intransitive_oracle():
-    rows = {0: [1], 1: [2], 2: []}  # missing 0 < 2
-    with pytest.raises(ValueError):
-        width_dilworth([0, 1, 2], successors=rows.__getitem__)
-
-
-def test_width_rejects_comparable_antichain(monkeypatch):
-    # 0 < 1 plus an isolated 2: width 2, and the sabotaged cover yields the
-    # antichain {0, 1}, of the right size but with a comparable pair
-    import connposet.poset as poset_mod
-
-    monkeypatch.setattr(
-        poset_mod, "_alternating_reachable",
-        lambda *args: ([True, True, False], [False, False, False]),
-    )
-    rows = {0: [1], 1: [], 2: []}
-    with pytest.raises(AssertionError, match="comparable 0 < 1"):
-        width_dilworth([0, 1, 2], successors=rows.__getitem__)
-
-
-def test_width_budget():
-    with pytest.raises(BudgetExceededError):
-        width_dilworth(list(range(30001)), successors=lambda x: [])
+        width = dilworth_width(list(range(n)), successors=lambda a: sorted(above[a]))
+        assert width == brute_width(list(range(n)), lt)
 
 
 def test_sperner_verdict_small():
@@ -417,11 +376,12 @@ def without_level_4(g):
 
 
 def test_sperner_verdict_streamed_neighbors():
-    streamed = sperner_verdict(4, universe=without_level_4)
-    assert streamed == sperner_verdict(4, universe=without_level_4)
-    assert streamed.method == "dilworth"
-    # levels 3, 5, 6 hold 16, 6, 1 graphs; no two trees are comparable
-    assert streamed.width == 16 and streamed.sperner
+    # levels 3, 5, 6 hold 16, 6, 1 graphs; no two trees are comparable, so the
+    # width is level 3's, but level 5 has no level 4 to glue down into
+    assert family_dilworth_width(_universe_levels(4, without_level_4, False)[1]) == 16
+    with pytest.raises(ChainPartitionError, match="level 5 is larger than level 4") as err:
+        sperner_verdict(4, universe=without_level_4)
+    assert (err.value.k_from, err.value.k_to) == (5, 4)
 
 
 def test_sperner_verdict_predicate_errors_are_attributed():
@@ -435,14 +395,18 @@ def test_sperner_verdict_predicate_errors_are_attributed():
 
 
 def test_sperner_verdict_falls_back_on_level_gap():
+    # no fallback is left: the gap that blocks chain_partition blocks the
+    # width verdict too, at the same first pair
+    universe = lambda g: g.edge_count != 2
     with pytest.raises(ChainPartitionError) as err:
-        chain_partition(3, universe=lambda g: g.edge_count != 2)
+        chain_partition(3, universe=universe)
     assert (err.value.k_from, err.value.k_to) == (3, 2)
-    report = sperner_verdict(3, universe=lambda g: g.edge_count != 2)
-    assert report.level_sizes == {0: 1, 1: 3, 3: 1}
-    assert report.method == "dilworth"
-    assert report.width == 3 and report.sperner
-    assert {g.bits for g in report.antichain} == {1, 2, 4}
+    with pytest.raises(ChainPartitionError) as err:
+        sperner_verdict(3, universe=universe)
+    assert (err.value.k_from, err.value.k_to) == (3, 2)
+    _, levels = _universe_levels(3, universe, False)
+    assert _level_sizes(levels) == {0: 1, 1: 3, 3: 1}
+    assert family_dilworth_width(levels) == 3
 
 
 @pytest.mark.parametrize(
@@ -451,27 +415,13 @@ def test_sperner_verdict_falls_back_on_level_gap():
      if (n, u) != (2, "two_edge_connected")]
     + [(6, "connected")],
 )
-def test_chain_route_agrees_with_dilworth(monkeypatch, n, universe):
-    import connposet.poset as poset_mod
-
-    chained = poset_mod.sperner_verdict(n, universe)
-    assert chained.method == "chains"
-
-    def no_chains(match, levels):
-        raise ChainPartitionError(0, 0, "chain route disabled")
-
-    monkeypatch.setattr(poset_mod, "_glued_partners", no_chains)
-    dilworth = poset_mod.sperner_verdict(n, universe)
-    assert dilworth.method == "dilworth"
-    assert chained.strict
-    assert {g.edge_count for g in chained.antichain} == {chained.max_level_k}
-    sizes = list(chained.level_sizes.values())
-    if sizes.count(chained.max_level_size) > 1:
-        # the Boolean lattices at n = 2, 3 have two largest levels: the chain
-        # route certifies the lower one, the vertex cover picks the upper one
-        assert dilworth.strict and len(dilworth.antichain) == chained.width
-        dilworth = dilworth._replace(antichain=chained.antichain)
-    assert dilworth._replace(method="chains") == chained
+def test_chain_route_agrees_with_dilworth(n, universe):
+    report = sperner_verdict(n, universe)
+    assert report.strict
+    assert {g.edge_count for g in report.antichain} == {report.max_level_k}
+    levels = _level_bits(n, universe)
+    assert report.element_count == sum(map(len, levels))
+    assert report.width == report.max_level_size == family_dilworth_width(levels)
 
 
 def test_check_chain_certificate_accepts():
@@ -675,9 +625,9 @@ def test_matching_certificate_agrees_on_cprime_hosts(monkeypatch):
     real = quotient_mod._family_width
     hosts = []
 
-    def spy(levels, full, budget_override):
+    def spy(levels, full):
         hosts.append((levels, full))
-        return real(levels, full, budget_override)
+        return real(levels, full)
 
     monkeypatch.setattr(quotient_mod, "_family_width", spy)
     quotient_mod.cprime_search(5)
@@ -722,24 +672,6 @@ def test_matching_stops_once_the_smaller_side_is_saturated():
     assert size == len(levels[k + 1]) < len(levels[k])
     assert -1 not in match_r
     assert calls == list(range(len(levels[k])))
-
-
-def test_dilworth_antichain_is_checked_pairwise(monkeypatch):
-    import connposet.poset as poset_mod
-
-    real = poset_mod._alternating_reachable
-
-    def widened(n_left, n_right, neighbors, match_l, match_r):
-        seen_l, seen_r = real(n_left, n_right, neighbors, match_l, match_r)
-        # trade one antichain member for index 0, the empty graph below all others
-        j = next(i for i in range(n_left) if seen_l[i] and not seen_r[i] and i != 0)
-        seen_l[j] = False
-        seen_l[0], seen_r[0] = True, False
-        return seen_l, seen_r
-
-    monkeypatch.setattr(poset_mod, "_alternating_reachable", widened)
-    with pytest.raises(AssertionError, match="comparable"):
-        poset_mod.sperner_verdict(3, universe=lambda g: g.edge_count != 2)
 
 
 def test_upper_degree_identity_n4():
@@ -824,9 +756,9 @@ def test_cprime_level_pair_rows_match_oracle(monkeypatch):
     real = quotient_mod._family_width
     seen = []
 
-    def spy(levels, full, budget_override):
+    def spy(levels, full):
         seen.append((levels, full))
-        return real(levels, full, budget_override)
+        return real(levels, full)
 
     monkeypatch.setattr(quotient_mod, "_family_width", spy)
     reports = quotient_mod.cprime_search(5)
@@ -845,9 +777,9 @@ def test_hamiltonian_bracket_route_agrees_with_adjacency_route(monkeypatch, n):
     real = quotient_mod._family_width
     seen = []
 
-    def spy(levels, full, budget_override):
+    def spy(levels, full):
         seen.append((levels, full))
-        return real(levels, full, budget_override)
+        return real(levels, full)
 
     monkeypatch.setattr(quotient_mod, "_family_width", spy)
     quotient_mod.property_poset_report(n, "hamiltonian")

@@ -18,13 +18,7 @@ from connposet import (
     sperner_verdict,
 )
 from connposet.graphs import enumerate_level, level_census, slot_count
-from connposet.poset import (
-    ChainPartitionError,
-    _family_width,
-    _supermask_successors,
-    _universe_levels,
-    width_dilworth,
-)
+from connposet.poset import ChainPartitionError, _family_width, _universe_levels
 from connposet.quotient import (
     PROPERTY_BUILTINS,
     ExplorerReport,
@@ -32,6 +26,7 @@ from connposet.quotient import (
     _covers_saturated,
     _lanes,
     _orbit,
+    _property_closure,
     _property_plane,
     contains_triangle,
     is_two_edge_connected,
@@ -42,6 +37,8 @@ from conftest import (
     bits_edges,
     closure_and_minimal_levels,
     covers_one_level,
+    dilworth_width,
+    family_dilworth_width,
     iso_classes_by_relabel,
     pairs_on,
     slot_sum_orbit,
@@ -52,13 +49,12 @@ from conftest import (
 
 def core_against_dilworth(levels, full):
     """The shared width core on a graded family, checked against the
-    full-comparability Dilworth matching; returns (width, method)."""
-    verdict = _family_width(levels, full, False)
-    members = [b for level in levels for b in level]
-    dilworth = width_dilworth(members, successors=_supermask_successors(members, full))
-    assert verdict.width == dilworth.width == len(verdict.antichain)
-    assert verdict.element_count == len(members)
-    return verdict.width, verdict.method
+    full-comparability Dilworth matching; returns the width."""
+    verdict = _family_width(levels, full)
+    assert verdict.max_level_size == family_dilworth_width(levels)
+    assert verdict.max_level_size == len(levels[verdict.max_level_k])
+    assert verdict.element_count == sum(map(len, levels))
+    return verdict.max_level_size
 
 
 def test_canonical_form_single_edge():
@@ -222,7 +218,8 @@ def test_quotient_widths(n, width):
 
 def closure_dilworth_report(n):
     """The quotient verdict by the route the chain core replaced: the
-    transitive closure of the recorded covers, matched by width_dilworth."""
+    transitive closure of the recorded covers, matched by conftest's
+    dilworth_width."""
     qp = quotient_poset(n)
     levels = [cls.level for cls in qp.classes]
     succ = [set() for _ in qp.classes]
@@ -231,11 +228,11 @@ def closure_dilworth_report(n):
     for i in sorted(range(len(succ)), key=lambda i: -levels[i]):
         for j in list(succ[i]):
             succ[i] |= succ[j]
-    result = width_dilworth(list(range(len(succ))), successors=succ.__getitem__)
+    width = dilworth_width(list(range(len(succ))), successors=succ.__getitem__)
     sizes = dict(Counter(levels))
     k = max(sizes, key=lambda k: (sizes[k], -k))
-    return ExplorerReport("iso_classes", n, result.element_count, sizes, k, sizes[k],
-                          result.width, "conjectured answer: yes (Sperner)")
+    return ExplorerReport("iso_classes", n, len(succ), sizes, k, sizes[k],
+                          width, "conjectured answer: yes (Sperner)")
 
 
 @pytest.mark.parametrize("n,width", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 5), (6, 22)])
@@ -344,16 +341,32 @@ def test_cprime_complete_graph_matches_whole_poset():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_cprime_chain_route_agrees_with_dilworth(n):
-    for cls in connected_classes(n):
+def test_cprime_chain_route_agrees_with_dilworth(monkeypatch, capsys, n):
+    import connposet.poset as poset_mod
+    from connposet import cli
+
+    hosts = connected_classes(n)
+    for cls in hosts:
         host = cls.canon.bits
         levels = [[] for _ in range(host.bit_count() + 1)]
         for b in range(host + 1):
             if b & host == b and uf_connected_bits(n, b):
                 levels[b.bit_count()].append(b)
-        width, method = core_against_dilworth(levels, host)
-        assert method == "chains", cls.canon.text()
-        assert cprime_sperner(cls.canon).width == width
+        assert cprime_sperner(cls.canon).width == core_against_dilworth(levels, host)
+
+    # a host's subgraphs have no level gap; a blocked gluing raises, with no
+    # other width to fall back on
+    def no_chains(match, levels):
+        raise ChainPartitionError(0, 1, "chain route disabled")
+
+    monkeypatch.setattr(poset_mod, "_glued_partners", no_chains)
+    for cls in hosts:
+        with pytest.raises(ChainPartitionError, match="chain route disabled"):
+            cprime_sperner(cls.canon)
+    assert cli.main(["explore", "cprime", "--n", str(n)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "FAIL cprime: chain route disabled (pair 0->1)\n"
 
 
 def assert_host_levels_match_union_find(host):
@@ -457,11 +470,14 @@ def test_property_planes_match_predicates(prop, n):
 
 
 def assert_closure_matches_oracle(n, prop):
-    report = property_poset_report(n, prop)
+    """The closure step of property_poset_report, which runs before the
+    width and so also on a family whose levels do not glue."""
+    _, levels, upward_closed, _, minimal_levels = _property_closure(n, prop, False)
     predicate = PROPERTY_BUILTINS[prop] if isinstance(prop, str) else prop
     members = [b for b in range(1 << slot_count(n)) if predicate(EdgeSet(n, b))]
+    assert sorted(b for level in levels for b in level) == members
     expected = closure_and_minimal_levels(members, slot_count(n))
-    assert (report.upward_closed, report.minimal_levels) == expected, members
+    assert (upward_closed, minimal_levels) == expected, members
 
 
 def test_hamiltonian_poset_n4():
@@ -493,13 +509,15 @@ def test_property_poset_ungraded_family():
     # levels 2 and 4 only: every comparable pair jumps two levels with no
     # intermediate, so edge count is not a grading
     prop = lambda g: g.edge_count in (2, 4)
-    report = property_poset_report(4, prop)
-    assert not report.upward_closed
-    assert not report.covers_one_step
-    assert not report.graded
-    # the level gap blocks the chain route
-    assert report.width == 15
-    assert core_against_dilworth(_universe_levels(4, prop, False)[1], 63) == (15, "dilworth")
+    _, levels, upward_closed, covers_one_step, minimal_levels = _property_closure(4, prop, False)
+    assert not upward_closed
+    assert not covers_one_step
+    assert minimal_levels == (2,)
+    # levels 2 and 4 tie, so K = 2, and level 4 has no level 3 to glue into
+    assert family_dilworth_width(levels) == 15
+    with pytest.raises(ChainPartitionError) as err:
+        property_poset_report(4, prop)
+    assert (err.value.k_from, err.value.k_to) == (4, 3)
 
 
 def test_property_poset_graded_but_not_upward_closed():
@@ -552,14 +570,15 @@ def test_property_poset_triangles_below_complete():
     # the four triangles sit three levels below the complete graph with no
     # member in between, so the cover relation skips levels
     prop = lambda g: g.edge_count == 6 or (g.edge_count == 3 and contains_triangle(g))
-    report = property_poset_report(4, prop)
-    assert report.element_count == 5
-    assert report.minimal_levels == (3,)
-    assert not report.upward_closed
-    assert not report.covers_one_step
-    assert not report.graded
-    assert report.width == 4
-    assert core_against_dilworth(_universe_levels(4, prop, False)[1], 63) == (4, "dilworth")
+    _, levels, upward_closed, covers_one_step, minimal_levels = _property_closure(4, prop, False)
+    assert sum(map(len, levels)) == 5
+    assert minimal_levels == (3,)
+    assert not upward_closed
+    assert not covers_one_step
+    assert family_dilworth_width(levels) == 4
+    with pytest.raises(ChainPartitionError) as err:
+        property_poset_report(4, prop)
+    assert (err.value.k_from, err.value.k_to) == (6, 5)
 
 
 @pytest.mark.parametrize(
@@ -569,8 +588,7 @@ def test_property_poset_triangles_below_complete():
 )
 def test_property_chain_route_agrees_with_dilworth(prop, n):
     _, levels = _universe_levels(n, PROPERTY_BUILTINS[prop], False)
-    width, method = core_against_dilworth(levels, (1 << slot_count(n)) - 1)
-    assert method == "chains"
+    width = core_against_dilworth(levels, (1 << slot_count(n)) - 1)
     assert property_poset_report(n, prop).width == width
 
 
