@@ -224,20 +224,31 @@ def _cmd_sperner(args) -> int:
 
 
 def _level_matchings(args):
-    """The adjacent-level matchings of _cmd_matchings, by k, up before down."""
+    """The adjacent-level matchings of _cmd_matchings, by k, up before down.
+    The searches run first, shared by poset._run_split between this process
+    and a forked child; each MatchingResult is built just before it is
+    yielded, so no process holds every pair's pair_bits."""
+    import functools
+
     from . import graphs, poset
     check_scan_budget(args.n, args.budget_override)
     m = graphs.slot_count(args.n)
     if args.k is not None and not 0 <= args.k <= m:
         raise ValueError(f"--k must lie in 0..{m} for n={args.n}, got {args.k}")
     levels = graphs._level_bits(args.n, args.family)
-    for k in [args.k] if args.k is not None else range(m + 1):
-        for direction in ("up", "down"):
-            k_to = k + 1 if direction == "up" else k - 1
-            if 0 <= k_to <= m and levels[k] and levels[k_to]:
-                yield poset.adjacent_level_matching(
-                    args.n, k, direction, args.family, args.budget_override
-                )
+    pairs = [
+        (k, k_to, direction)
+        for k in ([args.k] if args.k is not None else range(m + 1))
+        for k_to, direction in ((k + 1, "up"), (k - 1, "down"))
+        if 0 <= k_to <= m and levels[k] and levels[k_to]
+    ]
+    tasks = [functools.partial(poset._pair_search, (1 << m) - 1, levels[k], levels[k_to], d)
+             for k, k_to, d in pairs]
+    found = poset._run_split(tasks, [poset._search_cost(levels, k, k_to) for k, k_to, _ in pairs])
+    found.reverse()  # popped in task order, so each result is freed once used
+    for k, k_to, _ in pairs:
+        yield poset._matching_result(args.n, args.family, k, k_to,
+                                     levels[k], levels[k_to], *found.pop())
 
 
 # The writers below format edge bitmasks straight into the bytes that

@@ -18,16 +18,26 @@ proposes each partner: on an up-set it is a complete matching from every
 level below m/2, so those pairs need no adjacency and no search, and
 Hopcroft-Karp, started from the proposals, repairs only the pairs where
 some image leaves the family.  `chains` and `matchings` print their
-matchings, so they keep the search over every adjacency row.
+matchings, so they keep the search over every adjacency row.  Their level
+pairs are independent of each other, so _run_split shares them between
+the process and one forked child on Linux when two CPUs are free; the
+output is the same.  The bracket route stays in one process: at n = 6
+its pairs cost about what a fork does.  A row lists the int objects of
+the target level's rank, so reading or building one allocates no int.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import operator
+import os
+import select
+import signal
+import sys
 from array import array
 from collections import Counter, deque
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graphs import EdgeSet, _check_family, _level_bits, slot_count
@@ -170,6 +180,99 @@ def _alternating_reachable(
 
 
 # ---------------------------------------------------------------------------
+# level-pair searches in two processes
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _lone_thread() -> bool:
+    """Whether this process runs one thread.  /proc/self/task lists every
+    thread, a native pool's (BLAS, OpenMP) as well as Python's."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _run_queue(tasks: Sequence[Callable], queue, done: dict) -> None:
+    """done[i] = tasks[i]() for each index i read from queue in turn, up to
+    the first task that raises; whoever reads done runs that task again."""
+    while item := queue.read(4):  # one read call: the other process reads too
+        i = int.from_bytes(item, "little")
+        try:
+            done[i] = tasks[i]()
+        except Exception:
+            return
+
+
+def _run_split(tasks: Sequence[Callable], costs: Sequence[float]) -> list:
+    """[task() for task in tasks], shared between this process and a forked
+    child on Linux, when there are two tasks or more, two usable CPUs and
+    no other thread.
+
+    Both processes take their next task from one queue, a pipe that lists
+    the tasks longest-first by cost, so neither idles while a task waits.
+    The child sends its results, which must be marshal-able, through a
+    second pipe once the queue is empty, and leaves by os._exit.  A task
+    with no result, because it raised in either process or the child died
+    (or os.fork failed) before its results were whole, runs here, in task
+    order, so the first task that fails raises its own error, as it does
+    in one process.  The child is reaped before this returns.
+    """
+    done: dict = {}
+    # elsewhere than Linux a fork may be missing or unsafe (macOS); a fork
+    # copies only this thread, so a lock another thread held would stay
+    # held in the child; the queue is one write of at most PIPE_BUF bytes,
+    # which is atomic, so each 4-byte read gets a whole index
+    if (sys.platform == "linux" and 2 <= len(tasks) <= select.PIPE_BUF // 4
+            and _usable_cpus() >= 2 and _lone_thread()):
+        order = sorted(range(len(tasks)), key=costs.__getitem__, reverse=True)
+        queue_r, queue_w = os.pipe()
+        results_r, results_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            pid = -1
+        if pid == 0:
+            try:
+                os.close(queue_w)
+                os.close(results_r)
+                with open(queue_r, "rb", buffering=0) as queue:
+                    _run_queue(tasks, queue, done)
+                with open(results_w, "wb") as pipe:
+                    marshal.dump(done, pipe)
+            finally:
+                os._exit(0)
+        os.close(results_w)
+        with (open(queue_r, "rb", buffering=0) as queue,
+              open(queue_w, "wb", buffering=0) as writer,
+              open(results_r, "rb") as pipe):
+            if pid > 0:
+                try:
+                    # written after the fork, so no pipe holds it unread
+                    writer.write(b"".join(i.to_bytes(4, "little") for i in order))
+                    writer.close()  # the queue ends for both readers
+                    _run_queue(tasks, queue, done)
+                    try:
+                        done.update(marshal.load(pipe))
+                    except (EOFError, ValueError):  # the child's results are not whole
+                        pass
+                except BaseException:
+                    os.kill(pid, signal.SIGKILL)
+                    raise
+                finally:
+                    pipe.close()  # a child still writing gets EPIPE
+                    try:
+                        os.waitpid(pid, 0)
+                    except ChildProcessError:  # reaped already: SIGCHLD ignored, say
+                        pass
+    return [done[i] if i in done else task() for i, task in enumerate(tasks)]
+
+
+# ---------------------------------------------------------------------------
 # adjacent-level matchings
 
 
@@ -224,31 +327,33 @@ def _universe_levels(
     return universe, _level_bits(n, universe)
 
 
-def _level_rank(full: int, level: Sequence[int]) -> array:
+def _level_rank(full: int, level: Sequence[int], compact: bool = False) -> Sequence[int]:
     """Dense rank over the 2^m masks (full is 2^m - 1): the index in level of
-    each member, -1 for every other mask."""
-    rank = array("i", [-1]) * (full + 1)
+    each member, -1 for every other mask.  A list, whose int objects the rows
+    share; compact gives an array("i") instead, 4 bytes a mask, for the
+    bracket route, which reads few entries and builds few rows."""
+    rank = array("i", [-1]) * (full + 1) if compact else [-1] * (full + 1)
     for i, b in enumerate(level):
         rank[b] = i
     return rank
 
 
-def _one_edge_row(rank: array, full: int, direction: str) -> Callable[[int], array]:
+def _one_edge_row(rank: Sequence[int], full: int, direction: str) -> Callable[[int], list[int]]:
     """row(b) lists, by ascending slot, the rank of each member one edge above
     (up) or below (down) b.  Setting a slot that b already holds (up), or
     clearing one it lacks (down), gives b itself, which lies off the ranked
-    level, so no slot is tested.  Rows are arrays: a list row would hold a
-    fresh int per entry."""
+    level, so no slot is tested.  Over a list rank each entry is the int
+    object that rank holds, so a row allocates no int of its own."""
     singles = [1 << s for s in range(full.bit_length())]
     if direction == "up":
-        return lambda b: array("i", [r for s in singles if (r := rank[b | s]) >= 0])
+        return lambda b: [r for s in singles if (r := rank[b | s]) >= 0]
     holes = [full ^ s for s in singles]
-    return lambda b: array("i", [r for h in holes if (r := rank[b & h]) >= 0])
+    return lambda b: [r for h in holes if (r := rank[b & h]) >= 0]
 
 
 def _level_pair_adjacency(
     full: int, from_bits: Sequence[int], to_bits: Sequence[int], direction: str
-) -> list[array]:
+) -> list[list[int]]:
     """Row u lists, by ascending slot, the index in to_bits of each member one
     edge above (up) or below (down) from_bits[u]; full is 2^m - 1."""
     return list(map(_one_edge_row(_level_rank(full, to_bits), full, direction), from_bits))
@@ -314,6 +419,59 @@ def _bracket_images(full: int, bits: Iterable[int], direction: str) -> Iterator[
             yield b ^ 1 << first - 1 if low < 0 else b
 
 
+def _pair_search(
+    full: int, from_bits: Sequence[int], to_bits: Sequence[int], direction: str
+) -> tuple[int, bytes, tuple[int, ...] | None]:
+    """Hopcroft-Karp over every one-edge row of a level pair, as marshal-able
+    data: the matching size, match_l as array("i").tobytes(), and the indices
+    in from_bits of a Hall violator (None when the matching is complete).
+    The violator is the alternating-reachability cut, asserted to have a
+    smaller neighbourhood than itself."""
+    adj = _level_pair_adjacency(full, from_bits, to_bits, direction)
+    size, match_l, match_r = hopcroft_karp(len(from_bits), len(to_bits), adj.__getitem__)
+    side = None
+    if size < len(from_bits):
+        seen_l, _ = _alternating_reachable(
+            len(from_bits), len(to_bits), adj.__getitem__, match_l, match_r
+        )
+        side = tuple(itertools.compress(range(len(from_bits)), seen_l))
+        neighborhood = set()
+        for u in side:
+            neighborhood.update(adj[u])
+        if len(neighborhood) >= len(side):
+            raise AssertionError("alternating cut failed to violate Hall's condition")
+    return size, array("i", match_l).tobytes(), side
+
+
+def _search_cost(levels: Sequence[Sequence[int]], k: int, k_to: int) -> int:
+    """Estimated cost of searching level pair k -> k_to, to queue the
+    searches longest first: timed at n = 7, a member's search costs about
+    k/2 times as much down as up."""
+    return len(levels[k]) * (k if k_to < k else 2)
+
+
+def _matching_result(
+    n: int, name: str, k: int, k_to: int, from_bits: Sequence[int], to_bits: Sequence[int],
+    size: int, match: bytes, side: tuple[int, ...] | None,
+) -> MatchingResult:
+    """The MatchingResult of one _pair_search."""
+    partners = array("i", match)
+    return MatchingResult(
+        n=n,
+        universe=name,
+        k_from=k,
+        k_to=k_to,
+        size_from=len(from_bits),
+        size_to=len(to_bits),
+        matching_size=size,
+        # to_bits[-1] pairs each unmatched member, and compress drops it
+        pair_bits=tuple(itertools.compress(
+            zip(from_bits, map(to_bits.__getitem__, partners)), map((-1).__ne__, partners)
+        )),
+        violator_bits=None if side is None else tuple(map(from_bits.__getitem__, side)),
+    )
+
+
 def adjacent_level_matching(
     n: int,
     k: int,
@@ -332,33 +490,8 @@ def adjacent_level_matching(
     from_bits, to_bits = levels[k], levels[k_to]
     if not from_bits or not to_bits:
         raise ValueError(f"level pair ({k},{k_to}) has an empty side")
-    adj = _level_pair_adjacency((1 << m) - 1, from_bits, to_bits, direction)
-    size, match_l, match_r = hopcroft_karp(len(from_bits), len(to_bits), adj.__getitem__)
-
-    pair_bits = tuple((b, to_bits[v]) for b, v in zip(from_bits, match_l) if v >= 0)
-    violator_bits = None
-    if size < len(from_bits):
-        seen_l, seen_r = _alternating_reachable(
-            len(from_bits), len(to_bits), adj.__getitem__, match_l, match_r
-        )
-        side = [u for u in range(len(from_bits)) if seen_l[u]]
-        neighborhood = set()
-        for u in side:
-            neighborhood.update(adj[u])
-        if len(neighborhood) >= len(side):
-            raise AssertionError("alternating cut failed to violate Hall's condition")
-        violator_bits = tuple(from_bits[u] for u in side)
-    return MatchingResult(
-        n=n,
-        universe=name,
-        k_from=k,
-        k_to=k_to,
-        size_from=len(from_bits),
-        size_to=len(to_bits),
-        matching_size=size,
-        pair_bits=pair_bits,
-        violator_bits=violator_bits,
-    )
+    found = _pair_search((1 << m) - 1, from_bits, to_bits, direction)
+    return _matching_result(n, name, k, k_to, from_bits, to_bits, *found)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +528,9 @@ def _level_sizes(levels: Sequence[Sequence[int]]) -> dict[int, int]:
 
 def _complete_matching(
     match: Callable, levels: Sequence[Sequence[int]], k_from: int, k_to: int
-) -> array:
-    """Partner index in level k_to of every element of level k_from."""
+) -> bytes:
+    """Partner index in level k_to of every element of level k_from, as
+    array("i").tobytes()."""
     direction = "up" if k_to > k_from else "down"
     from_bits, to_bits = levels[k_from], levels[k_to]
     if len(from_bits) > len(to_bits):
@@ -409,7 +543,7 @@ def _complete_matching(
         raise ChainPartitionError(
             k_from, k_to, f"no complete matching from level {k_from} into level {k_to}"
         )
-    return array("i", match_l)
+    return array("i", match_l).tobytes()
 
 
 def _searched(rows: Callable) -> Callable:
@@ -439,7 +573,7 @@ def _bracket_matching(full: int) -> Callable:
     """
 
     def match(from_bits, to_bits, direction):
-        rank = _level_rank(full, to_bits)
+        rank = _level_rank(full, to_bits, compact=True)
         seed = array("i", map(rank.__getitem__, _bracket_images(full, from_bits, direction)))
         if -1 not in seed:
             return len(seed), seed
@@ -449,7 +583,7 @@ def _bracket_matching(full: int) -> Callable:
         def neighbors(u):
             r = rows[u]
             if r is None:
-                r = rows[u] = row(from_bits[u])
+                r = rows[u] = array("i", row(from_bits[u]))
             return r
 
         return hopcroft_karp(len(from_bits), len(to_bits), neighbors, seed)[:2]
@@ -458,7 +592,7 @@ def _bracket_matching(full: int) -> Callable:
 
 
 def _glued_partners(
-    match: Callable, levels: Sequence[Sequence[int]]
+    match: Callable, levels: Sequence[Sequence[int]], split: bool = False
 ) -> tuple[int, dict[int, array]]:
     """Complete level matchings toward the largest level K.
 
@@ -472,23 +606,26 @@ def _glued_partners(
     between the lowest and highest nonempty ones but K.  If some pair lacks
     the required matching, ChainPartitionError names the first one; a gap
     between nonempty levels always yields such a pair (a nonempty level
-    facing an empty one on its side of K).
+    facing an empty one on its side of K).  With split, _run_split shares
+    the pairs between this process and a forked child.
     """
     sizes = _level_sizes(levels)
     K = _largest_level(sizes)
     lo, hi = min(sizes), max(sizes)
-    partner = {k: _complete_matching(match, levels, k, k + 1) for k in range(lo, K)}
-    partner.update(
-        {k: _complete_matching(match, levels, k, k - 1) for k in range(K + 1, hi + 1)}
-    )
-    return K, partner
+    steps = [(k, k + 1) for k in range(lo, K)] + [(k, k - 1) for k in range(K + 1, hi + 1)]
+    tasks = [partial(_complete_matching, match, levels, *step) for step in steps]
+    if split:
+        found: Iterable[bytes] = _run_split(tasks, [_search_cost(levels, *step) for step in steps])
+    else:
+        found = (task() for task in tasks)
+    return K, {k: array("i", match) for (k, _), match in zip(steps, found)}
 
 
 def _glued_chains(match: Callable, levels: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The chains of _glued_partners' matchings: each element of level K
-    anchors one, listed by increasing level, and the chains partition the
-    universe."""
-    K, partner = _glued_partners(match, levels)
+    """The chains of _glued_partners' matchings, split between two processes:
+    each element of level K anchors one, listed by increasing level, and the
+    chains partition the universe."""
+    K, partner = _glued_partners(match, levels, split=True)
     chains = [[b] for b in levels[K]]
     lo, hi = min(partner, default=K), max(partner, default=K)
     for side in (range(K - 1, lo - 1, -1), range(K + 1, hi + 1)):
@@ -623,6 +760,10 @@ def chain_partition(
     For the connected universe at n <= 7 the largest level is the middle
     level ceil(m/2).  The chains are re-verified by check_chain_certificate;
     if some level pair blocks the gluing, ChainPartitionError names it.
+
+    On Linux, with two usable CPUs and no other thread in the process, the
+    level-pair searches are shared with one forked child (see _run_split),
+    which is reaped before this returns; the result is the same.
     """
     _, levels = _universe_levels(n, universe, budget_override)
     full = (1 << slot_count(n)) - 1

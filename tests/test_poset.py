@@ -1,5 +1,7 @@
 import itertools
+import os
 import random
+import time
 from array import array
 
 import pytest
@@ -730,24 +732,254 @@ def test_chain_partition_error_reports_pair(monkeypatch):
     assert (err.value.k_from, err.value.k_to) == (6, 5)
 
 
-def _assert_rows_match_oracle(full, levels):
+# the level-pair searches of `chains` and `matchings`, shared with a forked child
+
+
+def _outcome(compute):
+    """compute()'s result, or its error's type and text."""
+    try:
+        return compute()
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+
+
+def _split_outcomes(monkeypatch, compute, cpus):
+    """compute()'s outcome with _usable_cpus patched to cpus and the number
+    of forks it made; no child may be left unreaped."""
+    import connposet.poset as poset_mod
+
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(poset_mod, "_usable_cpus", lambda: cpus)
+        patch.setattr(os, "fork", counted_fork)
+        outcome = _outcome(compute)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return outcome, len(forks)
+
+
+def _chains(n, family):
+    return lambda: chain_partition(n, family).chain_bits
+
+
+def _matchings(n, family):
+    from connposet import cli
+
+    args = cli.build_parser().parse_args(["matchings", "--n", str(n), "--family", family])
+    return lambda: list(cli._level_matchings(args))
+
+
+@pytest.mark.parametrize("compute", [_chains, _matchings])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_split_searches_match_one_process(monkeypatch, compute, family):
+    # every MatchingResult field, every chain, and every error agree
+    for n in range(1, 7):
+        one, forks_one = _split_outcomes(monkeypatch, compute(n, family), 1)
+        two, forks_two = _split_outcomes(monkeypatch, compute(n, family), 2)
+        assert two == one and forks_one == 0
+        assert forks_two == 1 or n < 6
+
+
+def _sabotaged_child(monkeypatch, how):
+    """Make _level_pair_adjacency fail in a forked child: raise at once, or
+    leave by os._exit(1) on its second call; os.fork raising OSError when how
+    is "fork"."""
+    import connposet.poset as poset_mod
+
+    parent, calls = os.getpid(), []
+    real = poset_mod._level_pair_adjacency
+
+    def sabotaged(*args):
+        if os.getpid() != parent:
+            calls.append(1)
+            if how == "raise":
+                raise RuntimeError("search failed in the child")
+            if len(calls) > 1:
+                os._exit(1)
+        return real(*args)
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    if how == "fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        monkeypatch.setattr(poset_mod, "_level_pair_adjacency", sabotaged)
+
+
+@pytest.mark.parametrize("how", ["raise", "exit", "fork"])
+@pytest.mark.parametrize("compute", [_chains, _matchings])
+def test_split_recovers_from_a_failed_child(monkeypatch, compute, how):
+    import connposet.poset as poset_mod
+
+    monkeypatch.setattr(poset_mod, "_usable_cpus", lambda: 2)
+    expected = [compute(n, "connected")() for n in (5, 6)]
+    _sabotaged_child(monkeypatch, how)
+    assert [compute(n, "connected")() for n in (5, 6)] == expected
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("how", ["raise", "exit", "fork"])
+def test_split_error_is_the_first_in_task_order(monkeypatch, how):
+    # level 6 of n = 4 cannot glue down in either process; the child's own
+    # failure or death does not change which pair the error names
+    import connposet.poset as poset_mod
+
+    real = poset_mod._level_pair_adjacency
+
+    def blocked(full, from_bits, to_bits, direction):
+        adj = real(full, from_bits, to_bits, direction)
+        return [[] for _ in adj] if from_bits[0].bit_count() == 6 else adj
+
+    monkeypatch.setattr(poset_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(poset_mod, "_level_pair_adjacency", blocked)
+    _sabotaged_child(monkeypatch, how)
+    outcome, _ = _split_outcomes(monkeypatch, _chains(4, "connected"), 2)
+    assert outcome == (ChainPartitionError, "no complete matching from level 6 into level 5")
+
+
+@pytest.mark.parametrize("costs", [[1, 20, 1, 10], [1, 10, 1, 20]])
+def test_run_split_raises_the_first_failing_task(monkeypatch, costs):
+    # tasks 1 and 3 fail wherever they run; the error is task 1's, from
+    # this process, whichever of the two failing tasks is queued first
+    import connposet.poset as poset_mod
+
+    def task(i):
+        if i % 2:
+            raise ValueError(f"task {i} failed in {os.getpid()}")
+        return i, bytes([i])
+
+    monkeypatch.setattr(poset_mod, "_usable_cpus", lambda: 2)
+    tasks = [lambda i=i: task(i) for i in range(4)]
+    with pytest.raises(ValueError, match=f"task 1 failed in {os.getpid()}"):
+        poset_mod._run_split(tasks, costs)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert poset_mod._run_split(tasks[::2], [1, 2]) == [(0, b"\0"), (2, b"\2")]
+
+
+@pytest.mark.parametrize("where", ["thread", "platform"])
+def test_run_split_stays_in_one_process(monkeypatch, where):
+    # beside another thread, or off Linux, no fork is tried
+    import sys
+    import threading
+
+    import connposet.poset as poset_mod
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(poset_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    if where == "platform":
+        monkeypatch.setattr(sys, "platform", "darwin")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    if where == "thread":
+        thread.start()
+    try:
+        assert poset_mod._run_split([lambda: 1, lambda: 2], [1, 2]) == [1, 2]
+    finally:
+        release.set()
+        if where == "thread":
+            thread.join(10)
+    assert not thread.is_alive()
+
+
+def test_run_split_tolerates_a_reaped_child(monkeypatch):
+    # with SIGCHLD ignored the kernel reaps the child itself, and the
+    # results still come back through the pipe
+    import signal
+
+    import connposet.poset as poset_mod
+
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(poset_mod, "_usable_cpus", lambda: 2)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert poset_mod._run_split([lambda: 1, lambda: 2], [1, 2]) == [1, 2]
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert forks == [1]
+
+
+def test_run_split_kills_the_child_when_interrupted(monkeypatch):
+    # an interrupt here does not wait for the child's share
+    import connposet.poset as poset_mod
+
+    parent = os.getpid()
+
+    def task():
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(poset_mod, "_usable_cpus", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        poset_mod._run_split([task, task], [1, 1])
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_rows_match_oracle(monkeypatch, full, levels):
     """Every adjacent level pair, both directions: the dense-rank rows equal
-    the hash-index oracle's, row by row and in order."""
-    for lower, upper in zip(levels, levels[1:]):
-        if not lower or not upper:
-            continue
-        for from_bits, to_bits, direction in ((lower, upper, "up"), (upper, lower, "down")):
-            rows = _level_pair_adjacency(full, from_bits, to_bits, direction)
-            assert all(isinstance(row, array) for row in rows)
-            assert [row.tolist() for row in rows] == level_pair_rows(
-                full, from_bits, to_bits, direction
-            )
+    the hash-index oracle's, row by row and in order, and every entry is the
+    int object that the target level's rank holds, so the rows allocate no
+    int of their own."""
+    import connposet.poset as poset_mod
+
+    real = poset_mod._level_rank
+    ranks = []
+
+    def spy(full, level):
+        ranks.append(real(full, level))
+        return ranks[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(poset_mod, "_level_rank", spy)
+        for lower, upper in zip(levels, levels[1:]):
+            if not lower or not upper:
+                continue
+            for from_bits, to_bits, direction in ((lower, upper, "up"), (upper, lower, "down")):
+                ranks.clear()
+                rows = _level_pair_adjacency(full, from_bits, to_bits, direction)
+                [rank] = ranks
+                assert all(rank[to_bits[r]] is r for row in rows for r in row)
+                assert rows == level_pair_rows(full, from_bits, to_bits, direction)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", range(1, 7))
-def test_level_pair_rows_match_oracle(n, family):
-    _assert_rows_match_oracle((1 << slot_count(n)) - 1, _level_bits(n, family))
+def test_level_pair_rows_match_oracle(monkeypatch, n, family):
+    _assert_rows_match_oracle(monkeypatch, (1 << slot_count(n)) - 1, _level_bits(n, family))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_search_over_list_rows_matches_array_rows(family):
+    # the list rows give Hopcroft-Karp the same matching as array rows would
+    for n in range(1, 7):
+        full = (1 << slot_count(n)) - 1
+        levels = _level_bits(n, family)
+        pairs = [(k, k + 1, "up") for k in range(len(levels) - 1)]
+        pairs += [(k, k - 1, "down") for k in range(1, len(levels))]
+        for k, k_to, direction in pairs:
+            if not levels[k] or not levels[k_to]:
+                continue
+            rows = _level_pair_adjacency(full, levels[k], levels[k_to], direction)
+            arrays = [array("i", row) for row in rows]
+            sides = len(levels[k]), len(levels[k_to])
+            assert (hopcroft_karp(*sides, rows.__getitem__)[1]
+                    == hopcroft_karp(*sides, arrays.__getitem__)[1])
 
 
 def test_cprime_level_pair_rows_match_oracle(monkeypatch):
@@ -766,7 +998,7 @@ def test_cprime_level_pair_rows_match_oracle(monkeypatch):
         len(quotient_mod.connected_classes(n)) for n in range(2, 6)
     )
     for levels, full in seen:
-        _assert_rows_match_oracle(full, levels)
+        _assert_rows_match_oracle(monkeypatch, full, levels)
         _assert_routes_agree(monkeypatch, levels, full)
 
 
