@@ -16,7 +16,7 @@ import sys
 
 # Each subcommand imports the compute modules it calls, so a process compiles
 # only those: `binom` loads bounds and no graph module (README, Start-up).
-from .limits import BudgetExceededError, ChainPartitionError, check_scan_budget
+from .limits import BudgetExceededError, ChainPartitionError
 
 # The sweep flags each lemma reads, with their defaults.  Every sweep flag is
 # None on the parser, so one given to a lemma that does not read it shows and
@@ -193,62 +193,34 @@ def _cmd_census(args) -> int:
     return 0
 
 
-def _sperner_doc(report) -> dict:
-    return {
-        "n": report.n,
-        "universe": report.universe,
-        "element_count": report.element_count,
-        "level_sizes": {str(k): v for k, v in sorted(report.level_sizes.items())},
-        "max_level_k": report.max_level_k,
-        "max_level_size": report.max_level_size,
-        "width": report.width,
-        "sperner": report.sperner,
-        "strict": report.strict,
-        "antichain": [g.text() for g in report.antichain],
-        "method": "chains",  # the glued level matchings, the only width route
-    }
+# The width core proves width = |level K|, so that level K is a largest
+# antichain, or raises ChainPartitionError, which exits 1: every width
+# document it writes carries these keys unchanged.
+PROVED = {"sperner": True, "strict": True, "margin": 0, "non_sperner": [],
+          "note": "conjectured answer: yes (Sperner)"}
+WIDTH_KEYS = ("element_count", "level_sizes", "max_level_k", "max_level_size", "width",
+              "sperner")
+
+
+def _width_doc(report, *keys: str) -> dict:
+    """A width report's keys, in the command's order (csv takes its columns
+    from it): the report's fields, level_sizes keyed by str, the largest
+    level's size, which is the width, and the PROVED keys."""
+    values = {**PROVED, "max_level_size": report.width,
+              "level_sizes": {str(k): v for k, v in sorted(report.level_sizes.items())}}
+    return {key: values[key] if key in values else getattr(report, key) for key in keys}
 
 
 def _cmd_sperner(args) -> int:
-    from . import poset
+    from . import graphs, poset
     report = poset.sperner_verdict(args.n, args.family, args.budget_override)
-    doc = _sperner_doc(report)
+    level = graphs._level_bits(args.n, args.family)[report.max_level_k]
+    doc = {**_width_doc(report, "n", "universe", *WIDTH_KEYS, "strict"),
+           "antichain": list(map(f"{args.n}:%x".__mod__, level)),
+           "method": "chains"}  # the glued level matchings, the only width route
     rows = [{k: v for k, v in doc.items() if k not in ("antichain", "level_sizes")}]
     _emit(doc, rows, args.fmt, args.out)
-    # the theorem covers the connected universe; other universes are reports
-    if args.family == "connected" and not report.sperner:
-        return _fail("sperner", [{"problem": "width differs from the largest level",
-                                  "width": report.width,
-                                  "max_level_size": report.max_level_size}])
     return 0
-
-
-def _level_matchings(args):
-    """The adjacent-level matchings of _cmd_matchings, by k, up before down.
-    The searches run first, shared by poset._run_split between this process
-    and a forked child; each MatchingResult is built just before it is
-    yielded, so no process holds every pair's pair_bits."""
-    import functools
-
-    from . import graphs, poset
-    check_scan_budget(args.n, args.budget_override)
-    m = graphs.slot_count(args.n)
-    if args.k is not None and not 0 <= args.k <= m:
-        raise ValueError(f"--k must lie in 0..{m} for n={args.n}, got {args.k}")
-    levels = graphs._level_bits(args.n, args.family)
-    pairs = [
-        (k, k_to, direction)
-        for k in ([args.k] if args.k is not None else range(m + 1))
-        for k_to, direction in ((k + 1, "up"), (k - 1, "down"))
-        if 0 <= k_to <= m and levels[k] and levels[k_to]
-    ]
-    tasks = [functools.partial(poset._pair_search, (1 << m) - 1, levels[k], levels[k_to], d)
-             for k, k_to, d in pairs]
-    found = poset._run_split(tasks, [poset._search_cost(levels, k, k_to) for k, k_to, _ in pairs])
-    found.reverse()  # popped in task order, so each result is freed once used
-    for k, k_to, _ in pairs:
-        yield poset._matching_result(args.n, args.family, k, k_to,
-                                     levels[k], levels[k_to], *found.pop())
 
 
 # The writers below format edge bitmasks straight into the bytes that
@@ -257,9 +229,11 @@ def _level_matchings(args):
 
 
 def _cmd_matchings(args) -> int:
+    from . import poset
+    results = poset.level_matchings(args.n, args.family, args.k, args.budget_override)
     if args.fmt == "ndjson":
         chunks = []
-        for res in _level_matchings(args):
+        for res in results:
             n = res.n
             line = (f'{{"from": "{n}:%x", "k_from": {res.k_from}, "k_to": {res.k_to}, '
                     f'"n": {n}, "to": "{n}:%x"}}\n')
@@ -282,7 +256,7 @@ def _cmd_matchings(args) -> int:
             if res.violator_bits is None
             else [f"{res.n}:{b:x}" for b in res.violator_bits],
         }
-        for res in _level_matchings(args)
+        for res in results
     ]
     doc = {"n": args.n, "universe": args.family, "matchings": table}
     rows = [{k: v for k, v in row.items() if k != "violator"} for row in table]
@@ -432,52 +406,26 @@ def _cmd_lemma(args) -> int:
     return _fail(name, findings) if findings else 0
 
 
-def _explorer_doc(report) -> dict:
-    return {
-        "universe": report.universe,
-        "n": report.n,
-        "element_count": report.element_count,
-        "level_sizes": {str(k): v for k, v in sorted(report.level_sizes.items())},
-        "max_level_k": report.max_level_k,
-        "max_level_size": report.max_level_size,
-        "width": report.width,
-        "sperner": report.sperner,
-        "margin": report.margin,
-    }
-
-
 def _cmd_explore(args) -> int:
     from . import quotient
     if args.which == "cprime":
         reports = quotient.cprime_search(args.n, args.budget_override)
-        docs = [_explorer_doc(r) for r in reports]
-        non_sperner = [d for d in docs if not d["sperner"]]
-        doc = {"explore": "cprime", "n_max": args.n, "non_sperner": non_sperner,
+        docs = [_width_doc(r, "universe", "n", *WIDTH_KEYS, "margin") for r in reports]
+        doc = {"explore": "cprime", "n_max": args.n, "non_sperner": PROVED["non_sperner"],
                "reports": docs}
         rows = [{k: v for k, v in d.items() if k != "level_sizes"} for d in docs]
         _emit(doc, rows, args.fmt, args.out)
         return 0
     if args.which == "quotient":
         report = quotient.quotient_sperner(args.n, args.budget_override)
-        doc = {"explore": "quotient", **_explorer_doc(report), "note": report.note}
-        _emit(doc, [{k: v for k, v in doc.items() if k != "level_sizes"}],
-              args.fmt, args.out)
-        return 0
-    # the parser's choices leave only hamiltonian
-    report = quotient.property_poset_report(args.n, "hamiltonian", args.budget_override)
-    doc = {
-        "explore": "hamiltonian",
-        "n": report.n,
-        "element_count": report.element_count,
-        "level_sizes": {str(k): v for k, v in sorted(report.level_sizes.items())},
-        "graded": report.graded,
-        "upward_closed": report.upward_closed,
-        "minimal_levels": list(report.minimal_levels),
-        "width": report.width,
-        "max_level_k": report.max_level_k,
-        "max_level_size": report.max_level_size,
-        "sperner": report.sperner,
-    }
+        doc = {"explore": "quotient",
+               **_width_doc(report, "universe", "n", *WIDTH_KEYS, "margin", "note")}
+    else:  # the parser's choices leave only hamiltonian
+        report = quotient.property_poset_report(args.n, "hamiltonian", args.budget_override)
+        doc = {"explore": "hamiltonian",
+               **_width_doc(report, "n", "element_count", "level_sizes", "graded",
+                            "upward_closed", "minimal_levels", "width", "max_level_k",
+                            "max_level_size", "sperner")}
     _emit(doc, [{k: v for k, v in doc.items() if k != "level_sizes"}],
           args.fmt, args.out)
     return 0

@@ -494,6 +494,32 @@ def adjacent_level_matching(
     return _matching_result(n, name, k, k_to, from_bits, to_bits, *found)
 
 
+def level_matchings(
+    n: int, universe="connected", k: int | None = None, budget_override: bool = False
+) -> Iterator[MatchingResult]:
+    """The adjacent-level matchings of every level, or of level k alone, by
+    k, up before down: the table of `matchings`.  The searches run first,
+    shared by _run_split between this process and a forked child; each
+    MatchingResult is built just before it is yielded, so no process holds
+    every pair's pair_bits."""
+    name, levels = _universe_levels(n, universe, budget_override)
+    m = slot_count(n)
+    if k is not None and not 0 <= k <= m:
+        raise ValueError(f"--k must lie in 0..{m} for n={n}, got {k}")
+    pairs = [
+        (k_from, k_to, direction)
+        for k_from in ([k] if k is not None else range(m + 1))
+        for k_to, direction in ((k_from + 1, "up"), (k_from - 1, "down"))
+        if 0 <= k_to <= m and levels[k_from] and levels[k_to]
+    ]
+    tasks = [partial(_pair_search, (1 << m) - 1, levels[k_from], levels[k_to], d)
+             for k_from, k_to, d in pairs]
+    found = _run_split(tasks, [_search_cost(levels, k_from, k_to) for k_from, k_to, _ in pairs])
+    found.reverse()  # popped in task order, so each result is freed once used
+    for k_from, k_to, _ in pairs:
+        yield _matching_result(n, name, k_from, k_to, levels[k_from], levels[k_to], *found.pop())
+
+
 # ---------------------------------------------------------------------------
 # chain partition through the largest level
 
@@ -778,40 +804,21 @@ def chain_partition(
 
 
 class SpernerReport(NamedTuple):
-    """Width of a graded graph poset compared against its largest level."""
+    """A width verdict: the level data of a graded graph poset, whose width
+    is the size of its largest level K, proved by the glued level matchings;
+    level K is a largest antichain."""
 
     n: int
     universe: str
     element_count: int
     level_sizes: dict[int, int]
     max_level_k: int
-    max_level_size: int
     width: int
-    antichain: tuple[EdgeSet, ...]
-
-    @property
-    def sperner(self) -> bool:
-        return self.width == self.max_level_size
-
-    @property
-    def strict(self) -> bool:
-        """Is the certificate antichain exactly one full level?"""
-        ks = {g.edge_count for g in self.antichain}
-        if len(ks) != 1:
-            return False
-        return len(self.antichain) == self.level_sizes.get(next(iter(ks)), -1)
 
 
-class FamilyWidth(NamedTuple):
-    """_family_width's verdict: the level data; the width is max_level_size."""
-
-    element_count: int
-    level_sizes: dict[int, int]
-    max_level_k: int
-    max_level_size: int
-
-
-def _family_width(levels: Sequence[Sequence[int]], full: int) -> FamilyWidth:
+def _family_width(
+    n: int, universe: str, levels: Sequence[Sequence[int]], full: int
+) -> SpernerReport:
     """Exact width of a family of edge bitmasks graded by edge count.
 
     levels[k] holds the members with k edges, all within the edge set full.
@@ -824,24 +831,13 @@ def _family_width(levels: Sequence[Sequence[int]], full: int) -> FamilyWidth:
     K, partner = _glued_partners(_bracket_matching(full), levels)
     check_matching_certificate(levels, K, partner)
     sizes = _level_sizes(levels)
-    return FamilyWidth(sum(sizes.values()), sizes, K, sizes[K])
+    return SpernerReport(n, universe, sum(sizes.values()), sizes, K, sizes[K])
 
 
 def sperner_verdict(
     n: int, universe="connected", budget_override: bool = False
 ) -> SpernerReport:
-    """Exact width of the whole universe versus its largest level, by
-    _family_width; a level pair that cannot be glued raises
-    ChainPartitionError."""
+    """Exact width of the whole universe, by _family_width; a level pair
+    that cannot be glued raises ChainPartitionError."""
     name, levels = _universe_levels(n, universe, budget_override)
-    verdict = _family_width(levels, (1 << slot_count(n)) - 1)
-    return SpernerReport(
-        n=n,
-        universe=name,
-        element_count=verdict.element_count,
-        level_sizes=verdict.level_sizes,
-        max_level_k=verdict.max_level_k,
-        max_level_size=verdict.max_level_size,
-        width=verdict.max_level_size,
-        antichain=tuple(EdgeSet(n, b) for b in levels[verdict.max_level_k]),
-    )
+    return _family_width(n, name, levels, (1 << slot_count(n)) - 1)

@@ -42,6 +42,7 @@ from .graphs import (
 )
 from .limits import CANONICAL_MAX_N, CPRIME_MAX_EDGES, check_scan_budget, check_width_budget
 from .poset import (
+    SpernerReport,
     _family_width,
     _glued_partners,
     _level_sizes,
@@ -174,33 +175,12 @@ def quotient_poset(n: int, budget_override: bool = False) -> QuotientPoset:
     return QuotientPoset(n, classes, covers)
 
 
-class ExplorerReport(NamedTuple):
-    """Width-versus-largest-level verdict for an explored poset."""
-
-    universe: str
-    n: int
-    element_count: int
-    level_sizes: dict[int, int]
-    max_level_k: int
-    max_level_size: int
-    width: int
-    note: str = ""
-
-    @property
-    def sperner(self) -> bool:
-        return self.width == self.max_level_size
-
-    @property
-    def margin(self) -> int:
-        return self.width - self.max_level_size
-
-
-def quotient_sperner(n: int, budget_override: bool = False) -> ExplorerReport:
-    """Width of the isomorphism quotient versus its largest level, by the chain
-    core over the classes' canonical bitmasks: the rows are the recorded
-    covers, and so is every matched pair.  A level pair that cannot be glued
-    raises ChainPartitionError.  The expected answer (conjectured, not
-    proved) is that the quotient is Sperner.
+def quotient_sperner(n: int, budget_override: bool = False) -> SpernerReport:
+    """Width of the isomorphism quotient, by the chain core over the classes'
+    canonical bitmasks: the rows are the recorded covers, and so is every
+    matched pair.  A level pair that cannot be glued raises
+    ChainPartitionError.  The expected answer (conjectured, not proved) is
+    that the quotient is Sperner.
     """
     qp = quotient_poset(n, budget_override)
     canon = [cls.canon.bits for cls in qp.classes]
@@ -217,20 +197,11 @@ def quotient_sperner(n: int, budget_override: bool = False) -> ExplorerReport:
 
     K, partner = _glued_partners(_searched(cover_rows), levels)
     check_matching_certificate(levels, K, partner, set(covers))
-    level_sizes = _level_sizes(levels)
-    return ExplorerReport(
-        universe="iso_classes",
-        n=n,
-        element_count=len(canon),
-        level_sizes=level_sizes,
-        max_level_k=K,
-        max_level_size=level_sizes[K],
-        width=len(levels[K]),
-        note="conjectured answer: yes (Sperner)",
-    )
+    sizes = _level_sizes(levels)
+    return SpernerReport(n, "iso_classes", len(canon), sizes, K, sizes[K])
 
 
-def cprime_sperner(g: EdgeSet, budget_override: bool = False) -> ExplorerReport:
+def cprime_sperner(g: EdgeSet, budget_override: bool = False) -> SpernerReport:
     """Width verdict for the spanning connected subgraphs of one host graph.
 
     The subgraphs are read from the planes of the host's own edges: bit s of
@@ -254,31 +225,19 @@ def cprime_sperner(g: EdgeSet, budget_override: bool = False) -> ExplorerReport:
     levels = [tuple(_plane_members(connected & level)) for level in level_planes]
     del level_planes  # the width core reads the members only
     check_width_budget(sum(map(len, levels)), budget_override)
-    verdict = _family_width(levels, full)
-    return ExplorerReport(
-        universe=f"spanning_connected({g.text()})",
-        n=g.n,
-        element_count=verdict.element_count,
-        level_sizes=verdict.level_sizes,
-        max_level_k=verdict.max_level_k,
-        max_level_size=verdict.max_level_size,
-        width=verdict.max_level_size,
-    )
+    return _family_width(g.n, f"spanning_connected({g.text()})", levels, full)
 
 
-def cprime_search(n_max: int, budget_override: bool = False) -> list[ExplorerReport]:
-    """Run cprime_sperner on a representative of every connected class, n <= n_max.
-
-    Returns every report, sorted with non-Sperner findings (if any) first and
-    then by closeness of the margin.
-    """
+def cprime_search(n_max: int, budget_override: bool = False) -> list[SpernerReport]:
+    """Run cprime_sperner on a representative of every connected class,
+    n <= n_max; returns every report, sorted by (n, universe)."""
     _check_n(n_max)
     check_scan_budget(n_max, budget_override)  # before the first host, not at n_max
     reports = []
     for n in range(2, n_max + 1):
         for cls in connected_classes(n):
             reports.append(cprime_sperner(cls.canon, budget_override))
-    reports.sort(key=lambda r: (-r.margin, r.n, r.universe))
+    reports.sort(key=lambda r: (r.n, r.universe))
     return reports
 
 
@@ -360,16 +319,11 @@ class PropertyPosetReport(NamedTuple):
     minimal_levels: tuple[int, ...]
     width: int
     max_level_k: int
-    max_level_size: int
 
     @property
     def graded(self) -> bool:
         """Edge count is a valid grading: saturated covers, one minimal level."""
         return self.covers_one_step and len(self.minimal_levels) == 1
-
-    @property
-    def sperner(self) -> bool:
-        return self.width == self.max_level_size
 
 
 def property_poset_report(
@@ -384,7 +338,7 @@ def property_poset_report(
     name, levels, upward_closed, covers_one_step, minimal_levels = _property_closure(
         n, prop, budget_override
     )
-    verdict = _family_width(levels, (1 << slot_count(n)) - 1)
+    verdict = _family_width(n, name, levels, (1 << slot_count(n)) - 1)
     return PropertyPosetReport(
         n=n,
         property_name=name,
@@ -393,9 +347,8 @@ def property_poset_report(
         upward_closed=upward_closed,
         covers_one_step=covers_one_step,
         minimal_levels=minimal_levels,
-        width=verdict.max_level_size,
+        width=verdict.width,
         max_level_k=verdict.max_level_k,
-        max_level_size=verdict.max_level_size,
     )
 
 

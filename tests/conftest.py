@@ -378,6 +378,16 @@ def family_dilworth_width(levels):
     return dilworth_width(members, successors)
 
 
+def host_subgraph_levels(n, host):
+    """The connected spanning subgraphs of a host bitmask on [n], listed by
+    edge count, by union-find over every mask below the host."""
+    levels = [[] for _ in range(host.bit_count() + 1)]
+    for b in range(host + 1):
+        if b & host == b and uf_connected_bits(n, b):
+            levels[b.bit_count()].append(b)
+    return levels
+
+
 def _simple_cycles(q, ends):
     """(edge ids, vertex set) of every simple cycle of the multigraph whose
     edge copies are `ends`, once per direction of travel.  Parallel copies

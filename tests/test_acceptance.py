@@ -24,6 +24,7 @@ from connposet import (
     EdgeSet,
     adjacent_level_matching,
     chain_partition,
+    connected_classes,
     cprime_search,
     cprime_sperner,
     disconnected_report,
@@ -49,6 +50,8 @@ from conftest import (
     augmenting_path_matching,
     cycle_chord_free,
     deletion_shadow,
+    family_dilworth_width,
+    host_subgraph_levels,
     uf_connected_bits,
 )
 
@@ -81,8 +84,7 @@ def test_criterion_1_sperner_widths():
             report = verdict(n)
             elapsed = time.time() - start
             census_max = max(level_census(n).counts)
-            assert report.width == report.max_level_size == census_max
-            assert report.sperner
+            assert report.width == report.level_sizes[report.max_level_k] == census_max
             if n in expected_widths:
                 assert report.width == expected_widths[n]
             assert report.element_count == CONNECTED_TOTALS[n]
@@ -288,20 +290,22 @@ def test_criterion_10_asymptotic_reports():
 def test_criterion_11_explorers():
     with criterion(11, "quotient, host-subgraph and property explorers"):
         q3 = quotient_sperner(3)
-        assert q3.element_count == 2 and q3.width == 1 and q3.sperner
+        assert q3.element_count == 2 and q3.width == 1
 
         k3 = cprime_sperner(EdgeSet.complete(3))
-        assert k3.width == 3 and k3.max_level_size == 3
+        assert k3.width == 3 and k3.level_sizes[k3.max_level_k] == 3
 
         reports = cprime_search(4)
         assert len(reports) == 9
+        hosts = {f"spanning_connected({cls.canon.text()})": cls.canon
+                 for n in (2, 3, 4) for cls in connected_classes(n)}
         for report in reports:
-            assert report.width >= report.max_level_size
-            assert isinstance(report.sperner, bool)
+            host = hosts[report.universe]
+            assert report.width == family_dilworth_width(host_subgraph_levels(host.n, host.bits))
 
         ham = property_poset_report(5, "hamiltonian")
-        assert ham.graded and isinstance(ham.sperner, bool)
-        assert ham.width == ham.max_level_size == 90
+        assert ham.graded
+        assert ham.width == ham.level_sizes[ham.max_level_k] == 90
 
         for n in (3, 4, 5, 6):
             assert quotient_sperner(n).width <= verdict(n).width

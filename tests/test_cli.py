@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from connposet.graphs import enumerate_level
+
 from conftest import connected_census
 
 
@@ -29,23 +31,38 @@ def test_sperner_json():
     assert doc["method"] == "chains"
 
 
-def test_sperner_mismatch_fails_only_for_connected(monkeypatch, capsys):
+@pytest.mark.parametrize("n,family", [
+    (n, family) for n in range(1, 6) for family in ("connected", "all", "two_edge_connected")
+    if (n, family) != (2, "two_edge_connected")  # an empty family has no width
+])
+def test_sperner_antichain_is_the_largest_level(capsys, n, family):
+    from connposet import cli
+
+    assert cli.main(["sperner", "--n", str(n), "--family", family]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    K = doc["max_level_k"]
+    assert doc["antichain"] == [g.text() for g in enumerate_level(n, K, family)]
+    assert len(doc["antichain"]) == doc["width"] == max(doc["level_sizes"].values())
+
+
+@pytest.mark.parametrize("argv, name, pair", [
+    (["sperner", "--n", "4"], "sperner", (4, 3)),
+    (["sperner", "--n", "4", "--family", "two_edge_connected"], "sperner", (4, 5)),
+    (["explore", "hamiltonian", "--n", "4"], "hamiltonian", (4, 5)),
+], ids=["connected", "two_edge_connected", "hamiltonian"])
+def test_blocked_width_gluing_fails(monkeypatch, capsys, argv, name, pair):
+    # a level pair that cannot be glued is the width core's only failure:
+    # every level matching comes back empty, so the first pair raises
     from connposet import cli, poset
 
-    real = poset.sperner_verdict
-
-    def short_width(n, universe="connected", budget_override=False):
-        report = real(n, universe, budget_override)
-        return report._replace(width=report.width - 1)
-
-    monkeypatch.setattr(poset, "sperner_verdict", short_width)
-    assert cli.main(["sperner", "--n", "4"]) == 1
+    monkeypatch.setattr(poset, "_bracket_matching",
+                        lambda full: lambda from_bits, to_bits, direction: (0, None))
+    assert cli.main(argv) == 1
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["sperner"] is False
-    assert captured.err.startswith("FAIL sperner:")
-    # other universes are reports
-    assert cli.main(["sperner", "--n", "4", "--family", "two_edge_connected"]) == 0
-    assert "FAIL" not in capsys.readouterr().err
+    assert captured.out == ""
+    a, b = pair
+    assert captured.err == (f"FAIL {name}: no complete matching from level {a} "
+                            f"into level {b} (pair {a}->{b})\n")
 
 
 def test_blocked_chain_gluing_fails(monkeypatch, capsys):

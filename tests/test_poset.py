@@ -18,6 +18,7 @@ from connposet import (
 from connposet.graphs import FAMILIES, _level_bits, enumerate_level, slot_count
 from connposet.poset import (
     ChainPartitionError,
+    SpernerReport,
     _bracket_images,
     _bracket_matching,
     _family_width,
@@ -31,6 +32,7 @@ from connposet.poset import (
     check_chain_certificate,
     check_matching_certificate,
     hopcroft_karp,
+    level_matchings,
 )
 
 from conftest import (
@@ -160,10 +162,10 @@ def _assert_routes_agree(monkeypatch, levels, full):
     same width."""
     import connposet.poset as poset_mod
 
-    bracket = _family_width(levels, full)
+    bracket = _family_width(0, "family", levels, full)
     with monkeypatch.context() as patch:
         patch.setattr(poset_mod, "_bracket_matching", _adjacency_route)
-        adjacency = _family_width(levels, full)
+        adjacency = _family_width(0, "family", levels, full)
     assert bracket == adjacency
 
 
@@ -350,26 +352,21 @@ def test_width_matches_brute_force_on_random_posets():
 
 
 def test_sperner_verdict_small():
-    v3 = sperner_verdict(3)
-    assert (v3.width, v3.max_level_k, v3.max_level_size) == (3, 2, 3)
-    assert v3.sperner and v3.strict
-    assert [g.bits for g in v3.antichain] == [3, 5, 6]
+    # the three paths on [3], then the triangle
+    assert sperner_verdict(3) == SpernerReport(3, "connected", 4, {2: 3, 3: 1}, 2, 3)
 
     v4 = sperner_verdict(4)
-    assert (v4.width, v4.max_level_size, v4.element_count) == (16, 16, 38)
-    assert v4.sperner
+    assert (v4.width, v4.max_level_k, v4.element_count) == (16, 3, 38)
 
     v5 = sperner_verdict(5)
-    assert v5.width == 222 == v5.max_level_size
+    assert v5.width == 222 and v5.max_level_k == 5
     assert v5.level_sizes == {4: 125, 5: 222, 6: 205, 7: 120, 8: 45, 9: 10, 10: 1}
 
 
 def test_sperner_verdict_full_universe_is_boolean_lattice():
-    v = sperner_verdict(3, universe="all")
-    assert v.element_count == 8
-    assert v.width == 3 == v.max_level_size
     # levels 1 and 2 tie; the lower one is reported and certified
-    assert v.max_level_k == 1 and [g.bits for g in v.antichain] == [1, 2, 4]
+    assert sperner_verdict(3, universe="all") == SpernerReport(
+        3, "all", 8, {0: 1, 1: 3, 2: 3, 3: 1}, 1, 3)
 
 
 def without_level_4(g):
@@ -419,11 +416,10 @@ def test_sperner_verdict_falls_back_on_level_gap():
 )
 def test_chain_route_agrees_with_dilworth(n, universe):
     report = sperner_verdict(n, universe)
-    assert report.strict
-    assert {g.edge_count for g in report.antichain} == {report.max_level_k}
     levels = _level_bits(n, universe)
     assert report.element_count == sum(map(len, levels))
-    assert report.width == report.max_level_size == family_dilworth_width(levels)
+    assert report.level_sizes == _level_sizes(levels)
+    assert report.width == len(levels[report.max_level_k]) == family_dilworth_width(levels)
 
 
 def test_check_chain_certificate_accepts():
@@ -627,9 +623,9 @@ def test_matching_certificate_agrees_on_cprime_hosts(monkeypatch):
     real = quotient_mod._family_width
     hosts = []
 
-    def spy(levels, full):
+    def spy(n, universe, levels, full):
         hosts.append((levels, full))
-        return real(levels, full)
+        return real(n, universe, levels, full)
 
     monkeypatch.setattr(quotient_mod, "_family_width", spy)
     quotient_mod.cprime_search(5)
@@ -769,10 +765,7 @@ def _chains(n, family):
 
 
 def _matchings(n, family):
-    from connposet import cli
-
-    args = cli.build_parser().parse_args(["matchings", "--n", str(n), "--family", family])
-    return lambda: list(cli._level_matchings(args))
+    return lambda: list(level_matchings(n, family))
 
 
 @pytest.mark.parametrize("compute", [_chains, _matchings])
@@ -988,9 +981,9 @@ def test_cprime_level_pair_rows_match_oracle(monkeypatch):
     real = quotient_mod._family_width
     seen = []
 
-    def spy(levels, full):
+    def spy(n, universe, levels, full):
         seen.append((levels, full))
-        return real(levels, full)
+        return real(n, universe, levels, full)
 
     monkeypatch.setattr(quotient_mod, "_family_width", spy)
     reports = quotient_mod.cprime_search(5)
@@ -1009,9 +1002,9 @@ def test_hamiltonian_bracket_route_agrees_with_adjacency_route(monkeypatch, n):
     real = quotient_mod._family_width
     seen = []
 
-    def spy(levels, full):
+    def spy(n, universe, levels, full):
         seen.append((levels, full))
-        return real(levels, full)
+        return real(n, universe, levels, full)
 
     monkeypatch.setattr(quotient_mod, "_family_width", spy)
     quotient_mod.property_poset_report(n, "hamiltonian")

@@ -18,10 +18,9 @@ from connposet import (
     sperner_verdict,
 )
 from connposet.graphs import enumerate_level, level_census, slot_count
-from connposet.poset import ChainPartitionError, _family_width, _universe_levels
+from connposet.poset import ChainPartitionError, SpernerReport, _family_width, _universe_levels
 from connposet.quotient import (
     PROPERTY_BUILTINS,
-    ExplorerReport,
     _connected_classes,
     _covers_saturated,
     _lanes,
@@ -39,6 +38,7 @@ from conftest import (
     covers_one_level,
     dilworth_width,
     family_dilworth_width,
+    host_subgraph_levels,
     iso_classes_by_relabel,
     pairs_on,
     slot_sum_orbit,
@@ -47,14 +47,14 @@ from conftest import (
 )
 
 
-def core_against_dilworth(levels, full):
+def core_against_dilworth(n, levels, full):
     """The shared width core on a graded family, checked against the
     full-comparability Dilworth matching; returns the width."""
-    verdict = _family_width(levels, full)
-    assert verdict.max_level_size == family_dilworth_width(levels)
-    assert verdict.max_level_size == len(levels[verdict.max_level_k])
+    verdict = _family_width(n, "family", levels, full)
+    assert verdict.width == family_dilworth_width(levels)
+    assert verdict.width == len(levels[verdict.max_level_k])
     assert verdict.element_count == sum(map(len, levels))
-    return verdict.max_level_size
+    return verdict.width
 
 
 def test_canonical_form_single_edge():
@@ -203,17 +203,15 @@ def test_quotient_covers_sound_and_complete():
 
 
 def test_quotient_sperner_n3():
-    report = quotient_sperner(3)
-    assert report.element_count == 2
-    assert report.width == 1 == report.max_level_size
-    assert report.sperner
+    # the path and the triangle; their levels tie, and the lower one is K
+    assert quotient_sperner(3) == SpernerReport(3, "iso_classes", 2, {2: 1, 3: 1}, 2, 1)
 
 
 @pytest.mark.parametrize("n,width", [(3, 1), (4, 2), (5, 5)])
 def test_quotient_widths(n, width):
     report = quotient_sperner(n)
-    assert report.width == width
-    assert report.sperner
+    assert report.width == width == max(report.level_sizes.values())
+    assert report.level_sizes[report.max_level_k] == width
 
 
 def closure_dilworth_report(n):
@@ -231,8 +229,7 @@ def closure_dilworth_report(n):
     width = dilworth_width(list(range(len(succ))), successors=succ.__getitem__)
     sizes = dict(Counter(levels))
     k = max(sizes, key=lambda k: (sizes[k], -k))
-    return ExplorerReport("iso_classes", n, len(succ), sizes, k, sizes[k],
-                          width, "conjectured answer: yes (Sperner)")
+    return SpernerReport(n, "iso_classes", len(succ), sizes, k, width)
 
 
 @pytest.mark.parametrize("n,width", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 5), (6, 22)])
@@ -320,10 +317,9 @@ def test_quotient_antichain_independent_comparability():
 
 
 def test_cprime_k3():
-    report = cprime_sperner(EdgeSet.complete(3))
-    assert report.element_count == 4
-    assert report.width == 3 == report.max_level_size
-    assert report.sperner and report.margin == 0
+    # the three paths and the triangle
+    assert cprime_sperner(EdgeSet.complete(3)) == SpernerReport(
+        3, "spanning_connected(3:7)", 4, {2: 3, 3: 1}, 2, 3)
 
 
 def test_cprime_tree_is_trivial():
@@ -348,11 +344,8 @@ def test_cprime_chain_route_agrees_with_dilworth(monkeypatch, capsys, n):
     hosts = connected_classes(n)
     for cls in hosts:
         host = cls.canon.bits
-        levels = [[] for _ in range(host.bit_count() + 1)]
-        for b in range(host + 1):
-            if b & host == b and uf_connected_bits(n, b):
-                levels[b.bit_count()].append(b)
-        assert cprime_sperner(cls.canon).width == core_against_dilworth(levels, host)
+        levels = host_subgraph_levels(n, host)
+        assert cprime_sperner(cls.canon).width == core_against_dilworth(n, levels, host)
 
     # a host's subgraphs have no level gap; a blocked gluing raises, with no
     # other width to fall back on
@@ -434,10 +427,15 @@ def test_cprime_search_refuses_before_the_first_host(monkeypatch):
 def test_cprime_search_n4():
     reports = cprime_search(4)
     # one representative per connected class on 2..4 vertices: 1 + 2 + 6
-    assert len(reports) == 9
+    hosts = {f"spanning_connected({cls.canon.text()})": cls.canon
+             for n in (2, 3, 4) for cls in connected_classes(n)}
+    assert len(reports) == len(hosts) == 9
+    assert [(r.n, r.universe) for r in reports] == sorted((g.n, u) for u, g in hosts.items())
     for report in reports:
-        assert report.width >= report.max_level_size
-        assert report.margin >= 0
+        host = hosts[report.universe]
+        levels = host_subgraph_levels(host.n, host.bits)
+        assert report.width == family_dilworth_width(levels)
+        assert report.level_sizes == {k: len(lv) for k, lv in enumerate(levels) if lv}
 
 
 def test_hamiltonian_predicate():
@@ -487,8 +485,7 @@ def test_hamiltonian_poset_n4():
     assert report.upward_closed
     assert report.graded and report.covers_one_step
     assert report.minimal_levels == (4,)
-    assert report.width == 6 == report.max_level_size
-    assert report.sperner
+    assert report.width == 6 and report.max_level_k == 5
 
 
 def test_hamiltonian_upward_closed_n5():
@@ -496,7 +493,7 @@ def test_hamiltonian_upward_closed_n5():
     assert report.upward_closed
     assert report.graded
     assert report.level_sizes == {5: 12, 6: 60, 7: 90, 8: 45, 9: 10, 10: 1}
-    assert report.width == 90 == report.max_level_size
+    assert report.width == 90 and report.max_level_k == 7
 
 
 def test_property_poset_custom_predicate():
@@ -526,7 +523,7 @@ def test_property_poset_graded_but_not_upward_closed():
     assert report.covers_one_step and report.graded
     assert report.minimal_levels == (2,)
     assert report.level_sizes == {2: 15, 3: 20}
-    assert report.width == 20 == report.max_level_size
+    assert report.width == 20 and report.max_level_k == 3
 
 
 @pytest.mark.parametrize("slots", [3, 6])
@@ -588,7 +585,7 @@ def test_property_poset_triangles_below_complete():
 )
 def test_property_chain_route_agrees_with_dilworth(prop, n):
     _, levels = _universe_levels(n, PROPERTY_BUILTINS[prop], False)
-    width = core_against_dilworth(levels, (1 << slot_count(n)) - 1)
+    width = core_against_dilworth(n, levels, (1 << slot_count(n)) - 1)
     assert property_poset_report(n, prop).width == width
 
 
