@@ -22,7 +22,9 @@ matchings, so they keep the search over every adjacency row.  Their level
 pairs are independent of each other, so _run_split shares them between
 the process and one forked child on Linux when two CPUs are free; the
 output is the same.  The bracket route stays in one process: at n = 6
-its pairs cost about what a fork does.  A row lists the int objects of
+its pairs cost about what a fork does.  The host graphs of
+quotient.cprime_search are shared the same way, each host whole, so each
+host's bracket route runs in one process.  A row lists the int objects of
 the target level's rank, so reading or building one allocates no int.
 """
 

@@ -46,6 +46,7 @@ from .poset import (
     _family_width,
     _glued_partners,
     _level_sizes,
+    _run_split,
     _searched,
     _universe_levels,
     check_matching_certificate,
@@ -212,7 +213,8 @@ def cprime_sperner(g: EdgeSet, budget_override: bool = False) -> SpernerReport:
     whose bracket map drops the last unmatched edge of a graph: an edge
     between well-connected vertices is seldom a bridge, so fewer drops leave
     the family (1,993 against 4,890 graphs over the hosts at n <= 6 in
-    ascending slot order).
+    ascending slot order).  It forks no child: the width core searches its
+    level pairs in this process, and cprime_search shares whole hosts.
     """
     if g.edge_count > CPRIME_MAX_EDGES:
         raise ValueError(f"host has {g.edge_count} edges; budget is {CPRIME_MAX_EDGES}")
@@ -230,13 +232,19 @@ def cprime_sperner(g: EdgeSet, budget_override: bool = False) -> SpernerReport:
 
 def cprime_search(n_max: int, budget_override: bool = False) -> list[SpernerReport]:
     """Run cprime_sperner on a representative of every connected class,
-    n <= n_max; returns every report, sorted by (n, universe)."""
+    n <= n_max; returns every report, sorted by (n, universe).
+
+    On Linux, with two usable CPUs and no other thread in the process, the
+    hosts are shared with one forked child, largest subset cube first (see
+    _run_split), which is reaped before this returns; the reports are the
+    same.  Each host's width verdict runs whole in one process."""
     _check_n(n_max)
     check_scan_budget(n_max, budget_override)  # before the first host, not at n_max
-    reports = []
-    for n in range(2, n_max + 1):
-        for cls in connected_classes(n):
-            reports.append(cprime_sperner(cls.canon, budget_override))
+    hosts = [cls.canon for n in range(2, n_max + 1) for cls in connected_classes(n)]
+    # a report's fields cross the pipe, as the NamedTuple itself is not marshal-able
+    tasks = [lambda g=g: tuple(cprime_sperner(g, budget_override)) for g in hosts]
+    found = _run_split(tasks, [1 << g.edge_count for g in hosts])
+    reports = [SpernerReport(*fields) for fields in found]
     reports.sort(key=lambda r: (r.n, r.universe))
     return reports
 

@@ -7,8 +7,9 @@ commands of the benchmark workloads, the other n = 6 formats of `matchings`
 and `chains`, `lemma tech`, `lemma shadow-ratio` and `lemma lovasz` at n = 6,
 and the census, `sperner` (connected and two-edge-connected), `lemma disc`,
 `lemma irk`, `lemma skeleton`, `lemma removable`, `lemma tech`,
-`lemma shadow-ratio`, `explore quotient`, `explore hamiltonian` and `chains`
-at n = 7, and `lemma chorded` at q = 6.  Stderr is not compared.
+`lemma shadow-ratio`, `explore quotient`, `explore hamiltonian`, `chains`
+and `explore cprime` at n = 7, and `lemma chorded` at q = 6.  Stderr is not
+compared.
 
 Re-record (only after a deliberate output change) with
 
@@ -98,8 +99,9 @@ LOVASZ_COMMANDS = [("lemma", "lovasz", "--n", "6")]
 # that gave each connected graph its cut labels, and the tech sweep and the
 # shadow-ratio report at n = 7, recorded from the same walk and from the
 # per-level bit lists, and the sperner verdicts at n = 7, recorded from level
-# matchings that searched every adjacency row, and `chains` at n = 7, recorded
-# from level-pair searches that ran in one process
+# matchings that searched every adjacency row, and `chains` and `explore
+# cprime` at n = 7, recorded from level-pair searches and hosts that ran in
+# one process
 N7_COMMANDS = [
     ("census", "--n", "7", "--budget-override", "--family", family) for family in FAMILIES
 ] + [("sperner", "--n", "7", "--budget-override"),
@@ -112,7 +114,8 @@ N7_COMMANDS = [
      ("lemma", "shadow-ratio", "--n", "7", "--budget-override"),
      ("explore", "quotient", "--n", "7", "--budget-override"),
      ("explore", "hamiltonian", "--n", "7", "--budget-override"),
-     ("chains", "--n", "7", "--budget-override")]
+     ("chains", "--n", "7", "--budget-override"),
+     ("explore", "cprime", "--n", "7", "--budget-override")]
 
 
 # the chorded-cycle sweep at q = 6, recorded from the walk over all 3^15

@@ -618,6 +618,7 @@ def test_matching_certificate_agrees_with_chain_certificate(n, family):
 
 
 def test_matching_certificate_agrees_on_cprime_hosts(monkeypatch):
+    import connposet.poset as poset_mod
     import connposet.quotient as quotient_mod
 
     real = quotient_mod._family_width
@@ -627,6 +628,7 @@ def test_matching_certificate_agrees_on_cprime_hosts(monkeypatch):
         hosts.append((levels, full))
         return real(n, universe, levels, full)
 
+    monkeypatch.setattr(poset_mod, "_usable_cpus", lambda: 1)  # the spy sees every host
     monkeypatch.setattr(quotient_mod, "_family_width", spy)
     quotient_mod.cprime_search(5)
     assert len(hosts) == 30
@@ -728,7 +730,8 @@ def test_chain_partition_error_reports_pair(monkeypatch):
     assert (err.value.k_from, err.value.k_to) == (6, 5)
 
 
-# the level-pair searches of `chains` and `matchings`, shared with a forked child
+# the level-pair searches of `chains` and `matchings`, and the hosts of
+# `explore cprime`, shared with a forked child
 
 
 def _outcome(compute):
@@ -780,22 +783,23 @@ def test_split_searches_match_one_process(monkeypatch, compute, family):
 
 
 def _sabotaged_child(monkeypatch, how):
-    """Make _level_pair_adjacency fail in a forked child: raise at once, or
-    leave by os._exit(1) on its second call; os.fork raising OSError when how
-    is "fork"."""
+    """Make _level_rank, which every level-pair search and every bracket
+    match calls, fail in a forked child: raise at once, or leave by
+    os._exit(1) on its second call; os.fork raising OSError when how is
+    "fork"."""
     import connposet.poset as poset_mod
 
     parent, calls = os.getpid(), []
-    real = poset_mod._level_pair_adjacency
+    real = poset_mod._level_rank
 
-    def sabotaged(*args):
+    def sabotaged(*args, **kwargs):
         if os.getpid() != parent:
             calls.append(1)
             if how == "raise":
                 raise RuntimeError("search failed in the child")
             if len(calls) > 1:
                 os._exit(1)
-        return real(*args)
+        return real(*args, **kwargs)
 
     def no_fork():
         raise OSError("fork refused")
@@ -803,7 +807,7 @@ def _sabotaged_child(monkeypatch, how):
     if how == "fork":
         monkeypatch.setattr(os, "fork", no_fork)
     else:
-        monkeypatch.setattr(poset_mod, "_level_pair_adjacency", sabotaged)
+        monkeypatch.setattr(poset_mod, "_level_rank", sabotaged)
 
 
 @pytest.mark.parametrize("how", ["raise", "exit", "fork"])
@@ -836,6 +840,87 @@ def test_split_error_is_the_first_in_task_order(monkeypatch, how):
     _sabotaged_child(monkeypatch, how)
     outcome, _ = _split_outcomes(monkeypatch, _chains(4, "connected"), 2)
     assert outcome == (ChainPartitionError, "no complete matching from level 6 into level 5")
+
+
+def _cprime_search(n):
+    from connposet.quotient import cprime_search
+
+    return lambda: cprime_search(n)
+
+
+def test_split_cprime_search_matches_one_process(monkeypatch):
+    # every report agrees field by field, and the parent, slowed down, runs
+    # only a share of the hosts: a report that cannot cross the pipe would
+    # send the child's whole share back to be rerun here
+    import connposet.quotient as quotient_mod
+
+    parent, real, ran = os.getpid(), quotient_mod.cprime_sperner, []
+
+    def slow_parent(g, budget_override):
+        if os.getpid() == parent:
+            ran.append(g)
+            time.sleep(0.005)
+        return real(g, budget_override)
+
+    for n in range(2, 7):
+        hosts = sum(len(quotient_mod.connected_classes(k)) for k in range(2, n + 1))
+        one, forks_one = _split_outcomes(monkeypatch, _cprime_search(n), 1)
+        ran.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(quotient_mod, "cprime_sperner", slow_parent)
+            two, forks_two = _split_outcomes(monkeypatch, _cprime_search(n), 2)
+        assert two == one and len(one) == hosts and forks_one == 0
+        assert all(type(report) is SpernerReport for report in two)
+        assert forks_two == int(hosts > 1)
+        assert len(ran) < hosts or n < 5
+
+
+@pytest.mark.parametrize("how", ["raise", "exit", "fork"])
+def test_split_cprime_search_recovers_from_a_failed_child(monkeypatch, how):
+    import connposet.poset as poset_mod
+
+    monkeypatch.setattr(poset_mod, "_usable_cpus", lambda: 2)
+    expected = [_cprime_search(n)() for n in (5, 6)]
+    _sabotaged_child(monkeypatch, how)
+    assert [_cprime_search(n)() for n in (5, 6)] == expected
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_cprime_error_is_the_first_host(monkeypatch, capsys):
+    # every host fails to glue in either process; the error is the first
+    # host's in task order (K_2), not the first one either process ran
+    import connposet.poset as poset_mod
+    from connposet import cli
+
+    def no_chains(match, levels):
+        raise ChainPartitionError(0, 1, f"no gluing over {len(levels) - 1} edges")
+
+    monkeypatch.setattr(poset_mod, "_glued_partners", no_chains)
+    explore = lambda: cli.main(["explore", "cprime", "--n", "5"])
+    assert _split_outcomes(monkeypatch, explore, 2) == (1, 1)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "FAIL cprime: no gluing over 1 edges (pair 0->1)\n"
+
+
+def test_cprime_hosts_at_the_scan_cap_fit_the_split_queue(monkeypatch):
+    # _run_split stays in one process beyond PIPE_BUF // 4 tasks; at the
+    # scan cap cprime_search queues one host per connected class on 2..n
+    # vertices (OEIS A001349), so a higher cap must still fit, or split
+    # otherwise, before it silently loses the child
+    from connposet.limits import SCAN_OVERRIDE_MAX_N
+    from connposet.poset import _run_split
+    from connposet.quotient import connected_classes
+
+    classes = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+    assert {n: len(connected_classes(n)) for n in range(2, 7)} == {
+        n: classes[n] for n in range(2, 7)
+    }
+    assert SCAN_OVERRIDE_MAX_N in classes, "count the connected classes at the new cap"
+    hosts = sum(classes[n] for n in range(2, SCAN_OVERRIDE_MAX_N + 1))
+    queue = lambda: _run_split([int] * hosts, range(hosts))
+    assert _split_outcomes(monkeypatch, queue, 2) == ([0] * hosts, 1)
 
 
 @pytest.mark.parametrize("costs", [[1, 20, 1, 10], [1, 10, 1, 20]])
@@ -976,6 +1061,7 @@ def test_search_over_list_rows_matches_array_rows(family):
 
 
 def test_cprime_level_pair_rows_match_oracle(monkeypatch):
+    import connposet.poset as poset_mod
     import connposet.quotient as quotient_mod
 
     real = quotient_mod._family_width
@@ -985,6 +1071,7 @@ def test_cprime_level_pair_rows_match_oracle(monkeypatch):
         seen.append((levels, full))
         return real(n, universe, levels, full)
 
+    monkeypatch.setattr(poset_mod, "_usable_cpus", lambda: 1)  # the spy sees every host
     monkeypatch.setattr(quotient_mod, "_family_width", spy)
     reports = quotient_mod.cprime_search(5)
     assert len(seen) == len(reports) == sum(
