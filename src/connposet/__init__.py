@@ -13,8 +13,8 @@ _EXPORTS = {
     "graphs": ("EdgeSet", "LevelCensus", "edge_slot", "enumerate_level", "is_connected",
                "level_census", "slot_count", "slot_edge"),
     "connectivity": ("MultiGraph", "is_cactus", "is_chorded_cycle_free"),
-    "poset": ("ChainPartition", "MatchingResult", "SpernerReport", "adjacent_level_matching",
-              "chain_partition", "sperner_verdict"),
+    "poset": ("ChainPartition", "MatchingResult", "SpernerReport", "chain_partition",
+              "sperner_verdict"),
     "bounds": ("BoundReport", "LogValue", "appendix_property_check", "binom_inverse",
                "disconnected_report", "ext_binom", "i_r_census", "lovasz_check",
                "shadow_ratio_report", "squares_check", "tech_inequality_eval",

@@ -307,26 +307,10 @@ class MatchingResult(NamedTuple):
         return tuple(EdgeSet(self.n, b) for b in self.violator_bits)
 
 
-def _universe_levels(
-    n: int, universe, budget_override: bool
-) -> tuple[str, tuple[tuple[int, ...], ...]]:
+def _universe_levels(n: int, universe: str, budget_override: bool) -> tuple[tuple[int, ...], ...]:
     check_scan_budget(n, budget_override)
-    if callable(universe):
-
-        def keep(bits: int) -> bool:
-            try:
-                return universe(EdgeSet(n, bits))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"property predicate failed on {EdgeSet(n, bits).text()}"
-                ) from exc
-
-        levels = tuple(
-            tuple(filter(keep, level)) for level in _level_bits(n, "all")
-        )
-        return getattr(universe, "__name__", "custom"), levels
     _check_family(universe)
-    return universe, _level_bits(n, universe)
+    return _level_bits(n, universe)
 
 
 def _level_rank(full: int, level: Sequence[int], compact: bool = False) -> Sequence[int]:
@@ -474,37 +458,15 @@ def _matching_result(
     )
 
 
-def adjacent_level_matching(
-    n: int,
-    k: int,
-    direction: str = "up",
-    universe="connected",
-    budget_override: bool = False,
-) -> MatchingResult:
-    """Maximum matching from level k into level k+1 (up) or k-1 (down)."""
-    if direction not in ("up", "down"):
-        raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-    name, levels = _universe_levels(n, universe, budget_override)
-    m = slot_count(n)
-    k_to = k + 1 if direction == "up" else k - 1
-    if not (0 <= k <= m and 0 <= k_to <= m):
-        raise ValueError(f"level pair ({k},{k_to}) out of range 0..{m}")
-    from_bits, to_bits = levels[k], levels[k_to]
-    if not from_bits or not to_bits:
-        raise ValueError(f"level pair ({k},{k_to}) has an empty side")
-    found = _pair_search((1 << m) - 1, from_bits, to_bits, direction)
-    return _matching_result(n, name, k, k_to, from_bits, to_bits, *found)
-
-
 def level_matchings(
-    n: int, universe="connected", k: int | None = None, budget_override: bool = False
+    n: int, universe: str = "connected", k: int | None = None, budget_override: bool = False
 ) -> Iterator[MatchingResult]:
     """The adjacent-level matchings of every level, or of level k alone, by
     k, up before down: the table of `matchings`.  The searches run first,
     shared by _run_split between this process and a forked child; each
     MatchingResult is built just before it is yielded, so no process holds
     every pair's pair_bits."""
-    name, levels = _universe_levels(n, universe, budget_override)
+    levels = _universe_levels(n, universe, budget_override)
     m = slot_count(n)
     if k is not None and not 0 <= k <= m:
         raise ValueError(f"--k must lie in 0..{m} for n={n}, got {k}")
@@ -519,7 +481,9 @@ def level_matchings(
     found = _run_split(tasks, [_search_cost(levels, k_from, k_to) for k_from, k_to, _ in pairs])
     found.reverse()  # popped in task order, so each result is freed once used
     for k_from, k_to, _ in pairs:
-        yield _matching_result(n, name, k_from, k_to, levels[k_from], levels[k_to], *found.pop())
+        yield _matching_result(
+            n, universe, k_from, k_to, levels[k_from], levels[k_to], *found.pop()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +745,7 @@ def check_chain_certificate(universe: Iterable[int], chains: Sequence[Sequence[i
 
 
 def chain_partition(
-    n: int, universe="connected", budget_override: bool = False
+    n: int, universe: str = "connected", budget_override: bool = False
 ) -> ChainPartition:
     """Chains through the largest level of a universe (see _glued_chains).
 
@@ -793,7 +757,7 @@ def chain_partition(
     level-pair searches are shared with one forked child (see _run_split),
     which is reaped before this returns; the result is the same.
     """
-    _, levels = _universe_levels(n, universe, budget_override)
+    levels = _universe_levels(n, universe, budget_override)
     full = (1 << slot_count(n)) - 1
     rows = lambda *pair: _level_pair_adjacency(full, *pair)
     chains = _glued_chains(_searched(rows), levels)
@@ -837,9 +801,9 @@ def _family_width(
 
 
 def sperner_verdict(
-    n: int, universe="connected", budget_override: bool = False
+    n: int, universe: str = "connected", budget_override: bool = False
 ) -> SpernerReport:
     """Exact width of the whole universe, by _family_width; a level pair
     that cannot be glued raises ChainPartitionError."""
-    name, levels = _universe_levels(n, universe, budget_override)
-    return _family_width(n, name, levels, (1 << slot_count(n)) - 1)
+    levels = _universe_levels(n, universe, budget_override)
+    return _family_width(n, universe, levels, (1 << slot_count(n)) - 1)

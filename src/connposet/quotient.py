@@ -5,8 +5,9 @@ Three exploration surfaces:
 * the quotient of the connected poset by graph isomorphism, built from
   exact canonical forms (lexicographic minimum over all n! relabelings);
 * the poset of spanning connected subgraphs of one fixed host graph;
-* posets of all graphs on [n] satisfying a decidable property, each held
-  as one plane, with the grading itself verified instead of assumed.
+* posets of the graphs on [n] with a built-in property, each held as one
+  plane read from the universe planes, with the grading itself verified
+  instead of assumed.
 
 The last two are families of edge bitmasks graded by edge count and share
 sperner_verdict's width core, the level matchings glued through the largest
@@ -24,7 +25,7 @@ from array import array
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .graphs import (
     EdgeSet,
@@ -32,7 +33,6 @@ from .graphs import (
     _connected_bits,
     _family_plane,
     _iter_bits,
-    _members_plane,
     _plane_members,
     _planes,
     _slot_pairs,
@@ -48,7 +48,6 @@ from .poset import (
     _level_sizes,
     _run_split,
     _searched,
-    _universe_levels,
     check_matching_certificate,
 )
 
@@ -270,27 +269,7 @@ def is_hamiltonian(g: EdgeSet) -> bool:
     return False
 
 
-def contains_triangle(g: EdgeSet) -> bool:
-    adj = _vertex_adjacency(g.n, g.bits)
-    return any(
-        adj[a] >> b & 1 and adj[b] >> c & 1 and adj[a] >> c & 1
-        for a, b, c in combinations(range(1, g.n + 1), 3)
-    )
-
-
-def is_two_edge_connected(g: EdgeSet) -> bool:
-    """Connected, and still connected after deleting each edge; a single
-    vertex qualifies, a single edge not."""
-    return _connected_bits(g.n, g.bits) and all(
-        _connected_bits(g.n, g.bits ^ 1 << s) for s in _iter_bits(g.bits)
-    )
-
-
-PROPERTY_BUILTINS: dict[str, Callable[[EdgeSet], bool]] = {
-    "hamiltonian": is_hamiltonian,
-    "two_edge_connected": is_two_edge_connected,
-    "contains_triangle": contains_triangle,
-}
+PROPERTY_BUILTINS = ("hamiltonian", "two_edge_connected", "contains_triangle")
 
 
 @lru_cache(maxsize=None)
@@ -323,37 +302,35 @@ class PropertyPosetReport(NamedTuple):
     element_count: int
     level_sizes: dict[int, int]
     upward_closed: bool
-    covers_one_step: bool
     minimal_levels: tuple[int, ...]
     width: int
     max_level_k: int
 
     @property
     def graded(self) -> bool:
-        """Edge count is a valid grading: saturated covers, one minimal level."""
-        return self.covers_one_step and len(self.minimal_levels) == 1
+        """Edge count is a valid grading: upward closure makes every cover a
+        one-edge step, and the minimal elements share one level."""
+        return self.upward_closed and len(self.minimal_levels) == 1
 
 
 def property_poset_report(
-    n: int, prop="hamiltonian", budget_override: bool = False
+    n: int, prop: str = "hamiltonian", budget_override: bool = False
 ) -> PropertyPosetReport:
-    """Explore the poset of all graphs on [n] satisfying a predicate.
+    """Explore the poset of the graphs on [n] with a built-in property, one
+    of PROPERTY_BUILTINS.
 
     _property_closure lists the family by level and verifies its grading;
     the width is _family_width's, so a level pair that cannot be glued
     raises ChainPartitionError.
     """
-    name, levels, upward_closed, covers_one_step, minimal_levels = _property_closure(
-        n, prop, budget_override
-    )
-    verdict = _family_width(n, name, levels, (1 << slot_count(n)) - 1)
+    levels, upward_closed, minimal_levels = _property_closure(n, prop, budget_override)
+    verdict = _family_width(n, prop, levels, (1 << slot_count(n)) - 1)
     return PropertyPosetReport(
         n=n,
-        property_name=name,
+        property_name=prop,
         element_count=verdict.element_count,
         level_sizes=verdict.level_sizes,
         upward_closed=upward_closed,
-        covers_one_step=covers_one_step,
         minimal_levels=minimal_levels,
         width=verdict.width,
         max_level_k=verdict.max_level_k,
@@ -361,30 +338,23 @@ def property_poset_report(
 
 
 def _property_closure(
-    n: int, prop, budget_override: bool
-) -> tuple[str, list[tuple[int, ...]], bool, bool, tuple[int, ...]]:
-    """The property's name and its family's levels, with the family's
-    upward_closed, covers_one_step and minimal_levels.
+    n: int, prop: str, budget_override: bool
+) -> tuple[list[tuple[int, ...]], bool, tuple[int, ...]]:
+    """The levels of a built-in property's family, with the family's
+    upward_closed and minimal_levels.
 
     Gradedness by edge count is verified, not assumed: the poset is graded
     iff every cover relation is a one-edge step and all minimal elements
-    share one edge count.  The family is one plane F: a built-in property's
-    comes from the slot planes, a custom predicate's from one call per mask.
+    share one edge count.  The family is one plane F, _property_plane's.
     The superset transform Up of F gives the graphs above a member; F is
     upward closed iff Up == F, which makes every cover a one-edge step.
     """
-    if callable(prop):
-        name = getattr(prop, "__name__", "custom")
-        _, levels = _universe_levels(n, prop, budget_override)
-        family = _members_plane((b for level in levels for b in level), 1 << slot_count(n))
-    elif prop in PROPERTY_BUILTINS:
-        name = prop
-        check_scan_budget(n, budget_override)
-        family = _property_plane(n, prop)
-    else:
+    if prop not in PROPERTY_BUILTINS:
         raise ValueError(f"unknown property {prop!r}; built-ins: {sorted(PROPERTY_BUILTINS)}")
+    check_scan_budget(n, budget_override)
+    family = _property_plane(n, prop)
     if not family:
-        raise ValueError(f"property {name!r} is empty on [{n}]")
+        raise ValueError(f"property {prop!r} is empty on [{n}]")
     check_width_budget(family.bit_count(), budget_override)
     planes = _planes(n)
     up = family  # the graphs holding a member
@@ -393,26 +363,7 @@ def _property_closure(
     above = 0  # the graphs strictly above a member
     for s, plane in enumerate(planes.slots):
         above |= plane & (up << (1 << s))
-    upward_closed = up == family
     minimal = family & ~above
     levels = [tuple(_plane_members(family & level)) for level in planes.levels]
-    covers_one_step = upward_closed
-    if not upward_closed:
-        members = [b for level in levels for b in level]
-        covers_one_step = _covers_saturated(members, set(members))
     minimal_levels = tuple(k for k, level in enumerate(planes.levels) if minimal & level)
-    return name, levels, upward_closed, covers_one_step, minimal_levels
-
-
-def _covers_saturated(members: list[int], member_set: set[int]) -> bool:
-    """Every cover relation jumps exactly one level.  Equivalently, each
-    comparable pair two or more levels apart has a member one edge above its
-    lower end and below its upper end: a longer cover has none, and otherwise
-    the first step of a maximal chain between the pair is one."""
-    for bits in members:
-        for other in members:
-            if bits & other != bits or other.bit_count() - bits.bit_count() < 2:
-                continue
-            if not any((bits | 1 << s) in member_set for s in _iter_bits(other & ~bits)):
-                return False
-    return True
+    return levels, up == family, minimal_levels

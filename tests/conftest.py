@@ -13,7 +13,10 @@ instead of shifted planes for the shadow) so the two sides of every
 check share no code path.  The exceptions are `pattern_verdicts` and
 `chorded_sweep_all_patterns`, which call the package's multigraph
 predicates on every pattern, because what they check is which patterns the
-sweep skips and how it decides the rest, `iso_classes_by_relabel`, which
+sweep skips and how it decides the rest, `is_two_edge_connected`, which
+retests each one-edge deletion with the package's per-graph
+`graphs._connected_bits`, because union-find checks it and it checks the
+two-edge-connected plane, `iso_classes_by_relabel`, which
 relabels through the package's `quotient.relabel`, `dilworth_width`, which
 matches the full comparability relation with the package's
 `hopcroft_karp` (checked against `augmenting_path_matching`; one augmenting
@@ -83,6 +86,39 @@ def bits_edges(n, bits):
 
 def uf_connected_bits(n, bits):
     return uf_connected(n, bits_edges(n, bits))
+
+
+def predicate_levels(n, pred):
+    """The graphs on [n] that a per-graph predicate accepts, by edge count,
+    each level ascending: one call per mask of the 2^m, where the package
+    reads its families from planes."""
+    from connposet import EdgeSet
+
+    levels = [[] for _ in range(comb(n, 2) + 1)]
+    for bits in range(1 << comb(n, 2)):
+        if pred(EdgeSet(n, bits)):
+            levels[bits.bit_count()].append(bits)
+    return tuple(map(tuple, levels))
+
+
+def contains_triangle(g):
+    """Whether an EdgeSet holds all three edges of some triple of vertices."""
+    edges = set(bits_edges(g.n, g.bits))
+    return any(
+        {(a, b), (a, c), (b, c)} <= edges for a, b, c in combinations(range(1, g.n + 1), 3)
+    )
+
+
+def is_two_edge_connected(g):
+    """Whether an EdgeSet is connected, and still connected after deleting
+    each edge, by the package's per-graph `graphs._connected_bits`; a single
+    vertex qualifies, a single edge not."""
+    from connposet.graphs import _connected_bits
+
+    slots = [s for s in range(g.bits.bit_length()) if g.bits >> s & 1]
+    return _connected_bits(g.n, g.bits) and all(
+        _connected_bits(g.n, g.bits ^ 1 << s) for s in slots
+    )
 
 
 @lru_cache(maxsize=None)

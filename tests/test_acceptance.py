@@ -22,7 +22,6 @@ import pytest
 
 from connposet import (
     EdgeSet,
-    adjacent_level_matching,
     chain_partition,
     connected_classes,
     cprime_search,
@@ -46,6 +45,7 @@ from connposet.connectivity import (
     skeleton_findings,
 )
 from connposet.graphs import _level_bits, level_census, slot_count
+from connposet.poset import level_matchings
 from conftest import (
     augmenting_path_matching,
     cycle_chord_free,
@@ -213,37 +213,41 @@ def test_criterion_9_matching_framework():
     with criterion(9, "matchings agree with the independent matcher at n = 5"):
         m = slot_count(5)
         levels = _level_bits(5, "connected")
-        for k in range(m + 1):
-            for direction, k_to in (("up", k + 1), ("down", k - 1)):
-                if not (0 <= k_to <= m) or not levels[k] or not levels[k_to]:
-                    continue
-                result = adjacent_level_matching(5, k, direction)
-                # independent instance build + one-path-at-a-time matcher
-                to_index = {b: i for i, b in enumerate(levels[k_to])}
-                adj = []
-                for b in levels[k]:
-                    row = []
-                    if direction == "up":
-                        flips = (s for s in range(m) if not b >> s & 1)
-                    else:
-                        flips = (s for s in range(m) if b >> s & 1)
-                    for s in flips:
-                        other = b ^ (1 << s)
-                        if other in to_index:
-                            row.append(to_index[other])
-                    adj.append(row)
-                size, _, _ = augmenting_path_matching(
-                    len(adj), len(levels[k_to]), adj.__getitem__
-                )
-                assert size == result.matching_size
-                assert result.complete == (size == len(levels[k]))
-                if not result.complete:
-                    violator = {g.bits for g in result.violator}
-                    neighborhood = set()
-                    for b in violator:
-                        i = levels[k].index(b)
-                        neighborhood.update(adj[i])
-                    assert len(neighborhood) < len(violator)
+        pairs = []
+        for result in level_matchings(5):
+            k, k_to = result.k_from, result.k_to
+            pairs.append((k, k_to))
+            # independent instance build + one-path-at-a-time matcher
+            to_index = {b: i for i, b in enumerate(levels[k_to])}
+            adj = []
+            for b in levels[k]:
+                row = []
+                if k_to > k:
+                    flips = (s for s in range(m) if not b >> s & 1)
+                else:
+                    flips = (s for s in range(m) if b >> s & 1)
+                for s in flips:
+                    other = b ^ (1 << s)
+                    if other in to_index:
+                        row.append(to_index[other])
+                adj.append(row)
+            size, _, _ = augmenting_path_matching(
+                len(adj), len(levels[k_to]), adj.__getitem__
+            )
+            assert size == result.matching_size
+            assert result.complete == (size == len(levels[k]))
+            if not result.complete:
+                violator = {g.bits for g in result.violator}
+                neighborhood = set()
+                for b in violator:
+                    i = levels[k].index(b)
+                    neighborhood.update(adj[i])
+                assert len(neighborhood) < len(violator)
+        # every pair of adjacent nonempty levels, each way
+        assert pairs == [
+            (k, k_to) for k in range(m + 1) for k_to in (k + 1, k - 1)
+            if 0 <= k_to <= m and levels[k] and levels[k_to]
+        ]
         partition = chain_partition(5)
         assert partition.count == 222
         elements = [g for chain in partition.chains for g in chain]

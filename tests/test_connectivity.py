@@ -18,7 +18,6 @@ from connposet.connectivity import (
 )
 from connposet.graphs import _component_masks, _plane_members, _planes, enumerate_level, slot_count
 from connposet.limits import CHORDED_MAX_Q, BudgetExceededError
-from connposet.quotient import is_two_edge_connected
 
 from conftest import (
     _induced_bits,
@@ -28,6 +27,7 @@ from conftest import (
     condensation_of,
     cycle_chord_free,
     cycles_edge_disjoint,
+    is_two_edge_connected,
     pairs_on,
     pattern_verdicts,
     removability_findings_by_walk,
@@ -40,7 +40,7 @@ from conftest import (
 
 
 def test_two_edge_connected_conventions():
-    # the property predicate and the plane the sweeps read: one vertex
+    # the per-graph reference and the plane the sweeps read: one vertex
     # qualifies, one edge not
     examples = [
         (EdgeSet.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), True),

@@ -16,7 +16,7 @@ REEXPORTS = {
                "level_census", "slot_count", "slot_edge"],
     "connectivity": ["MultiGraph", "is_cactus", "is_chorded_cycle_free"],
     "poset": ["ChainPartition", "ChainPartitionError", "MatchingResult", "SpernerReport",
-              "adjacent_level_matching", "chain_partition", "sperner_verdict"],
+              "chain_partition", "sperner_verdict"],
     "bounds": ["BoundReport", "LogValue", "appendix_property_check", "binom_inverse",
                "disconnected_report", "ext_binom", "i_r_census", "lovasz_check",
                "shadow_ratio_report", "squares_check", "tech_inequality_eval",
@@ -37,7 +37,7 @@ def _fresh(code: str):
 
 
 def test_reexports_are_their_modules_attributes():
-    assert len(PUBLIC) == 46
+    assert len(PUBLIC) == 45
     for module, names in REEXPORTS.items():
         defining = import_module(f"connposet.{module}")
         assert getattr(connposet, module) is defining

@@ -10,9 +10,9 @@ from hypothesis import given, strategies as st
 from connposet import (
     BudgetExceededError,
     EdgeSet,
-    adjacent_level_matching,
     chain_partition,
     is_connected,
+    property_poset_report,
     sperner_verdict,
 )
 from connposet.graphs import FAMILIES, _level_bits, enumerate_level, slot_count
@@ -28,7 +28,6 @@ from connposet.poset import (
     _level_rank,
     _level_sizes,
     _searched,
-    _universe_levels,
     check_chain_certificate,
     check_matching_certificate,
     hopcroft_karp,
@@ -40,9 +39,11 @@ from conftest import (
     bracket_step,
     bridges_by_deletion,
     brute_width,
+    contains_triangle,
     dilworth_width,
     family_dilworth_width,
     level_pair_rows,
+    predicate_levels,
 )
 
 
@@ -201,11 +202,9 @@ def test_bracket_glues_up_sets_below_half_without_search(monkeypatch, n, family)
 def test_bracket_route_repairs_misses_below_largest_level(monkeypatch):
     # the triangle-free graphs on [5] are a down-set with no level gap; the
     # up map sends some of them below K onto a triangle, so the search runs
-    from connposet.quotient import contains_triangle
-
     n = 5
     full = (1 << slot_count(n)) - 1
-    _, levels = _universe_levels(n, lambda g: not contains_triangle(g), False)
+    levels = predicate_levels(n, lambda g: not contains_triangle(g))
     K = max(range(len(levels)), key=lambda k: len(levels[k]))
     misses = 0
     for k in range(K):
@@ -229,8 +228,16 @@ def test_wrong_bracket_seed_fails_the_chain_certificate(monkeypatch):
         poset_mod.sperner_verdict(4)
 
 
+def level_matching(n, k, direction, universe="connected"):
+    """The record of level_matchings(n, universe, k) from level k into
+    level k + 1 (up) or k - 1 (down)."""
+    k_to = k + 1 if direction == "up" else k - 1
+    (res,) = [res for res in level_matchings(n, universe, k) if res.k_to == k_to]
+    return res
+
+
 def test_matching_up_into_tiny_level():
-    res = adjacent_level_matching(3, 2, "up")
+    res = level_matching(3, 2, "up")
     assert (res.size_from, res.size_to) == (3, 1)
     assert res.matching_size == 1
     assert not res.complete
@@ -239,21 +246,21 @@ def test_matching_up_into_tiny_level():
 
 
 def test_matching_down_from_level_five():
-    res = adjacent_level_matching(4, 5, "down")
+    res = level_matching(4, 5, "down")
     assert (res.size_from, res.size_to) == (6, 15)
     assert res.matching_size == 6
     assert res.complete and res.violator is None
 
 
 def test_matching_up_against_smaller_level():
-    res = adjacent_level_matching(4, 3, "up")
+    res = level_matching(4, 3, "up")
     assert (res.size_from, res.size_to) == (16, 15)
     assert res.matching_size == 15
     assert not res.complete
 
 
 def test_matched_pairs_are_one_edge_steps():
-    res = adjacent_level_matching(5, 6, "down")
+    res = level_matching(5, 6, "down")
     for g, h in res.pairs:
         assert h.bits & g.bits == h.bits
         assert g.edge_count - h.edge_count == 1
@@ -261,7 +268,7 @@ def test_matched_pairs_are_one_edge_steps():
 
 
 def test_violator_really_violates_hall():
-    res = adjacent_level_matching(4, 3, "up")
+    res = level_matching(4, 3, "up")
     violator_bits = {g.bits for g in res.violator}
     m = slot_count(4)
     level_up = {g.bits for g in enumerate_level(4, 4, "connected")}
@@ -274,19 +281,29 @@ def test_violator_really_violates_hall():
 
 
 def test_matching_rejects_bad_levels():
-    with pytest.raises(ValueError):
-        adjacent_level_matching(4, 6, "up")
-    with pytest.raises(ValueError):
-        adjacent_level_matching(4, 3, "sideways")
-    with pytest.raises(ValueError):
-        adjacent_level_matching(4, 0, "down")
+    # a level outside 0..m is refused; a pair that leaves 0..m or meets an
+    # empty level is not listed
+    for k in (-1, 7):
+        with pytest.raises(ValueError, match="must lie in 0..6"):
+            list(level_matchings(4, k=k))
+    assert [(res.k_from, res.k_to) for res in level_matchings(4, k=6)] == [(6, 5)]
+    assert [(res.k_from, res.k_to) for res in level_matchings(4, k=3)] == [(3, 4)]
+    assert list(level_matchings(4, k=0)) == []
 
 
-def test_matching_custom_universe_matches_named():
-    named = adjacent_level_matching(4, 4, "down", "connected")
-    custom = adjacent_level_matching(4, 4, "down", is_connected)
-    assert named.matching_size == custom.matching_size
-    assert named.pairs == custom.pairs
+def test_families_are_names():
+    # a per-graph predicate is no family: every width and matching entry
+    # point refuses it and names the families it reads from planes
+    pred = lambda g: True
+    for call in (lambda: sperner_verdict(3, universe=pred),
+                 lambda: list(level_matchings(3, universe=pred)),
+                 lambda: chain_partition(3, universe=pred)):
+        with pytest.raises(ValueError, match="'all', 'connected', 'two_edge_connected'"):
+            call()
+    with pytest.raises(
+        ValueError, match=r"\['contains_triangle', 'hamiltonian', 'two_edge_connected'\]"
+    ):
+        property_poset_report(3, pred)
 
 
 def test_chain_partition_n3():
@@ -377,33 +394,24 @@ def without_level_4(g):
 def test_sperner_verdict_streamed_neighbors():
     # levels 3, 5, 6 hold 16, 6, 1 graphs; no two trees are comparable, so the
     # width is level 3's, but level 5 has no level 4 to glue down into
-    assert family_dilworth_width(_universe_levels(4, without_level_4, False)[1]) == 16
+    levels = predicate_levels(4, without_level_4)
+    assert family_dilworth_width(levels) == 16
     with pytest.raises(ChainPartitionError, match="level 5 is larger than level 4") as err:
-        sperner_verdict(4, universe=without_level_4)
+        _family_width(4, "without_level_4", levels, (1 << slot_count(4)) - 1)
     assert (err.value.k_from, err.value.k_to) == (5, 4)
 
 
-def test_sperner_verdict_predicate_errors_are_attributed():
-    def no_two_edge_graphs(g):
-        if g.edge_count == 2:
-            raise KeyError(g.bits)
-        return True
-
-    with pytest.raises(RuntimeError, match="predicate failed on 3:3$"):
-        sperner_verdict(3, universe=no_two_edge_graphs)
-
-
 def test_sperner_verdict_falls_back_on_level_gap():
-    # no fallback is left: the gap that blocks chain_partition blocks the
-    # width verdict too, at the same first pair
-    universe = lambda g: g.edge_count != 2
+    # no fallback is left: the gap that blocks chain_partition's route
+    # blocks the width verdict's too, at the same first pair
+    levels = predicate_levels(3, lambda g: g.edge_count != 2)
+    full = (1 << slot_count(3)) - 1
     with pytest.raises(ChainPartitionError) as err:
-        chain_partition(3, universe=universe)
+        _glued_chains(_adjacency_route(full), levels)
     assert (err.value.k_from, err.value.k_to) == (3, 2)
     with pytest.raises(ChainPartitionError) as err:
-        sperner_verdict(3, universe=universe)
+        _family_width(3, "custom", levels, full)
     assert (err.value.k_from, err.value.k_to) == (3, 2)
-    _, levels = _universe_levels(3, universe, False)
     assert _level_sizes(levels) == {0: 1, 1: 3, 3: 1}
     assert family_dilworth_width(levels) == 3
 
@@ -1103,23 +1111,15 @@ def test_hamiltonian_bracket_route_agrees_with_adjacency_route(monkeypatch, n):
 def test_result_views_are_edge_sets_of_stored_bitmasks(family):
     violators = 0
     for n in range(1, 6):
-        m = slot_count(n)
-        levels = _level_bits(n, family)
-        for k in range(m + 1):
-            for direction, k_to in (("up", k + 1), ("down", k - 1)):
-                if not (0 <= k_to <= m and levels[k] and levels[k_to]):
-                    continue
-                res = adjacent_level_matching(n, k, direction, family)
-                assert res.pairs == tuple(
-                    (EdgeSet(n, a), EdgeSet(n, b)) for a, b in res.pair_bits
-                )
-                assert len(res.pair_bits) == res.matching_size
-                if res.violator_bits is None:
-                    assert res.violator is None
-                else:
-                    violators += 1
-                    assert res.violator == tuple(EdgeSet(n, b) for b in res.violator_bits)
-        if any(levels):
+        for res in level_matchings(n, family):
+            assert res.pairs == tuple((EdgeSet(n, a), EdgeSet(n, b)) for a, b in res.pair_bits)
+            assert len(res.pair_bits) == res.matching_size
+            if res.violator_bits is None:
+                assert res.violator is None
+            else:
+                violators += 1
+                assert res.violator == tuple(EdgeSet(n, b) for b in res.violator_bits)
+        if any(_level_bits(n, family)):
             part = chain_partition(n, family)
             assert part.chains == tuple(
                 tuple(EdgeSet(n, b) for b in chain) for chain in part.chain_bits

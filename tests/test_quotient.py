@@ -18,33 +18,40 @@ from connposet import (
     sperner_verdict,
 )
 from connposet.graphs import enumerate_level, level_census, slot_count
-from connposet.poset import ChainPartitionError, SpernerReport, _family_width, _universe_levels
+from connposet.poset import ChainPartitionError, SpernerReport, _family_width
 from connposet.quotient import (
     PROPERTY_BUILTINS,
     _connected_classes,
-    _covers_saturated,
     _lanes,
     _orbit,
     _property_closure,
     _property_plane,
-    contains_triangle,
-    is_two_edge_connected,
     relabel,
 )
 
 from conftest import (
     bits_edges,
     closure_and_minimal_levels,
+    contains_triangle,
     covers_one_level,
     dilworth_width,
     family_dilworth_width,
     host_subgraph_levels,
+    is_two_edge_connected,
     iso_classes_by_relabel,
     pairs_on,
+    predicate_levels,
     slot_sum_orbit,
     uf_connected_bits,
     uf_two_edge_connected,
 )
+
+# the per-graph reference of each built-in property
+PREDICATES = {
+    "hamiltonian": is_hamiltonian,
+    "two_edge_connected": is_two_edge_connected,
+    "contains_triangle": contains_triangle,
+}
 
 
 def core_against_dilworth(n, levels, full):
@@ -461,19 +468,37 @@ def test_contains_triangle_predicate():
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("prop", sorted(PROPERTY_BUILTINS))
 def test_property_planes_match_predicates(prop, n):
-    predicate = PROPERTY_BUILTINS[prop]
+    # the plane holds the per-mask reference's family, which is upward closed
+    m = slot_count(n)
+    members = {b for level in predicate_levels(n, PREDICATES[prop]) for b in level}
     plane = _property_plane(n, prop)
-    for bits in range(1 << slot_count(n)):
-        assert (plane >> bits & 1) == predicate(EdgeSet(n, bits)), (prop, EdgeSet(n, bits))
+    assert {b for b in range(1 << m) if plane >> b & 1} == members
+    assert all(b | 1 << s in members for b in members for s in range(m))
+    if members:
+        assert _property_closure(n, prop, False)[1]
 
 
-def assert_closure_matches_oracle(n, prop):
+def stand_in(monkeypatch, levels):
+    """Make the family that levels list stand in for the plane of every
+    built-in property, which _property_closure reads: the closure step then
+    runs on a family no built-in property gives."""
+    import connposet.quotient as quotient_mod
+
+    plane = sum(1 << b for level in levels for b in level)
+    monkeypatch.setattr(quotient_mod, "_property_plane", lambda n, prop: plane)
+
+
+def assert_closure_matches_oracle(monkeypatch, n, prop):
     """The closure step of property_poset_report, which runs before the
-    width and so also on a family whose levels do not glue."""
-    _, levels, upward_closed, _, minimal_levels = _property_closure(n, prop, False)
-    predicate = PROPERTY_BUILTINS[prop] if isinstance(prop, str) else prop
-    members = [b for b in range(1 << slot_count(n)) if predicate(EdgeSet(n, b))]
-    assert sorted(b for level in levels for b in level) == members
+    width and so also on a family whose levels do not glue.  A per-graph
+    predicate's family stands in for a built-in property's plane."""
+    levels = predicate_levels(n, PREDICATES.get(prop, prop))
+    if callable(prop):
+        stand_in(monkeypatch, levels)
+        prop = "hamiltonian"
+    closed_levels, upward_closed, minimal_levels = _property_closure(n, prop, False)
+    assert closed_levels == list(levels)
+    members = [b for level in levels for b in level]
     expected = closure_and_minimal_levels(members, slot_count(n))
     assert (upward_closed, minimal_levels) == expected, members
 
@@ -483,7 +508,9 @@ def test_hamiltonian_poset_n4():
     assert report.element_count == 10
     assert report.level_sizes == {4: 3, 5: 6, 6: 1}
     assert report.upward_closed
-    assert report.graded and report.covers_one_step
+    assert report.graded
+    # graded claims one-edge covers, which the oracle finds member by member
+    assert covers_one_level([b for level in predicate_levels(4, is_hamiltonian) for b in level])
     assert report.minimal_levels == (4,)
     assert report.width == 6 and report.max_level_k == 5
 
@@ -496,43 +523,45 @@ def test_hamiltonian_upward_closed_n5():
     assert report.width == 90 and report.max_level_k == 7
 
 
-def test_property_poset_custom_predicate():
-    report = property_poset_report(4, lambda g: g.edge_count >= 5)
+def test_property_poset_custom_predicate(monkeypatch):
+    # an upward-closed family that no built-in property gives, standing in
+    # for a property's plane, runs the whole report
+    stand_in(monkeypatch, predicate_levels(4, lambda g: g.edge_count >= 5))
+    report = property_poset_report(4, "hamiltonian")
     assert report.element_count == 7
     assert report.upward_closed and report.graded
 
 
-def test_property_poset_ungraded_family():
+def test_property_poset_ungraded_family(monkeypatch):
     # levels 2 and 4 only: every comparable pair jumps two levels with no
     # intermediate, so edge count is not a grading
-    prop = lambda g: g.edge_count in (2, 4)
-    _, levels, upward_closed, covers_one_step, minimal_levels = _property_closure(4, prop, False)
+    levels = predicate_levels(4, lambda g: g.edge_count in (2, 4))
+    stand_in(monkeypatch, levels)
+    closed_levels, upward_closed, minimal_levels = _property_closure(4, "hamiltonian", False)
+    assert closed_levels == list(levels)
     assert not upward_closed
-    assert not covers_one_step
+    assert not covers_one_level([b for level in levels for b in level])
     assert minimal_levels == (2,)
     # levels 2 and 4 tie, so K = 2, and level 4 has no level 3 to glue into
     assert family_dilworth_width(levels) == 15
     with pytest.raises(ChainPartitionError) as err:
-        property_poset_report(4, prop)
+        _family_width(4, "custom", levels, (1 << slot_count(4)) - 1)
     assert (err.value.k_from, err.value.k_to) == (4, 3)
 
 
-def test_property_poset_graded_but_not_upward_closed():
-    report = property_poset_report(4, lambda g: g.edge_count in (2, 3))
+def test_property_poset_graded_but_not_upward_closed(monkeypatch):
+    # every cover is a one-edge step, but the family is not upward closed,
+    # so the package does not call it graded: only an upward-closed family
+    # (every built-in property) is
+    levels = predicate_levels(4, lambda g: g.edge_count in (2, 3))
+    assert covers_one_level([b for level in levels for b in level])
+    stand_in(monkeypatch, levels)
+    report = property_poset_report(4, "hamiltonian")
     assert not report.upward_closed
-    assert report.covers_one_step and report.graded
+    assert not report.graded
     assert report.minimal_levels == (2,)
     assert report.level_sizes == {2: 15, 3: 20}
     assert report.width == 20 and report.max_level_k == 3
-
-
-@pytest.mark.parametrize("slots", [3, 6])
-def test_covers_saturated_matches_direct_covers(slots):
-    rng = random.Random(slots)
-    for _ in range(300):
-        density = rng.random()
-        members = [b for b in range(1 << slots) if rng.random() < density]
-        assert _covers_saturated(members, set(members)) == covers_one_level(members), members
 
 
 @pytest.mark.parametrize(
@@ -542,39 +571,42 @@ def test_covers_saturated_matches_direct_covers(slots):
         lambda g: g.edge_count in (2, 4),
         lambda g: g.edge_count in (2, 3),
         lambda g: g.edge_count == 6 or (g.edge_count == 3 and contains_triangle(g)),
-        *PROPERTY_BUILTINS.values(),  # as custom predicates
+        *PREDICATES.values(),  # as per-graph predicates
         *sorted(PROPERTY_BUILTINS),  # as planes
     ],
 )
 @pytest.mark.parametrize("n", [4, 5])
-def test_property_closure_matches_oracle_on_custom_predicates(prop, n):
-    assert_closure_matches_oracle(n, prop)
+def test_property_closure_matches_oracle_on_custom_predicates(monkeypatch, prop, n):
+    assert_closure_matches_oracle(monkeypatch, n, prop)
 
 
 @pytest.mark.parametrize("n", [3, 4])  # 3 and 6 slots
-def test_property_closure_matches_oracle_on_random_families(n):
+def test_property_closure_matches_oracle_on_random_families(monkeypatch, n):
     rng = random.Random(n)
     checked = 0
     while checked < 300:
         density = rng.random()
         members = {b for b in range(1 << slot_count(n)) if rng.random() < density}
         if members:
-            assert_closure_matches_oracle(n, lambda g: g.bits in members)
+            assert_closure_matches_oracle(monkeypatch, n, lambda g: g.bits in members)
             checked += 1
 
 
-def test_property_poset_triangles_below_complete():
+def test_property_poset_triangles_below_complete(monkeypatch):
     # the four triangles sit three levels below the complete graph with no
     # member in between, so the cover relation skips levels
-    prop = lambda g: g.edge_count == 6 or (g.edge_count == 3 and contains_triangle(g))
-    _, levels, upward_closed, covers_one_step, minimal_levels = _property_closure(4, prop, False)
-    assert sum(map(len, levels)) == 5
+    levels = predicate_levels(
+        4, lambda g: g.edge_count == 6 or (g.edge_count == 3 and contains_triangle(g))
+    )
+    stand_in(monkeypatch, levels)
+    closed_levels, upward_closed, minimal_levels = _property_closure(4, "hamiltonian", False)
+    assert sum(map(len, closed_levels)) == 5
     assert minimal_levels == (3,)
     assert not upward_closed
-    assert not covers_one_step
+    assert not covers_one_level([b for level in levels for b in level])
     assert family_dilworth_width(levels) == 4
     with pytest.raises(ChainPartitionError) as err:
-        property_poset_report(4, prop)
+        _family_width(4, "custom", levels, (1 << slot_count(4)) - 1)
     assert (err.value.k_from, err.value.k_to) == (6, 5)
 
 
@@ -584,29 +616,26 @@ def test_property_poset_triangles_below_complete():
     + [("two_edge_connected", 1)],
 )
 def test_property_chain_route_agrees_with_dilworth(prop, n):
-    _, levels = _universe_levels(n, PROPERTY_BUILTINS[prop], False)
+    levels = predicate_levels(n, PREDICATES[prop])
     width = core_against_dilworth(n, levels, (1 << slot_count(n)) - 1)
     assert property_poset_report(n, prop).width == width
 
 
-def test_property_poset_width_budget():
-    # all 32,768 graphs on [6]: the chain route would succeed, but the
-    # explorer keeps its 30,000-element width budget
-    with pytest.raises(BudgetExceededError):
-        property_poset_report(6, lambda g: True)
+def test_property_poset_width_budget(monkeypatch):
+    # no built-in property on [6] exceeds the 30,000-element budget (the
+    # largest, contains_triangle, has 26,979 members), so the check is
+    # tried on a lower budget: the 218 Hamiltonian graphs on [5] exceed 100
+    from connposet import limits
+
+    monkeypatch.setattr(limits, "WIDTH_DEFAULT_MAX_ELEMENTS", 100)
+    with pytest.raises(BudgetExceededError, match="over 218 elements"):
+        property_poset_report(5, "hamiltonian")
+    assert property_poset_report(5, "hamiltonian", budget_override=True).element_count == 218
 
 
 def test_property_poset_rejects_unknown():
     with pytest.raises(ValueError):
         property_poset_report(4, "chromatic")
-
-
-def test_property_predicate_errors_are_attributed():
-    def boom(g):
-        raise RuntimeError("nope")
-
-    with pytest.raises(RuntimeError, match="predicate failed on"):
-        property_poset_report(3, boom)
 
 
 def test_two_edge_connected_property_poset():
