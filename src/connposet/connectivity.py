@@ -16,14 +16,15 @@ two-vertex single edge is not (the edge is a bridge).
 from __future__ import annotations
 
 import json
-from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from math import factorial
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import (
     _byte_tables,
     _component_masks,
     _iter_bits,
     _leaving_planes,
+    _orbit,
     _plane_members,
     _planes,
     _reach_planes,
@@ -361,57 +362,32 @@ def doubled_star(q: int) -> MultiGraph:
     return MultiGraph(q, tuple((1, v, 2) for v in range(2, q + 1)))
 
 
-def _exact_theta(q: int, pairs: Sequence[tuple[int, int]], mults: Sequence[int]) -> bool | None:
-    """None unless the edge copies form exactly a theta: branch vertices a, b
-    of degree 3 joined by three internally disjoint paths, every other
-    vertex of degree 2 or 0.  Else whether a and b are adjacent."""
-    near: list[list[int]] = [[] for _ in range(q + 1)]
-    for (u, v), mult in zip(pairs, mults):
-        near[u] += [v] * mult
-        near[v] += [u] * mult
-    branch = [v for v, vs in enumerate(near) if len(vs) == 3]
-    if len(branch) != 2 or any(len(vs) not in (0, 2, 3) for vs in near):
-        return None
-    a, b = branch
-    length = 0
-    for w in near[a]:  # each path from a, through vertices of degree 2
-        prev, length = a, length + 1
-        while len(near[w]) == 2:
-            prev, w, length = w, near[w][near[w][0] == prev], length + 1
-        if w != b:
-            return None
-    return b in near[a] if length == sum(mults) else None
+def _pattern(q: int, lane: int) -> MultiGraph:
+    """The multigraph of a multiplicity pattern packed as in _lanes(q, 2):
+    pair s has bit 2s for its first copy and 2s + 1 for its second."""
+    pairs = _slot_pairs(q)
+    return MultiGraph(q, ((*pairs[s], (lane >> 2 * s & 3).bit_count())
+                          for s in range(len(pairs)) if lane >> 2 * s & 3))
 
 
-def _chorded_walk(q: int, pairs: list[tuple[int, int]], weight: list[int],
-                  base: int) -> tuple[list[list[int]], bytearray]:
-    """The chorded-cycle-free patterns (digits < base, index sum(digit *
-    weight)) on the pairs of [q] by edge total, and the cactus flags.  A
-    child raises its parent's last nonzero digit or a later one.  Both
-    predicates are hereditary, so a child whose lower covers all pass fails
-    only if its edges form exactly a theta, joined at its branch vertices
-    for a chorded cycle."""
-    free_ok = bytearray(base ** len(pairs))
-    cactus_ok = bytearray(len(free_ok))
-    free_ok[0] = cactus_ok[0] = 1
-    layers = [[0]]
-    while layers[-1]:
-        layers.append([])
-        for parent in layers[-2]:
-            digits = [parent // w % base for w in weight]
-            held = [j for j, d in enumerate(digits) if d]
-            for i in range(held[-1] if held else 0, len(pairs)):
-                child = parent + weight[i]
-                lower = [child - weight[j] for j in held if j != i]
-                if digits[i] == base - 1 or not all(map(free_ok.__getitem__, lower)):
-                    continue
-                theta = _exact_theta(q, pairs, digits[:i] + [digits[i] + 1] + digits[i + 1:])
-                if cactus_ok[parent] and all(map(cactus_ok.__getitem__, lower)):
-                    cactus_ok[child] = theta is None
-                if not theta:
-                    free_ok[child] = 1
-                    layers[-1].append(child)
-    return layers, cactus_ok
+def _free_classes(q: int) -> Iterator[tuple[int, int, int]]:
+    """The chorded-cycle-free isomorphism classes of multiplicity patterns
+    (multiplicities <= 2) on [q], breadth first by edge total: per class its
+    key, the smallest lane of its orbit, its edge total and the number of
+    relabellings that fix the key.  Chorded-cycle-freeness is hereditary, so
+    every free class is a free class plus one edge copy."""
+    layer, total, slots = {0: factorial(q)}, 0, range(len(_slot_pairs(q)))
+    while layer:
+        yield from ((key, total, fixed) for key, fixed in layer.items())
+        tried: dict[int, int] = {}
+        for parent in layer:
+            for s in slots:
+                if (copies := parent >> 2 * s & 3) < 2:
+                    orbit = _orbit(parent | copies + 1 << 2 * s, q, 2)
+                    if (key := min(orbit)) not in tried:
+                        tried[key] = (is_chorded_cycle_free(_pattern(q, key))
+                                      and orbit.tolist().count(key))
+        layer, total = {key: fixed for key, fixed in tried.items() if fixed}, total + 1
 
 
 def chorded_cycle_sweep(q_max: int = 5) -> dict:
@@ -427,21 +403,25 @@ def chorded_cycle_sweep(q_max: int = 5) -> dict:
     # a pair at multiplicity 3 is a 2-cycle plus a chord and also a
     # non-cycle block, so both predicates reject it: only the patterns with
     # every multiplicity <= 2 are walked, the rest just counted
-    base = 3
     for q in range(1, q_max + 1):
-        pairs = list(combinations(range(1, q + 1), 2))
-        weight = [base ** i for i in reversed(range(len(pairs)))]
-        layers, cactus_ok = _chorded_walk(q, pairs, weight, base)
+        # slots in the order `product` over `combinations` lists the pairs
+        order = sorted(range(len(_slot_pairs(q))), key=_slot_pairs(q).__getitem__)
+        found: dict[str, set[int]] = {"mismatches": set(), "bound_violations": set()}
+        free = 0
+        for key, total, fixed in _free_classes(q):
+            free += factorial(q) // fixed
+            for name, flagged in (("mismatches", not is_cactus(_pattern(q, key))),
+                                  ("bound_violations", total > 2 * q - 2)):
+                if flagged:
+                    found[name].update(_orbit(key, q, 2))
         # reported by index, as `product` over the pairs lists them
-        for key, found in (("mismatches", [x for k in layers for x in k if not cactus_ok[x]]),
-                           ("bound_violations", [x for k in layers[2 * q - 1:] for x in k])):
-            results[key] += [MultiGraph(q, tuple((u, v, c) for (u, v), w in zip(pairs, weight)
-                                                 if (c := x // w % base))).to_json()
-                             for x in sorted(found)]
+        for name, lanes in found.items():
+            results[name] += [_pattern(q, lane).to_json() for lane in sorted(
+                lanes, key=lambda lane: [lane >> 2 * s & 3 for s in order])]
         star = doubled_star(q)
         results["per_q"][q] = {
             "multigraphs": 4 ** (q * (q - 1) // 2),
-            "chorded_cycle_free": sum(map(len, layers)),
+            "chorded_cycle_free": free,
             "doubled_star_edges": star.edge_total,
             "doubled_star_tight": q < 2
             or (star.edge_total == 2 * q - 2 and is_chorded_cycle_free(star)),

@@ -14,7 +14,10 @@ stream deterministic and restartable.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
+from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .limits import TYPE_MAX_N, check_census_budget, check_scan_budget
@@ -52,6 +55,39 @@ def slot_edge(slot: int, n: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def _slot_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for j in range(2, n + 1) for i in range(1, j))
+
+
+@lru_cache(maxsize=None)
+def _lanes(n: int, copies: int = 1) -> tuple[str, int, tuple[int, ...]]:
+    """The orbit table of [n] for up to `copies` edge copies per pair: the
+    copy c of slot s is bit copies * s + c, and its column is one int whose
+    lane p holds the image bit under the p-th permutation of [n] (in
+    itertools.permutations order).  A lane is the smallest array item of
+    16, 32 or 64 bits that holds copies * m bits.  Returns the item code,
+    the byte length of a column and the columns, by bit."""
+    pairs = _slot_pairs(n)
+    code = next(c for c in "HIQ" if 8 * array(c).itemsize >= copies * len(pairs))
+    bit_of = {}
+    for s, (i, j) in enumerate(pairs):
+        bit_of[i, j] = bit_of[j, i] = 1 << copies * s
+    perms = list(permutations(range(1, n + 1)))
+    columns = tuple(
+        int.from_bytes(array(code, [bit_of[p[i - 1], p[j - 1]] << c for p in perms]),
+                       sys.byteorder)
+        for i, j in pairs for c in range(copies)
+    )
+    return code, len(perms) * array(code).itemsize, columns
+
+
+def _orbit(bits: int, n: int, copies: int = 1) -> memoryview:
+    """A graph (or, with copies = 2, a pattern of edge multiplicities up to
+    2) relabeled by every permutation of [n], one lane each, repeats
+    included: the OR of its bits' columns, read back lane by lane."""
+    code, size, columns = _lanes(n, copies)
+    lanes = 0
+    for b in _iter_bits(bits):
+        lanes |= columns[b]
+    return memoryview(lanes.to_bytes(size, sys.byteorder)).cast(code)
 
 
 class _EdgeSetFields(NamedTuple):

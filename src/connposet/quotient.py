@@ -20,7 +20,6 @@ graphs stay connected.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from collections import Counter
 from functools import lru_cache
@@ -33,6 +32,7 @@ from .graphs import (
     _connected_bits,
     _family_plane,
     _iter_bits,
+    _orbit,
     _plane_members,
     _planes,
     _slot_pairs,
@@ -50,36 +50,6 @@ from .poset import (
     _searched,
     check_matching_certificate,
 )
-
-
-@lru_cache(maxsize=None)
-def _lanes(n: int) -> tuple[str, int, tuple[int, ...]]:
-    """The orbit table of [n]: per slot s one int, whose lane p holds the
-    image slot bit of s under the p-th permutation of [n] (in
-    itertools.permutations order).  A lane is an array item, 16 bits while
-    m <= 16 and 32 bits up to m = 28.  Returns the item code, the byte
-    length of a column and the columns."""
-    pairs = _slot_pairs(n)
-    code = "H" if len(pairs) <= 16 else "I"
-    bit_of = {}
-    for s, (i, j) in enumerate(pairs):
-        bit_of[i, j] = bit_of[j, i] = 1 << s
-    perms = list(permutations(range(1, n + 1)))
-    columns = tuple(
-        int.from_bytes(array(code, [bit_of[p[i - 1], p[j - 1]] for p in perms]), sys.byteorder)
-        for i, j in pairs
-    )
-    return code, len(perms) * array(code).itemsize, columns
-
-
-def _orbit(bits: int, n: int) -> memoryview:
-    """A graph relabeled by every permutation of [n], one lane each, repeats
-    included: the OR of its slots' columns, read back lane by lane."""
-    code, size, columns = _lanes(n)
-    lanes = 0
-    for s in _iter_bits(bits):
-        lanes |= columns[s]
-    return memoryview(lanes.to_bytes(size, sys.byteorder)).cast(code)
 
 
 def relabel(g: EdgeSet, perm: dict[int, int]) -> EdgeSet:

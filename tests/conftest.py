@@ -7,7 +7,8 @@ time instead of phases, cycle enumeration instead of the per-edge Menger
 test and the spanning-forest cactus test, a counting recurrence instead of
 bit planes, a hash index instead of a dense rank, per-mask retests instead
 of bit planes, per-graph canonical forms instead of one orbit expansion per
-class, a sum of image slots per permutation instead of lane-packed columns,
+class, a sum of image slots per permutation and a relabel-by-relabel
+minimum of packed multiplicity patterns instead of lane-packed columns,
 a bracket stack walk instead of a chunk table, one deletion at a time
 instead of shifted planes for the shadow) so the two sides of every
 check share no code path.  The exceptions are `pattern_verdicts` and
@@ -238,7 +239,7 @@ def irk_table_by_retest(n):
 def chorded_sweep_all_patterns(q_max, mult_max):
     """The result of connectivity.chorded_cycle_sweep with both predicates
     called on every multiplicity pattern (multiplicities <= min(mult_max, 2),
-    read from `pattern_verdicts`), not only where every lower cover passed."""
+    read from `pattern_verdicts`), not once per isomorphism class."""
     from connposet.connectivity import MultiGraph, doubled_star, is_chorded_cycle_free
 
     results = {"per_q": {}, "bound_violations": [], "mismatches": []}
@@ -474,6 +475,26 @@ def cycles_edge_disjoint(q, edges):
             seen.add(cycle)
             covered |= cycle
     return True
+
+
+def packed_pattern(q, mults):
+    """A multiplicity pattern (multiplicities <= 2 on the pairs of [q] in
+    `combinations` order) packed two bits a pair at the pair's slot s: bit
+    2s for its first copy, 2s + 1 for its second."""
+    slot = {pair: s for s, pair in enumerate(pairs_on(q))}
+    return sum(((1 << c) - 1) << 2 * slot[pair]
+               for pair, c in zip(combinations(range(1, q + 1), 2), mults))
+
+
+def relabel_min_key(q, mults):
+    """The smallest packed pattern over all q! relabellings of a
+    multiplicity pattern, each relabelled pair by pair."""
+    pair_list = list(combinations(range(1, q + 1), 2))
+    mult_of = dict(zip(pair_list, mults))
+    return min(
+        packed_pattern(q, [mult_of[tuple(sorted((p[i - 1], p[j - 1])))] for i, j in pair_list])
+        for p in permutations(range(1, q + 1))
+    )
 
 
 @lru_cache(maxsize=None)

@@ -203,12 +203,12 @@ def test_sweeps_exit_2_over_budget(lemma, args):
     assert f"budget error: full scan at n={args[1]} exceeds the budget" in proc.stderr
 
 
-@pytest.mark.parametrize("args", [("--q-max", "7"), ("--q-max", "8", "--budget-override")])
+@pytest.mark.parametrize("args", [("--q-max", "8"), ("--q-max", "9", "--budget-override")])
 def test_chorded_exits_2_over_budget(args):
     proc = run_cli("lemma", "chorded", *args, expect=2)
     assert proc.stdout == ""
     assert proc.stderr.startswith(
-        f"budget error: chorded-cycle sweep at q={args[1]} exceeds the budget of q<=6"
+        f"budget error: chorded-cycle sweep at q={args[1]} exceeds the budget of q<=7"
     )
 
 

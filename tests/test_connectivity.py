@@ -1,6 +1,8 @@
 import json
 import pickle
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,15 +10,24 @@ from hypothesis import given, strategies as st
 from connposet import EdgeSet, MultiGraph, is_cactus, is_chorded_cycle_free
 from connposet.connectivity import (
     _bits_at,
-    _exact_theta,
+    _free_classes,
     _part_codes,
+    _pattern,
     _split_planes,
     chorded_cycle_sweep,
     doubled_star,
     removability_findings,
     skeleton_findings,
 )
-from connposet.graphs import _component_masks, _plane_members, _planes, enumerate_level, slot_count
+from connposet.graphs import (
+    _component_masks,
+    _lanes,
+    _orbit,
+    _plane_members,
+    _planes,
+    enumerate_level,
+    slot_count,
+)
 from connposet.limits import CHORDED_MAX_Q, BudgetExceededError
 
 from conftest import (
@@ -28,8 +39,10 @@ from conftest import (
     cycle_chord_free,
     cycles_edge_disjoint,
     is_two_edge_connected,
+    packed_pattern,
     pairs_on,
     pattern_verdicts,
+    relabel_min_key,
     removability_findings_by_walk,
     removal_walk,
     skeleton_findings_by_walk,
@@ -380,7 +393,8 @@ def test_chorded_cycle_sweep_small():
 @pytest.mark.parametrize("q", range(1, 5))
 def test_chorded_predicates_hold_on_every_lower_cover(q):
     # the assumption chorded_cycle_sweep's walk relies on: a pattern that
-    # passes passes with any one edge fewer
+    # passes passes with any one edge fewer, so every free class is reached
+    # from a free class
     pairs = list(combinations(range(1, q + 1), 2))
 
     def multigraph(mults):
@@ -405,35 +419,58 @@ def test_chorded_cycle_sweep_q5_count():
     assert chorded_cycle_sweep(5)["per_q"][5]["chorded_cycle_free"] == 4003
 
 
-@pytest.mark.parametrize("q", range(1, 6))
-def test_exact_theta_decides_where_every_lower_cover_passes(q):
-    # the walk's classifier against both predicates on every pattern
-    # (multiplicities <= 2) whose lower covers all pass the predicate
+@pytest.mark.parametrize("q", range(1, 5))
+def test_class_keys_are_the_relabel_minimum(q):
+    # every pattern: its lane key is the brute-force minimum, it unpacks to
+    # its multigraph, and q! over the lanes equal to the key counts the
+    # patterns of its class, so the orbit sizes partition all 3^C(q,2)
     pairs = list(combinations(range(1, q + 1), 2))
-    verdicts = pattern_verdicts(q)
-    seen = set()
-    for mults, (free, cactus) in verdicts.items():
-        lower = [verdicts[mults[:i] + (c - 1,) + mults[i + 1:]] for i, c in enumerate(mults) if c]
-        theta = _exact_theta(q, pairs, mults)
-        if all(f for f, _ in lower):
-            assert free == (not theta), mults
-            seen.add(theta)
-        if all(c for _, c in lower):
-            assert cactus == (theta is None), mults
-    # at q = 5 both obstructions occur: a chorded theta and K_{2,3}
-    assert seen == ({None, True, False} if q == 5 else {None, True} if q > 2 else {None})
+    keys, sizes = Counter(), {}
+    for mults in product(range(3), repeat=len(pairs)):
+        packed = packed_pattern(q, mults)
+        lanes = _orbit(packed, q, 2).tolist()
+        key = min(lanes)
+        assert key == relabel_min_key(q, mults), mults
+        assert _pattern(q, packed) == MultiGraph(
+            q, tuple((u, v, c) for (u, v), c in zip(pairs, mults) if c))
+        keys[key] += 1
+        sizes[key] = factorial(q) // lanes.count(key)
+    assert keys == sizes and sum(sizes.values()) == 3 ** len(pairs)
+
+
+@given(st.sampled_from([5, 6, 7]).flatmap(
+    lambda q: st.tuples(st.just(q), st.lists(st.integers(0, 2), min_size=comb(q, 2),
+                                             max_size=comb(q, 2)))))
+def test_class_key_is_the_relabel_minimum_q5_q7(drawn):
+    q, mults = drawn
+    # 2 * C(q, 2) bits: 32-bit lanes up to q = 6, 64-bit lanes at q = 7
+    assert _lanes(q, 2)[0] == ("I" if q < 7 else "Q")
+    assert min(_orbit(packed_pattern(q, mults), q, 2)) == relabel_min_key(q, mults)
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_free_classes_are_the_free_patterns_by_class(q):
+    # the walk yields each class of chorded-cycle-free patterns once, by
+    # edge total, with q! over its fixed relabellings as its pattern count
+    classes = Counter()
+    for mults, (free, _) in pattern_verdicts(q).items():
+        if free:
+            classes[relabel_min_key(q, mults), sum(mults)] += 1
+    walked = list(_free_classes(q))
+    assert [total for _, total, _ in walked] == sorted(total for _, total, _ in walked)
+    assert {(key, total): factorial(q) // fixed for key, total, fixed in walked} == classes
+    assert len(walked) == len(classes)
 
 
 @pytest.mark.parametrize("q_max", [CHORDED_MAX_Q + 1, CHORDED_MAX_Q + 2])
 def test_chorded_sweep_checks_the_budget_before_any_pattern(monkeypatch, q_max):
-    # q = 7 would allocate 2 x 10.46 GB: the refusal must come before the
-    # walk allocates its flag tables at q = 1
+    # the refusal must come before the walk starts its first class at q = 1
     import connposet.connectivity as connectivity
 
-    def no_walk(q, pairs, weight, base):
+    def no_walk(q):
         raise AssertionError(f"patterns started at q={q}")
 
-    monkeypatch.setattr(connectivity, "_chorded_walk", no_walk)
+    monkeypatch.setattr(connectivity, "_free_classes", no_walk)
     with pytest.raises(BudgetExceededError, match=f"chorded-cycle sweep at q={q_max} exceeds"):
         chorded_cycle_sweep(q_max)
     with pytest.raises(AssertionError, match="patterns started at q=1"):

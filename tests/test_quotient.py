@@ -17,13 +17,11 @@ from connposet import (
     quotient_sperner,
     sperner_verdict,
 )
-from connposet.graphs import enumerate_level, level_census, slot_count
+from connposet.graphs import _lanes, _orbit, enumerate_level, level_census, slot_count
 from connposet.poset import ChainPartitionError, SpernerReport, _family_width
 from connposet.quotient import (
     PROPERTY_BUILTINS,
     _connected_classes,
-    _lanes,
-    _orbit,
     _property_closure,
     _property_plane,
     relabel,
