@@ -97,8 +97,12 @@ def ext_binom(x: float, k: int) -> LogValue:
         return LogValue(float("-inf"), 0)
     if float(x).is_integer():
         return LogValue.from_int(comb(int(round(x)), k))
-    log2v = sum(log2(x - i) for i in range(k)) - _log2_factorial(k)
-    return LogValue(log2v)
+    # a plain left-to-right loop, not sum(): from Python 3.12 on, sum() of
+    # floats is compensated, which changes the last digits between versions
+    log2v = 0.0
+    for i in range(k):
+        log2v += log2(x - i)
+    return LogValue(log2v - _log2_factorial(k))
 
 
 def binom_inverse(target, k: int) -> float:
@@ -527,6 +531,8 @@ def i_r_census(n: int, epsilon: float = 1.0, budget_override: bool = False) -> I
     _check_epsilon(epsilon)
     check_scan_budget(n, budget_override)
     m = slot_count(n)
+    if _threshold(n, n, epsilon) == math.inf:  # the largest threshold, at r = n
+        raise ValueError(f"--epsilon {epsilon} is too large: epsilon*r*n overflows at r = n = {n}")
     M = (m + 1) // 2
     planes = _planes(n)
     two = planes.two_edge_connected

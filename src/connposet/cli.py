@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     def family(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         # the lemmas and the explorers fix their own universes and take no --family
         p.add_argument("--family", default="connected",
-                       help="graph family: connected | all | two_edge_connected")
+                       help="graph family: connected | all | two_edge_connected | "
+                            "hamiltonian | contains_triangle")
         return p
 
     # the family subcommands take no tolerance or sample, and only

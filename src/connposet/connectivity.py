@@ -53,6 +53,8 @@ class MultiGraph(_MultiGraphFields):
     __slots__ = ()
 
     def __new__(cls, q: int, edges: Iterable[tuple[int, int, int]]) -> "MultiGraph":
+        if type(q) is not int or q < 1:
+            raise ValueError(f"vertex count q must be an int >= 1, got {q!r}")
         edges = tuple(sorted(edges))
         seen = set()
         for u, v, mult in edges:
@@ -89,8 +91,11 @@ class MultiGraph(_MultiGraphFields):
 
     @classmethod
     def from_json(cls, text: str) -> "MultiGraph":
-        data = json.loads(text)
-        return cls(data["q"], tuple(tuple(e) for e in data["edges"]))
+        try:
+            data = json.loads(text)
+            return cls(data["q"], tuple(tuple(e) for e in data["edges"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed MultiGraph JSON form: {text!r}") from exc
 
 
 def is_chorded_cycle_free(h: MultiGraph) -> bool:

@@ -17,12 +17,12 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .limits import TYPE_MAX_N, check_census_budget, check_scan_budget
 
-FAMILIES = ("all", "connected", "two_edge_connected")
+FAMILIES = ("all", "connected", "two_edge_connected", "hamiltonian", "contains_triangle")
 
 
 def slot_count(n: int) -> int:
@@ -373,13 +373,29 @@ def _two_edge_connected_plane(
     return two
 
 
+@lru_cache(maxsize=None)
 def _family_plane(n: int, family: str) -> int:
-    """The plane of a built-in family; n above the override limit is always
-    refused, and callers enforce the public budget."""
+    """The plane of a family; n above the override limit is always refused,
+    and callers enforce the public budget.  A triangle is E_ab & E_bc & E_ac;
+    a Hamiltonian cycle is the AND of its n slot planes, listed once as
+    1, perm with perm[0] < perm[-1]."""
     _check_family(family)
     check_scan_budget(n, override=True)
     planes = _planes(n)
-    return planes.ones if family == "all" else getattr(planes, family)
+    if family in ("all", "connected", "two_edge_connected"):
+        return planes.ones if family == "all" else getattr(planes, family)
+    edge = dict(zip(_slot_pairs(n), planes.slots))
+    if family == "contains_triangle":
+        cycles = combinations(range(1, n + 1), 3)
+    else:
+        cycles = [(1, *p) for p in permutations(range(2, n + 1)) if n > 2 and p[0] < p[-1]]
+    plane = 0
+    for cycle in cycles:
+        graphs = planes.ones
+        for pair in zip(cycle, cycle[1:] + cycle[:1]):
+            graphs &= edge[min(pair), max(pair)]
+        plane |= graphs
+    return plane
 
 
 def _byte_tables(planes: Sequence[int], width: int) -> list[bytes]:
@@ -427,7 +443,11 @@ def _shadow_plane(slots: Sequence[int], plane: int) -> int:
 def _census_counts(n: int, family: str, split: int = _CHUNK_N) -> list[int]:
     """Per-level counts of a family, one chunk at a time: each chunk is one
     plane of the universe on min(n, split) vertices, with the slots above it
-    fixed to the bits of the chunk index."""
+    fixed to the bits of the chunk index.  The cycle families count from
+    their one plane, so n = 8 is refused for them before any chunk."""
+    if family in ("hamiltonian", "contains_triangle"):
+        plane = _family_plane(n, family)
+        return [(plane & level).bit_count() for level in _planes(n).levels]
     low = _planes(min(n, split))
     top = slot_count(n) - len(low.slots)
     counts = [0] * (slot_count(n) + 1)

@@ -16,9 +16,9 @@ SCAN_OVERRIDE_MAX_N = 7
 CENSUS_OVERRIDE_MAX_N = 8
 
 # Element budget of the explorers' width verdicts (cprime_sperner and
-# property_poset_report), which list every member of a host's or a built-in
-# property's family; it admits the 26,704 connected graphs on [6] and every
-# built-in property on [6], the largest being contains_triangle's 26,979.
+# property_poset_report), which list every member of a host's family or a
+# named one; it admits every family on [6] but `all`'s 32,768 graphs, the
+# largest being contains_triangle's 26,979.
 WIDTH_DEFAULT_MAX_ELEMENTS = 30_000
 
 # Exact canonical labeling enumerates all n! relabelings.

@@ -5,8 +5,8 @@ Three exploration surfaces:
 * the quotient of the connected poset by graph isomorphism, built from
   exact canonical forms (lexicographic minimum over all n! relabelings);
 * the poset of spanning connected subgraphs of one fixed host graph;
-* posets of the graphs on [n] with a built-in property, each held as one
-  plane read from the universe planes, with the grading itself verified
+* posets of the graphs on [n] in a family of graphs.FAMILIES, each held as
+  one plane read from the universe planes, with the grading itself verified
   instead of assumed.
 
 The last two are families of edge bitmasks graded by edge count and share
@@ -23,11 +23,12 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import NamedTuple
 
 from .graphs import (
     EdgeSet,
+    _check_family,
     _check_n,
     _connected_bits,
     _family_plane,
@@ -35,7 +36,6 @@ from .graphs import (
     _orbit,
     _plane_members,
     _planes,
-    _slot_pairs,
     _span_planes,
     _vertex_adjacency,
     slot_count,
@@ -239,31 +239,6 @@ def is_hamiltonian(g: EdgeSet) -> bool:
     return False
 
 
-PROPERTY_BUILTINS = ("hamiltonian", "two_edge_connected", "contains_triangle")
-
-
-@lru_cache(maxsize=None)
-def _property_plane(n: int, name: str) -> int:
-    """The plane of a built-in property; callers enforce the scan budget.  A
-    triangle is E_ab & E_bc & E_ac; a Hamiltonian cycle is the AND of its n
-    slot planes, listed once as 1, perm with perm[0] < perm[-1]."""
-    planes = _planes(n)
-    if name == "two_edge_connected":
-        return planes.two_edge_connected
-    edge = dict(zip(_slot_pairs(n), planes.slots))
-    if name == "contains_triangle":
-        cycles = list(combinations(range(1, n + 1), 3))
-    else:
-        cycles = [(1, *p) for p in permutations(range(2, n + 1)) if n > 2 and p[0] < p[-1]]
-    family = 0
-    for cycle in cycles:
-        graphs = planes.ones
-        for pair in zip(cycle, cycle[1:] + cycle[:1]):
-            graphs &= edge[min(pair), max(pair)]
-        family |= graphs
-    return family
-
-
 class PropertyPosetReport(NamedTuple):
     """Gradedness and width data for the graphs on [n] with a property."""
 
@@ -286,8 +261,8 @@ class PropertyPosetReport(NamedTuple):
 def property_poset_report(
     n: int, prop: str = "hamiltonian", budget_override: bool = False
 ) -> PropertyPosetReport:
-    """Explore the poset of the graphs on [n] with a built-in property, one
-    of PROPERTY_BUILTINS.
+    """Explore the poset of the graphs on [n] in a family, one of
+    graphs.FAMILIES.
 
     _property_closure lists the family by level and verifies its grading;
     the width is _family_width's, so a level pair that cannot be glued
@@ -310,19 +285,17 @@ def property_poset_report(
 def _property_closure(
     n: int, prop: str, budget_override: bool
 ) -> tuple[list[tuple[int, ...]], bool, tuple[int, ...]]:
-    """The levels of a built-in property's family, with the family's
-    upward_closed and minimal_levels.
+    """The levels of a family, with its upward_closed and minimal_levels.
 
     Gradedness by edge count is verified, not assumed: the poset is graded
     iff every cover relation is a one-edge step and all minimal elements
-    share one edge count.  The family is one plane F, _property_plane's.
+    share one edge count.  The family is one plane F, _family_plane's.
     The superset transform Up of F gives the graphs above a member; F is
     upward closed iff Up == F, which makes every cover a one-edge step.
     """
-    if prop not in PROPERTY_BUILTINS:
-        raise ValueError(f"unknown property {prop!r}; built-ins: {sorted(PROPERTY_BUILTINS)}")
+    _check_family(prop)
     check_scan_budget(n, budget_override)
-    family = _property_plane(n, prop)
+    family = _family_plane(n, prop)
     if not family:
         raise ValueError(f"property {prop!r} is empty on [{n}]")
     check_width_budget(family.bit_count(), budget_override)

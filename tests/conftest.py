@@ -102,6 +102,12 @@ def predicate_levels(n, pred):
     return tuple(map(tuple, levels))
 
 
+# the (n, family) pairs of graphs.FAMILIES with no member: no graph on [2]
+# is two-edge-connected, and no graph on [1] or [2] holds a cycle
+EMPTY_FAMILIES = {(2, "two_edge_connected"),
+                  *((n, f) for n in (1, 2) for f in ("hamiltonian", "contains_triangle"))}
+
+
 def contains_triangle(g):
     """Whether an EdgeSet holds all three edges of some triple of vertices."""
     edges = set(bits_edges(g.n, g.bits))

@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
-from connposet.graphs import enumerate_level
+from connposet.graphs import FAMILIES, enumerate_level
 
-from conftest import connected_census
+from conftest import EMPTY_FAMILIES, connected_census
 
 
 def run_cli(*args, expect=0):
@@ -32,8 +32,8 @@ def test_sperner_json():
 
 
 @pytest.mark.parametrize("n,family", [
-    (n, family) for n in range(1, 6) for family in ("connected", "all", "two_edge_connected")
-    if (n, family) != (2, "two_edge_connected")  # an empty family has no width
+    (n, family) for n in range(1, 6) for family in FAMILIES
+    if (n, family) not in EMPTY_FAMILIES  # an empty family has no width
 ])
 def test_sperner_antichain_is_the_largest_level(capsys, n, family):
     from connposet import cli
@@ -495,6 +495,7 @@ def test_every_subcommand_rejects_vertex_count(command, n):
         (("lemma", "shadow-ratio", "--n", "4", "--epsilon", "0"), "epsilon must be finite"),
         (("lemma", "shadow-ratio", "--n", "4", "--epsilon", "-1"), "epsilon must be finite"),
         (("lemma", "shadow-ratio", "--n", "4", "--epsilon", "nan"), "epsilon must be finite"),
+        (("lemma", "irk", "--n", "3", "--epsilon", "1e308"), "--epsilon 1e+308 is too large"),
     ],
 )
 def test_non_finite_or_out_of_range_reals_exit_2(args, problem):
@@ -507,7 +508,30 @@ def test_non_finite_or_out_of_range_reals_exit_2(args, problem):
 def test_unknown_family_names_the_choices(command):
     proc = run_cli(command, "--family", "bogus", expect=2)
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: unknown family 'bogus'; expected one of (")
+    assert proc.stderr == f"error: unknown family 'bogus'; expected one of {FAMILIES}\n"
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_sperner_hamiltonian_matches_explore_hamiltonian(capsys, n):
+    # the two commands read the one Hamiltonian plane
+    from connposet import cli
+
+    docs = []
+    for argv in (["sperner", "--family", "hamiltonian"], ["explore", "hamiltonian"]):
+        assert cli.main([*argv, "--n", str(n)]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    sperner, explore = docs
+    assert (sperner["width"], sperner["max_level_k"]) == (explore["width"], explore["max_level_k"])
+    assert sperner["level_sizes"] == explore["level_sizes"]
+
+
+@pytest.mark.parametrize("family", ["hamiltonian", "contains_triangle"])
+def test_census_n8_refuses_the_cycle_families(family):
+    # they count from one plane of the 2^28 graphs, which is over the scan
+    # budget, not chunk by chunk as the other families do
+    proc = run_cli("census", "--n", "8", "--family", family, "--budget-override", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget error: ")
 
 
 def test_census_n8_matches_recurrence():

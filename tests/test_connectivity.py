@@ -276,6 +276,29 @@ def test_multigraph_from_pairs_and_json():
     assert json.loads(h.to_json()) == {"q": 3, "edges": [[1, 2, 2], [2, 3, 1]]}
 
 
+@pytest.mark.parametrize("q", [0, -1, "2", 2.0, True, None])
+def test_multigraph_refuses_a_vertex_count_that_is_no_positive_int(q):
+    with pytest.raises(ValueError, match="vertex count q must be an int >= 1"):
+        MultiGraph(q, ())
+
+
+@pytest.mark.parametrize("text", [
+    '{"q": "2", "edges": []}',
+    '{"q": 0, "edges": []}',
+    "{}",
+    '{"q": 2}',
+    "[1]",
+    "3",
+    "not json",
+    '{"q": 2, "edges": [[1, 2]]}',
+    '{"q": 2, "edges": [["1", 2, 1]]}',
+    '{"q": 2, "edges": [1]}',
+])
+def test_multigraph_from_json_refuses_malformed_input(text):
+    with pytest.raises(ValueError, match="malformed MultiGraph JSON form"):
+        MultiGraph.from_json(text)
+
+
 def test_chorded_cycle_examples():
     assert is_chorded_cycle_free(MultiGraph(2, ((1, 2, 2),)))
     assert not is_chorded_cycle_free(MultiGraph(2, ((1, 2, 3),)))

@@ -9,7 +9,8 @@ and the census, `sperner` (connected and two-edge-connected), `lemma disc`,
 `lemma irk`, `lemma skeleton`, `lemma removable`, `lemma tech`,
 `lemma shadow-ratio`, `explore quotient`, `explore hamiltonian`, `chains`
 and `explore cprime` at n = 7, and `lemma chorded` at q = 6 and 7.  Stderr
-is not compared.
+is not compared.  The commands that print floats are also run under every
+other python3.10 ... python3.13 on PATH.
 
 Re-record (only after a deliberate output change) with
 
@@ -20,6 +21,8 @@ import contextlib
 import hashlib
 import io
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -173,6 +176,49 @@ def test_n7_outputs_match_golden():
 
 def test_chorded_q6_output_matches_golden():
     assert _mismatches(CHORDED_COMMANDS) == []
+
+
+# the golden commands that print floats, whose last digits could differ
+# between Python versions (sum() of floats is compensated from 3.12 on)
+FLOAT_COMMANDS = ("binom", "lemma lovasz", "lemma irk", "lemma shadow-ratio", "lemma appendix",
+                  "lemma technical")
+
+
+def _other_interpreters():
+    """The python3.10 ... python3.13 on PATH that start, other than the
+    running version; a name whose probe fails (a shim with no interpreter
+    behind it) counts as absent."""
+    found = []
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if minor == sys.version_info.minor or exe is None:
+            continue
+        probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"],
+                               capture_output=True, text=True)
+        if probe.returncode == 0 and probe.stdout.strip() == f"(3, {minor})":
+            found.append(exe)
+    return found
+
+
+def test_float_outputs_match_golden_under_other_pythons():
+    import pytest
+
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.10 ... python3.13 on PATH")
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    keys = [key for key in golden if key.startswith(FLOAT_COMMANDS)]
+    tests = Path(__file__).parent
+    # one process per interpreter, with only the stdlib and the package
+    code = (f"import json, sys; sys.path[:0] = [{str(tests.parent / 'src')!r}, {str(tests)!r}]\n"
+            "from test_golden import run\n"
+            "print(json.dumps({key: run(key.split()) for key in json.loads(sys.argv[1])}))\n")
+    for exe in interpreters:
+        proc = subprocess.run([exe, "-c", code, json.dumps(keys)], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert [key for key in keys if got[key] != golden[key]] == [], exe
 
 
 if __name__ == "__main__":

@@ -17,15 +17,17 @@ from connposet import (
     quotient_sperner,
     sperner_verdict,
 )
-from connposet.graphs import _lanes, _orbit, enumerate_level, level_census, slot_count
-from connposet.poset import ChainPartitionError, SpernerReport, _family_width
-from connposet.quotient import (
-    PROPERTY_BUILTINS,
-    _connected_classes,
-    _property_closure,
-    _property_plane,
-    relabel,
+from connposet.graphs import (
+    FAMILIES,
+    _family_plane,
+    _lanes,
+    _orbit,
+    enumerate_level,
+    level_census,
+    slot_count,
 )
+from connposet.poset import ChainPartitionError, SpernerReport, _family_width
+from connposet.quotient import _connected_classes, _property_closure, relabel
 
 from conftest import (
     bits_edges,
@@ -44,11 +46,13 @@ from conftest import (
     uf_two_edge_connected,
 )
 
-# the per-graph reference of each built-in property
+# the per-graph reference of each family
 PREDICATES = {
     "hamiltonian": is_hamiltonian,
     "two_edge_connected": is_two_edge_connected,
     "contains_triangle": contains_triangle,
+    "all": lambda g: True,
+    "connected": lambda g: uf_connected_bits(g.n, g.bits),
 }
 
 
@@ -464,32 +468,39 @@ def test_contains_triangle_predicate():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-@pytest.mark.parametrize("prop", sorted(PROPERTY_BUILTINS))
+@pytest.mark.parametrize("prop", FAMILIES)
 def test_property_planes_match_predicates(prop, n):
     # the plane holds the per-mask reference's family, which is upward closed
     m = slot_count(n)
     members = {b for level in predicate_levels(n, PREDICATES[prop]) for b in level}
-    plane = _property_plane(n, prop)
+    plane = _family_plane(n, prop)
     assert {b for b in range(1 << m) if plane >> b & 1} == members
     assert all(b | 1 << s in members for b in members for s in range(m))
-    if members:
-        assert _property_closure(n, prop, False)[1]
+    if members:  # `all` on [6] is over the width budget
+        assert _property_closure(n, prop, True)[1]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_level_census_counts_every_family(n):
+    for family in FAMILIES:
+        levels = predicate_levels(n, PREDICATES[family])
+        assert level_census(n, family).counts == tuple(map(len, levels)), family
 
 
 def stand_in(monkeypatch, levels):
     """Make the family that levels list stand in for the plane of every
-    built-in property, which _property_closure reads: the closure step then
-    runs on a family no built-in property gives."""
+    family, which _property_closure reads: the closure step then runs on a
+    family that no name gives."""
     import connposet.quotient as quotient_mod
 
     plane = sum(1 << b for level in levels for b in level)
-    monkeypatch.setattr(quotient_mod, "_property_plane", lambda n, prop: plane)
+    monkeypatch.setattr(quotient_mod, "_family_plane", lambda n, prop: plane)
 
 
 def assert_closure_matches_oracle(monkeypatch, n, prop):
     """The closure step of property_poset_report, which runs before the
     width and so also on a family whose levels do not glue.  A per-graph
-    predicate's family stands in for a built-in property's plane."""
+    predicate's family stands in for a family's plane."""
     levels = predicate_levels(n, PREDICATES.get(prop, prop))
     if callable(prop):
         stand_in(monkeypatch, levels)
@@ -522,8 +533,8 @@ def test_hamiltonian_upward_closed_n5():
 
 
 def test_property_poset_custom_predicate(monkeypatch):
-    # an upward-closed family that no built-in property gives, standing in
-    # for a property's plane, runs the whole report
+    # an upward-closed family that no name gives, standing in for a
+    # family's plane, runs the whole report
     stand_in(monkeypatch, predicate_levels(4, lambda g: g.edge_count >= 5))
     report = property_poset_report(4, "hamiltonian")
     assert report.element_count == 7
@@ -550,7 +561,7 @@ def test_property_poset_ungraded_family(monkeypatch):
 def test_property_poset_graded_but_not_upward_closed(monkeypatch):
     # every cover is a one-edge step, but the family is not upward closed,
     # so the package does not call it graded: only an upward-closed family
-    # (every built-in property) is
+    # (every named family) is
     levels = predicate_levels(4, lambda g: g.edge_count in (2, 3))
     assert covers_one_level([b for level in levels for b in level])
     stand_in(monkeypatch, levels)
@@ -570,7 +581,7 @@ def test_property_poset_graded_but_not_upward_closed(monkeypatch):
         lambda g: g.edge_count in (2, 3),
         lambda g: g.edge_count == 6 or (g.edge_count == 3 and contains_triangle(g)),
         *PREDICATES.values(),  # as per-graph predicates
-        *sorted(PROPERTY_BUILTINS),  # as planes
+        *FAMILIES,  # as planes
     ],
 )
 @pytest.mark.parametrize("n", [4, 5])
@@ -610,8 +621,8 @@ def test_property_poset_triangles_below_complete(monkeypatch):
 
 @pytest.mark.parametrize(
     "prop,n",
-    [(prop, n) for prop in sorted(PROPERTY_BUILTINS) for n in (3, 4, 5)]
-    + [("two_edge_connected", 1)],
+    [(prop, n) for prop in FAMILIES for n in (3, 4, 5)]
+    + [(prop, 1) for prop in ("all", "connected", "two_edge_connected")],
 )
 def test_property_chain_route_agrees_with_dilworth(prop, n):
     levels = predicate_levels(n, PREDICATES[prop])
@@ -620,11 +631,14 @@ def test_property_chain_route_agrees_with_dilworth(prop, n):
 
 
 def test_property_poset_width_budget(monkeypatch):
-    # no built-in property on [6] exceeds the 30,000-element budget (the
-    # largest, contains_triangle, has 26,979 members), so the check is
-    # tried on a lower budget: the 218 Hamiltonian graphs on [5] exceed 100
+    # only `all` on [6], with 32,768 members, exceeds the 30,000-element
+    # budget (the next largest, contains_triangle, has 26,979), so the
+    # check is also tried on a lower budget: the 218 Hamiltonian graphs on
+    # [5] exceed 100
     from connposet import limits
 
+    with pytest.raises(BudgetExceededError, match="over 32768 elements"):
+        property_poset_report(6, "all")
     monkeypatch.setattr(limits, "WIDTH_DEFAULT_MAX_ELEMENTS", 100)
     with pytest.raises(BudgetExceededError, match="over 218 elements"):
         property_poset_report(5, "hamiltonian")
@@ -632,8 +646,20 @@ def test_property_poset_width_budget(monkeypatch):
 
 
 def test_property_poset_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown family 'chromatic'; expected one of \("):
         property_poset_report(4, "chromatic")
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_property_poset_of_connected_and_all_matches_sperner(n):
+    # property_poset_report reads the families of `sperner` too, graded
+    # from their lowest level: trees for the connected graphs
+    for family, lowest in (("connected", n - 1), ("all", 0)):
+        report = property_poset_report(n, family)
+        verdict = sperner_verdict(n, family)
+        assert report.upward_closed and report.minimal_levels == (lowest,)
+        assert (report.element_count, report.level_sizes, report.width, report.max_level_k) == (
+            verdict.element_count, verdict.level_sizes, verdict.width, verdict.max_level_k)
 
 
 def test_two_edge_connected_property_poset():
